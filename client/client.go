@@ -44,9 +44,7 @@
 // Retry-After on 429 sheds — a shed server is never hammered. When
 // an endpoint dies mid-stream the refill goroutine cuts over to the
 // next healthy one; the draw side keeps serving from the ring and,
-// in the common case, never observes the failure. Optional hedged
-// requests (Options.HedgeDelay) bound tail latency by racing a slow
-// block fetch against a second endpoint.
+// in the common case, never observes the failure.
 package client
 
 import (
@@ -122,12 +120,6 @@ type Options struct {
 	// reproducible in tests — the client-side mirror of
 	// hybridprng.WithClock.
 	Clock func() time.Time
-
-	// HedgeDelay, when positive, arms hedged requests: a block fetch
-	// still unanswered after HedgeDelay is raced against a second
-	// request to a different endpoint, first response wins. 0
-	// disables hedging.
-	HedgeDelay time.Duration
 
 	// HTTPClient overrides the transport (nil: a dedicated client
 	// with sane connection reuse). Its Timeout is ignored; the
@@ -247,8 +239,6 @@ type Client struct {
 	retries   atomic.Uint64
 	failovers atomic.Uint64
 	sheds     atomic.Uint64
-	hedges    atomic.Uint64
-	hedgeWins atomic.Uint64
 	discarded atomic.Uint64
 }
 
@@ -476,9 +466,12 @@ func (c *Client) nextBlockLocked() error {
 	if rem := len(c.cur) - c.off; rem > 0 && rem < 8 {
 		c.discarded.Add(uint64(rem))
 	}
-	select {
-	case <-c.ctx.Done():
+	// Closure first: a select picks at random among ready cases, and a
+	// block prefetched before Close must not outrun ErrClosed.
+	if c.ctx.Err() != nil {
 		return ErrClosed
+	}
+	select {
 	case b := <-c.blocks:
 		c.cur, c.off = b, 0
 		return nil
@@ -588,8 +581,6 @@ type Stats struct {
 	Retries        uint64 // failed block-fetch attempts
 	Failovers      uint64 // blocks served by a different endpoint than the previous one
 	Sheds429       uint64 // 429 responses received
-	Hedges         uint64 // hedged requests launched
-	HedgeWins      uint64 // hedges that beat the primary
 	DiscardedBytes uint64 // sub-word residue dropped (truncated responses, odd Reads)
 	EpochChanges   uint64 // server restarts observed via the stream token
 	BlockWords     int    // current adaptive block size
@@ -616,8 +607,6 @@ func (c *Client) Stats() Stats {
 		Retries:        c.retries.Load(),
 		Failovers:      c.failovers.Load(),
 		Sheds429:       c.sheds.Load(),
-		Hedges:         c.hedges.Load(),
-		HedgeWins:      c.hedgeWins.Load(),
 		DiscardedBytes: c.discarded.Load(),
 		BlockWords:     int(c.blockWords.Load()),
 	}

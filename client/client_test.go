@@ -4,7 +4,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -230,64 +229,6 @@ func TestAdaptiveBlockGrowth(t *testing.T) {
 		}
 	}
 	t.Fatalf("block size never grew above 512 under a fast consumer; stats %+v", cl.Stats())
-}
-
-// TestHedgedRequests: with hedging armed, a slow primary is raced
-// against a second endpoint and the fast one wins.
-func TestHedgedRequests(t *testing.T) {
-	var delayA atomic.Bool
-	delayA.Store(true)
-	poolA, tsARaw := newRanddServer(t, hybridprng.WithSeed(4), hybridprng.WithShards(1))
-	_ = poolA
-	slowA := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if delayA.Load() {
-			time.Sleep(300 * time.Millisecond)
-		}
-		// Re-serve from A's real handler via reverse proxying the
-		// request path onto the underlying test server.
-		resp, err := http.Get(tsARaw.URL + r.URL.String())
-		if err != nil {
-			w.WriteHeader(http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		for k, vs := range resp.Header {
-			for _, v := range vs {
-				w.Header().Add(k, v)
-			}
-		}
-		w.WriteHeader(resp.StatusCode)
-		buf := make([]byte, 32*1024)
-		for {
-			n, err := resp.Body.Read(buf)
-			if n > 0 {
-				w.Write(buf[:n])
-			}
-			if err != nil {
-				return
-			}
-		}
-	}))
-	defer slowA.Close()
-	_, tsB := newRanddServer(t, hybridprng.WithSeed(5), hybridprng.WithShards(1))
-
-	cl := newTestClient(t, Options{
-		Endpoints:  []string{slowA.URL, tsB.URL},
-		HedgeDelay: 25 * time.Millisecond,
-	})
-	start := time.Now()
-	if _, err := cl.Uint64(); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	st := cl.Stats()
-	if st.Hedges == 0 {
-		t.Fatalf("no hedge launched against a 300ms primary; stats %+v", st)
-	}
-	if st.HedgeWins == 0 {
-		t.Errorf("hedge never won against a 300ms primary (elapsed %v); stats %+v", elapsed, st)
-	}
-	t.Logf("first draw in %v, stats %+v", elapsed, st)
 }
 
 // TestRandAdapter: the math/rand/v2 adapter draws through the ring.

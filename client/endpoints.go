@@ -154,23 +154,6 @@ func (s *endpointSet) pick(now time.Time) (*endpoint, time.Duration) {
 	return nil, wait
 }
 
-// pickOther returns an eligible endpoint different from not (for
-// hedging); degraded endpoints are acceptable — a hedge is already a
-// latency bet.
-func (s *endpointSet) pickOther(not *endpoint, now time.Time) *endpoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.eps)
-	for i := 0; i < n; i++ {
-		ep := s.eps[(s.rr+i)%n]
-		if ep == not || now.Before(ep.until) {
-			continue
-		}
-		return ep
-	}
-	return nil
-}
-
 // suspect reports whether the endpoint has unresolved failures and
 // must pass a /healthz probe before carrying draw traffic again.
 func (s *endpointSet) suspect(ep *endpoint) bool {

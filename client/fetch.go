@@ -79,16 +79,13 @@ func (c *Client) fetchBlock(words int) ([]byte, *endpoint, error) {
 // fetchOnce runs a single attempt against ep: a /healthz probe first
 // when the endpoint is coming back from failures (active health
 // checking — don't route draws to a server that says it is down),
-// then the block fetch itself, hedged when configured.
+// then the block fetch itself.
 func (c *Client) fetchOnce(ep *endpoint, words int) ([]byte, error) {
 	if c.eps.suspect(ep) {
 		if err := c.probe(ep); err != nil {
 			c.eps.fail(ep, 0)
 			return nil, err
 		}
-	}
-	if c.opts.HedgeDelay > 0 {
-		return c.fetchHedged(ep, words)
 	}
 	return c.fetchBytes(c.ctx, ep, words)
 }
@@ -112,60 +109,6 @@ func (c *Client) probe(ep *endpoint) error {
 		return fmt.Errorf("client: %s/healthz: %s", ep.base, resp.Status)
 	}
 	return nil
-}
-
-// fetchHedged races the primary fetch against a second endpoint
-// started after HedgeDelay: first success wins, the loser is
-// cancelled. Tail latency becomes min(two samples) at the cost of
-// occasional duplicate work — the standard hedging trade.
-func (c *Client) fetchHedged(primary *endpoint, words int) ([]byte, error) {
-	ctx, cancel := context.WithCancel(c.ctx)
-	defer cancel()
-	type result struct {
-		b   []byte
-		ep  *endpoint
-		err error
-	}
-	ch := make(chan result, 2)
-	launch := func(ep *endpoint) {
-		go func() {
-			b, err := c.fetchBytes(ctx, ep, words)
-			ch <- result{b, ep, err}
-		}()
-	}
-	launch(primary)
-	inFlight := 1
-	hedged := false
-	timer := time.NewTimer(c.opts.HedgeDelay)
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			inFlight--
-			if r.err == nil {
-				if hedged && r.ep != primary {
-					c.hedgeWins.Add(1)
-				}
-				return r.b, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if inFlight == 0 {
-				return nil, firstErr
-			}
-		case <-timer.C:
-			if ep2 := c.eps.pickOther(primary, c.now()); ep2 != nil {
-				hedged = true
-				c.hedges.Add(1)
-				inFlight++
-				launch(ep2)
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 }
 
 // fetchBytes performs one GET against ep's draw path — /bytes for

@@ -150,6 +150,11 @@ func run() int {
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	// Catch SIGTERM before serving starts: a signal that lands between
+	// the first accepted request and a later Notify would take the
+	// default action and kill randd without its shutdown snapshot.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	httpErr := make(chan error, 1)
 	go func() {
 		switch {
@@ -219,8 +224,6 @@ func run() int {
 		go agent.Run(agentCtx)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-httpErr:
 		log.Printf("randd: %v", err)

@@ -83,7 +83,6 @@ func run() int {
 		mode     = flag.String("mode", "closed", "closed (draw flat out) or open (fixed offered rate)")
 		rate     = flag.Float64("rate", 100000, "total offered draws/sec across all clients (open loop only)")
 		block    = flag.Int("block", 0, "pin the block size to this many words (0 = adaptive)")
-		hedge    = flag.Duration("hedge", 0, "hedge delay; 0 disables hedged requests")
 		stall    = flag.Duration("stall", 5*time.Second, "give up on a draw after this long with no progress (client MaxStall)")
 		out      = flag.String("out", "", "write the JSON benchmark artifact here (e.g. BENCH_client.json)")
 		check    = flag.Bool("check", false, "exit non-zero unless throughput is non-zero and no corrupt word was seen")
@@ -114,10 +113,9 @@ func run() int {
 	workers := make([]*worker, *clients)
 	for i := range workers {
 		opts := client.Options{
-			Endpoints:  endpoints,
-			HedgeDelay: *hedge,
-			MaxStall:   *stall,
-			Seed:       uint64(i) + 1, // distinct deterministic jitter per client
+			Endpoints: endpoints,
+			MaxStall:  *stall,
+			Seed:      uint64(i) + 1, // distinct deterministic jitter per client
 		}
 		if *block > 0 {
 			opts.BlockWords = *block
@@ -278,8 +276,6 @@ type report struct {
 	Retries    uint64   `json:"retries"`
 	Failovers  uint64   `json:"failovers"`
 	Sheds      uint64   `json:"sheds_429"`
-	Hedges     uint64   `json:"hedges"`
-	HedgeWins  uint64   `json:"hedge_wins"`
 	Discarded  uint64   `json:"discarded_bytes"`
 	EpochFlips uint64   `json:"epoch_changes"`
 }
@@ -303,8 +299,6 @@ func summarize(workers []*worker, elapsed time.Duration, mode string) report {
 		rep.Retries += st.Retries
 		rep.Failovers += st.Failovers
 		rep.Sheds += st.Sheds429
-		rep.Hedges += st.Hedges
-		rep.HedgeWins += st.HedgeWins
 		rep.Discarded += st.DiscardedBytes
 		rep.EpochFlips += st.EpochChanges
 	}
@@ -359,6 +353,6 @@ func printReport(rep report) {
 		time.Duration(rep.P99Ns), time.Duration(rep.MaxNs))
 	fmt.Printf("  transport  blocks %d  stalls %d  retries %d  failovers %d\n",
 		rep.Blocks, rep.Stalls, rep.Retries, rep.Failovers)
-	fmt.Printf("  fleet      sheds(429) %d  hedges %d (won %d)  discarded %dB  epoch changes %d\n",
-		rep.Sheds, rep.Hedges, rep.HedgeWins, rep.Discarded, rep.EpochFlips)
+	fmt.Printf("  fleet      sheds(429) %d  discarded %dB  epoch changes %d\n",
+		rep.Sheds, rep.Discarded, rep.EpochFlips)
 }

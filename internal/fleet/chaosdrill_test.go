@@ -47,12 +47,17 @@ type recordedReq struct {
 }
 
 // recorder tees every successful /bytes response a node serves, in
-// order. A single sequential drawer means each node's requests are
-// serialised, so the recording is exactly the node's served stream.
+// the order the node drew them. A response takes its slot at its
+// first body Write, not at handler exit: the drawer sends its next
+// request once it has read the full body, which can be before the
+// previous handler returns, so exit order is not draw order. A
+// handler fills its first chunk before its first Write, and the
+// drawer sends its next request only after the previous response's
+// last Write, so first-Write order is the node's draw order.
 type recorder struct {
 	next http.Handler
 	mu   sync.Mutex
-	reqs []recordedReq
+	reqs []recordedReq // guarded by mu
 }
 
 func (rc *recorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -61,24 +66,28 @@ func (rc *recorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n, _ := strconv.Atoi(r.URL.Query().Get("n"))
-	tee := &teeWriter{ResponseWriter: w}
-	rc.next.ServeHTTP(tee, r)
-	if tee.status == 0 || tee.status == http.StatusOK {
-		rc.mu.Lock()
-		rc.reqs = append(rc.reqs, recordedReq{n: n, body: tee.buf.Bytes()})
-		rc.mu.Unlock()
-	}
+	rc.next.ServeHTTP(&teeWriter{ResponseWriter: w, rc: rc, n: n, slot: -1}, r)
 }
 
+// recorded returns a deep copy of the recording, safe to read while
+// a straggling handler is still writing.
 func (rc *recorder) recorded() []recordedReq {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return append([]recordedReq(nil), rc.reqs...)
+	out := make([]recordedReq, len(rc.reqs))
+	for i, req := range rc.reqs {
+		out[i] = recordedReq{n: req.n, body: append([]byte(nil), req.body...)}
+	}
+	return out
 }
 
+// teeWriter copies a successful response's body into its recorder
+// slot, taking the slot at the first Write.
 type teeWriter struct {
 	http.ResponseWriter
-	buf    bytes.Buffer
+	rc     *recorder
+	n      int
+	slot   int // index into rc.reqs; -1 until the first body Write
 	status int
 }
 
@@ -88,7 +97,15 @@ func (t *teeWriter) WriteHeader(code int) {
 }
 
 func (t *teeWriter) Write(p []byte) (int, error) {
-	t.buf.Write(p)
+	if t.status == 0 || t.status == http.StatusOK {
+		t.rc.mu.Lock()
+		if t.slot < 0 {
+			t.slot = len(t.rc.reqs)
+			t.rc.reqs = append(t.rc.reqs, recordedReq{n: t.n})
+		}
+		t.rc.reqs[t.slot].body = append(t.rc.reqs[t.slot].body, p...)
+		t.rc.mu.Unlock()
+	}
 	return t.ResponseWriter.Write(p)
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	hybridprng "repro"
+	"repro/internal/substream"
 )
 
 // TestServeBytesReusedBufferNoLeak pins the buffer-reuse contract of
@@ -77,32 +78,46 @@ func (d *discardResponse) Write(b []byte) (int, error) { return len(b), nil }
 func (d *discardResponse) WriteHeader(int)             {}
 
 // TestServeBytesSteadyPathAllocs asserts the per-chunk serving path
-// allocates nothing: a 33-chunk response must cost the same number of
-// allocations as a 1-chunk response (the shared per-request envelope —
-// query parsing, header strings). A small slack absorbs the rare
-// sync.Pool refill after a GC between runs.
+// allocates nothing on every draw route: a 33-chunk response must cost
+// the same number of allocations as a 1-chunk response (the shared
+// per-request envelope — routing, query parsing, header strings,
+// deadline). A small slack absorbs the rare sync.Pool refill after a
+// GC between runs.
 func TestServeBytesSteadyPathAllocs(t *testing.T) {
 	pool, err := hybridprng.NewPool(hybridprng.WithSeed(7), hybridprng.WithShards(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(pool, Options{})
+	// A one-step walk keeps the scalar tenant draws cheap (the test
+	// counts allocations, not stream quality), so the keyed routes
+	// stay fast under the race detector.
+	reg, err := substream.New(substream.Config{RootSeed: 7, WalkLen: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &discardResponse{h: make(http.Header)}
-	measure := func(nbytes int) float64 {
-		target := fmt.Sprintf("/bytes?n=%d", nbytes)
-		return testing.AllocsPerRun(20, func() {
-			r := httptest.NewRequest(http.MethodGet, target, nil)
-			srv.serveBytes(w, r)
-		})
+	srv, err := New(pool, Options{Substreams: reg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	measure(chunkWords * 8) // prime the chunk pool
-	one := measure(chunkWords * 8)
-	many := measure(33 * chunkWords * 8)
-	if many-one > 4 {
-		t.Fatalf("per-chunk allocations on the steady /bytes path: 1 chunk = %.1f allocs, 33 chunks = %.1f", one, many)
+	h := srv.Handler()
+	w := &discardResponse{h: make(http.Header)}
+	for _, rt := range drawRoutes {
+		perChunk := chunkWords * 8 // a bytes chunk is chunkWords words
+		if rt.text {
+			perChunk = chunkWords
+		}
+		measure := func(chunks int) float64 {
+			target := fmt.Sprintf("%s?n=%d", rt.path, chunks*perChunk)
+			return testing.AllocsPerRun(20, func() {
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+			})
+		}
+		measure(1) // prime the chunk pool (and create the tenant)
+		one := measure(1)
+		many := measure(33)
+		if many-one > 4 {
+			t.Errorf("per-chunk allocations on %s: 1 chunk = %.1f allocs, 33 chunks = %.1f", rt.path, one, many)
+		}
 	}
 }
 
@@ -126,6 +141,6 @@ func BenchmarkServeBytesDirect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := httptest.NewRequest(http.MethodGet, target, nil)
-		srv.serveBytes(w, r)
+		srv.serveBytes(w, r, pool.FillBytes)
 	}
 }

@@ -32,16 +32,24 @@
 //	                 are admitted again. Orchestrator-only — calling
 //	                 it after the blob was handed over forks streams.
 //
-// All draw endpoints pull through the pool's batched Fill path, so
-// one HTTP request amortises shard locks over thousands of words.
+// The paper's one on-demand draw (GetNextRand, Algorithm 2) is served
+// by one text handler (serveU64) and one bytes handler (serveBytes),
+// whatever the route family: each route hands its handler a fill
+// function — the pool's Fill/FillBytes, or a closure over the {key}
+// tenant's Registry.Fill/FillBytes — and one error mapper turns a
+// drawer's failure into a status. Every fill is one batched call per
+// chunk of up to 8192 words, so one HTTP request amortises shard locks
+// over thousands of words. Each draw route calls its fill function at
+// least once, so ?n=0 still resolves the drawer: an empty 200 for the
+// pool or a valid key, a 400 for a malformed key.
 //
 // # Response headers for cooperating clients
 //
 // Draw responses carry enough metadata that an SDK (package client)
-// can react without a second round trip. /bytes always sets
-// Content-Type and Content-Length; /u64 does too when the request
-// fits one chunk (n ≤ 8192 — the common SDK case; larger responses
-// stream chunked). X-Pool-Degraded: true is stamped whenever /healthz
+// can react without a second round trip. The bytes routes always set
+// Content-Type and Content-Length; the text routes do too when the
+// request fits one chunk (n ≤ 8192 — the common SDK case; larger
+// responses stream chunked). X-Pool-Degraded: true is stamped whenever /healthz
 // would answer "degraded" (some shards down, pool still serving), so
 // a client can start preferring healthier endpoints before anything
 // fails. Every draw response also carries an ETag-style stream token,
@@ -61,16 +69,17 @@
 //
 // Every handler runs behind a middleware chain. Panic recovery turns
 // a handler panic into a 500 and a counter instead of a dead daemon.
-// The draw endpoints (/u64, /bytes, /stream) sit behind a bounded
-// in-flight limit: past Options.MaxInFlight concurrent draws the
-// server sheds immediately with 429 and a Retry-After header rather
-// than queueing without bound — a randomness service under overload
-// should fail fast so the load balancer retries elsewhere. The
-// probe and admin endpoints bypass the limiter: an overloaded server
-// must still answer /healthz. /u64 and /bytes additionally carry a
-// per-request deadline (Options.RequestTimeout); a request that
-// cannot finish in time is truncated (or 503'd when nothing has been
-// written) instead of holding its connection indefinitely. /stream
+// The draw endpoints (/u64, /bytes, /stream and the tenant routes)
+// sit behind a bounded in-flight limit: past Options.MaxInFlight
+// concurrent draws the server sheds immediately with 429 and a
+// Retry-After header rather than queueing without bound — a
+// randomness service under overload should fail fast so the load
+// balancer retries elsewhere. The probe and admin endpoints bypass
+// the limiter: an overloaded server must still answer /healthz. The
+// other draw routes additionally carry a per-request deadline
+// (Options.RequestTimeout); a request that cannot finish in time is
+// truncated (or 503'd when nothing has been written) instead of
+// holding its connection indefinitely. /stream
 // is exempt from the request deadline — it is unbounded by design —
 // but each chunk write carries an idle-write deadline
 // (Options.StreamWriteTimeout): a client that stops reading loses
@@ -141,43 +150,28 @@ const DefaultDrainWait = 10 * time.Second
 const chunkWords = 8192
 
 // chunk is the per-request scratch a draw handler borrows from
-// chunkPool. On little-endian hosts words and bytes alias the same
-// word-aligned block, so the pool's batched refill writes response
-// bytes in place and the handlers never copy; elsewhere bytes is a
-// separate block and encode materialises the words into it. text is
-// the decimal formatting buffer /u64 reuses.
+// chunkPool: words for serveU64's fills, bytes for serveBytes' and
+// serveStream's, text for serveU64's decimal formatting. On
+// little-endian hosts bytes is a view of words' word-aligned block, so
+// Pool.FillBytes writes response bytes in place; elsewhere it is a
+// block of its own.
 //
 // Chunks are reused across requests, so a handler must only ever
-// write bytes the pool filled *this* request — short responses take
+// write bytes its fill filled *this* request — short responses take
 // a prefix of freshly filled data, never of leftover buffer.
 type chunk struct {
-	words   []uint64
-	bytes   []byte
-	aliased bool
-	text    []byte
+	words []uint64
+	bytes []byte
+	text  []byte
 }
 
 var chunkPool = sync.Pool{New: func() any {
-	c := &chunk{words: make([]uint64, chunkWords)}
-	if b := wordbytes.Bytes(c.words); b != nil {
-		c.bytes, c.aliased = b, true
-	} else {
+	c := &chunk{words: make([]uint64, chunkWords), text: make([]byte, 0, chunkWords*21)}
+	if c.bytes = wordbytes.Bytes(c.words); c.bytes == nil {
 		c.bytes = make([]byte, chunkWords*8)
 	}
-	c.text = make([]byte, 0, chunkWords*21)
 	return c
 }}
-
-// encode materialises words[:n] into the byte view where the two
-// buffers do not alias; on little-endian hosts it is a no-op.
-func (c *chunk) encode(n int) {
-	if c.aliased {
-		return
-	}
-	for i, v := range c.words[:n] {
-		binary.LittleEndian.PutUint64(c.bytes[8*i:], v)
-	}
-}
 
 // Server serves a Pool over HTTP. Create with New; the zero value is
 // not usable.
@@ -316,21 +310,29 @@ func New(pool *hybridprng.Pool, opts Options) (*Server, error) {
 	}
 	s.metrics = m
 
-	// Draw endpoints carry the full chain; the probe and admin
-	// endpoints get panic recovery only — an overloaded server must
-	// still answer its health checks.
+	// Draw endpoints carry the full chain, and the bounded ones differ
+	// only in their fill function; the probe and admin endpoints get
+	// panic recovery only — an overloaded server must still answer its
+	// health checks.
+	draw := func(h http.HandlerFunc) http.Handler { return s.protect(s.shed(s.deadline(h))) }
 	mux := http.NewServeMux()
-	mux.Handle("/u64", s.protect(s.shed(s.deadline(http.HandlerFunc(s.serveU64)))))
-	mux.Handle("/bytes", s.protect(s.shed(s.deadline(http.HandlerFunc(s.serveBytes)))))
+	mux.Handle("/u64", draw(func(w http.ResponseWriter, r *http.Request) { s.serveU64(w, r, pool.Fill) }))
+	mux.Handle("/bytes", draw(func(w http.ResponseWriter, r *http.Request) { s.serveBytes(w, r, pool.FillBytes) }))
 	mux.Handle("/stream", s.protect(s.shed(http.HandlerFunc(s.serveStream))))
 	mux.Handle("/healthz", s.protect(http.HandlerFunc(s.serveHealthz)))
 	mux.Handle("/metrics", s.protect(http.HandlerFunc(s.serveMetrics)))
 	mux.Handle("/snapshot", s.protect(http.HandlerFunc(s.serveSnapshot)))
 	mux.Handle("/drain", s.protect(http.HandlerFunc(s.serveDrain)))
 	mux.Handle("/undrain", s.protect(http.HandlerFunc(s.serveUndrain)))
-	if s.sub != nil {
-		mux.Handle("/v1/stream/{key}/u64", s.protect(s.shed(s.deadline(http.HandlerFunc(s.serveSubU64)))))
-		mux.Handle("/v1/stream/{key}/bytes", s.protect(s.shed(s.deadline(http.HandlerFunc(s.serveSubBytes)))))
+	if reg := s.sub; reg != nil {
+		mux.Handle("/v1/stream/{key}/u64", draw(func(w http.ResponseWriter, r *http.Request) {
+			key := r.PathValue("key")
+			s.serveU64(w, r, func(dst []uint64) error { return reg.Fill(key, dst) })
+		}))
+		mux.Handle("/v1/stream/{key}/bytes", draw(func(w http.ResponseWriter, r *http.Request) {
+			key := r.PathValue("key")
+			s.serveBytes(w, r, func(b []byte) error { return reg.FillBytes(key, b) })
+		}))
 	}
 	s.mux = mux
 	return s, nil
@@ -629,11 +631,14 @@ func (s *Server) setDrawHeaders(w http.ResponseWriter) {
 	}
 }
 
-// serveU64 streams n decimal uint64s, one per line. Single-chunk
-// requests (n ≤ chunkWords, the common SDK case) are fully buffered
-// so the response carries an exact Content-Length; larger requests
-// stream chunked as before.
-func (s *Server) serveU64(w http.ResponseWriter, r *http.Request) {
+// serveU64 writes n decimal uint64s, one per line, drawn through
+// fill: Pool.Fill for /u64, the tenant's Registry.Fill for
+// /v1/stream/{key}/u64. Single-chunk requests (n ≤ chunkWords, the
+// common SDK case) are fully buffered so the response carries an
+// exact Content-Length; larger requests stream chunked. On the keyed
+// route every chunk pays the tenant's token bucket, so a rate limit
+// mid-response truncates, exactly like a lapsed deadline.
+func (s *Server) serveU64(w http.ResponseWriter, r *http.Request, fill func([]uint64) error) {
 	s.requests.Add(1)
 	n, ok := s.countWords(w, r, "n", s.maxWords)
 	if !ok {
@@ -644,72 +649,41 @@ func (s *Server) serveU64(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	c := chunkPool.Get().(*chunk)
 	defer chunkPool.Put(c)
-	scratch := c.words
-	// One reusable text buffer: 20 digits + newline per word.
-	out := c.text[:0]
-	if n <= chunkWords {
-		if s.expired(w, ctx, false) {
-			return
-		}
-		if err := s.pool.Fill(scratch[:n]); err != nil {
-			s.unhealthy(w, err, false)
-			return
-		}
-		for _, v := range scratch[:n] {
-			out = strconv.AppendUint(out, v, 10)
-			out = append(out, '\n')
-		}
-		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
-		if _, err := w.Write(out); err != nil {
-			return
-		}
-		s.words.Add(int64(n))
-		return
-	}
-	wrote := false
-	for n > 0 {
+	buffered := n <= chunkWords
+	for wrote := false; ; wrote = true {
 		if s.expired(w, ctx, wrote) {
 			return
 		}
-		batch := n
-		if batch > chunkWords {
-			batch = chunkWords
-		}
-		if err := s.pool.Fill(scratch[:batch]); err != nil {
-			s.unhealthy(w, err, wrote)
+		batch := min(n, chunkWords)
+		if err := fill(c.words[:batch]); err != nil {
+			s.drawFailed(w, err, wrote)
 			return
 		}
-		out = out[:0]
-		for _, v := range scratch[:batch] {
+		// One reusable text buffer: 20 digits + newline per word.
+		out := c.text[:0]
+		for _, v := range c.words[:batch] {
 			out = strconv.AppendUint(out, v, 10)
 			out = append(out, '\n')
+		}
+		if buffered {
+			w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 		}
 		if _, err := w.Write(out); err != nil {
 			return
 		}
-		wrote = true
 		s.words.Add(int64(batch))
-		n -= batch
+		if n -= batch; n == 0 {
+			return
+		}
 	}
 }
 
-// unhealthy reports a pool failure: a clean 503 when the response
-// has not started, a truncated body (the only honest option) when
-// chunks are already on the wire.
-func (s *Server) unhealthy(w http.ResponseWriter, err error, wrote bool) {
-	if wrote {
-		s.reqErrs.Add(1)
-		return
-	}
-	s.fail(w, http.StatusServiceUnavailable, err.Error())
-}
-
-// serveBytes streams n random octets. On little-endian hosts the
-// pool's batched refill fills the word-aligned response buffer in
-// place (Pool.FillBytes), so the steady per-chunk path performs no
-// copies and no allocations; the portable fallback fills words and
-// encodes.
-func (s *Server) serveBytes(w http.ResponseWriter, r *http.Request) {
+// serveBytes writes n random octets drawn through fill: Pool.FillBytes
+// for /bytes, the tenant's Registry.FillBytes for
+// /v1/stream/{key}/bytes, one chunk per call. On little-endian hosts
+// Pool.FillBytes fills the chunk's word-aligned block in place, so the
+// steady per-chunk path performs no copies and no allocations.
+func (s *Server) serveBytes(w http.ResponseWriter, r *http.Request, fill func([]byte) error) {
 	s.requests.Add(1)
 	n, ok := s.countWords(w, r, "n", s.maxWords*8)
 	if !ok {
@@ -721,34 +695,48 @@ func (s *Server) serveBytes(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	c := chunkPool.Get().(*chunk)
 	defer chunkPool.Put(c)
-	wrote := false
-	for n > 0 {
+	for wrote := false; ; wrote = true {
 		if s.expired(w, ctx, wrote) {
 			return
 		}
-		batch := n
-		if batch > uint64(len(c.bytes)) {
-			batch = uint64(len(c.bytes))
-		}
-		words := (batch + 7) / 8
-		if c.aliased {
-			if err := s.pool.FillBytes(c.bytes[:batch]); err != nil {
-				s.unhealthy(w, err, wrote)
-				return
-			}
-		} else {
-			if err := s.pool.Fill(c.words[:words]); err != nil {
-				s.unhealthy(w, err, wrote)
-				return
-			}
-			c.encode(int(words))
+		batch := min(n, uint64(len(c.bytes)))
+		if err := fill(c.bytes[:batch]); err != nil {
+			s.drawFailed(w, err, wrote)
+			return
 		}
 		if _, err := w.Write(c.bytes[:batch]); err != nil {
 			return
 		}
-		wrote = true
-		s.words.Add(int64(words))
-		n -= batch
+		s.words.Add(int64((batch + 7) / 8))
+		if n -= batch; n == 0 {
+			return
+		}
+	}
+}
+
+// drawFailed maps a drawer's error onto the draw-path HTTP contract.
+// Mid-body the only honest option is a truncated response. Before the
+// body: an invalid tenant key is the caller's fault (400); a
+// rate-limited tenant gets 429 with its bucket's own refill estimate
+// in Retry-After (rounded up — retrying early just sheds again);
+// anything else, including every pool error, is 503.
+func (s *Server) drawFailed(w http.ResponseWriter, err error, wrote bool) {
+	if wrote {
+		s.reqErrs.Add(1)
+		return
+	}
+	var ke *substream.KeyError
+	var rl *substream.RateLimitError
+	switch {
+	case errors.As(err, &ke):
+		s.fail(w, http.StatusBadRequest, err.Error())
+	case errors.As(err, &rl):
+		secs := int((rl.RetryAfter + time.Second - 1) / time.Second)
+		w.Header().Set("Retry-After", strconv.Itoa(max(secs, 1)))
+		s.sheds.Add(1)
+		s.fail(w, http.StatusTooManyRequests, err.Error())
+	default:
+		s.fail(w, http.StatusServiceUnavailable, err.Error())
 	}
 }
 
@@ -778,15 +766,11 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request) {
 			return
 		default:
 		}
-		batch := limit
-		if batch > chunkWords {
-			batch = chunkWords
-		}
-		if err := s.pool.Fill(c.words[:batch]); err != nil {
-			s.unhealthy(w, err, wrote)
+		batch := min(limit, chunkWords)
+		if err := s.pool.FillBytes(c.bytes[:batch*8]); err != nil {
+			s.drawFailed(w, err, wrote)
 			return
 		}
-		c.encode(int(batch))
 		// Idle-write deadline: /stream is exempt from the request
 		// timeout by design, but a client that stops *reading* must
 		// not pin an in-flight slot forever. The deadline is re-armed

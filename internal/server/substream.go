@@ -2,13 +2,7 @@ package server
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"net/http"
-	"strconv"
-	"time"
-
-	"repro/internal/substream"
 )
 
 // Node state container, "hprng-node" v1:
@@ -94,136 +88,4 @@ func (s *Server) nodeState() ([]byte, error) {
 		return nil, fmt.Errorf("checkpoint substream registry: %w", err)
 	}
 	return EncodeNodeState(poolBlob, regBlob), nil
-}
-
-// subFail maps a registry error onto the draw-path HTTP contract:
-// invalid keys are the caller's fault (400), a rate-limited tenant
-// gets 429 with the bucket's own refill estimate in Retry-After
-// (rounded up — retrying early just sheds again), anything else is
-// the pool-failure path. Mid-body errors truncate, as everywhere.
-func (s *Server) subFail(w http.ResponseWriter, err error, wrote bool) {
-	if wrote {
-		s.reqErrs.Add(1)
-		return
-	}
-	var ke *substream.KeyError
-	var rl *substream.RateLimitError
-	switch {
-	case errors.As(err, &ke):
-		s.fail(w, http.StatusBadRequest, err.Error())
-	case errors.As(err, &rl):
-		secs := int((rl.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		s.sheds.Add(1)
-		s.fail(w, http.StatusTooManyRequests, err.Error())
-	default:
-		s.fail(w, http.StatusServiceUnavailable, err.Error())
-	}
-}
-
-// serveSubU64 is /v1/stream/{key}/u64: the tenant's own derived
-// stream as decimal uint64s, one per line. Shape mirrors /u64 —
-// single-chunk responses carry Content-Length, larger ones stream —
-// but every chunk draws through the registry, so it pays the
-// tenant's token bucket (chunk by chunk: a rate limit mid-response
-// truncates, exactly like a lapsed deadline) and lands in the
-// tenant's meters.
-func (s *Server) serveSubU64(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	key := r.PathValue("key")
-	n, ok := s.countWords(w, r, "n", s.maxWords)
-	if !ok {
-		return
-	}
-	s.setDrawHeaders(w)
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	ctx := r.Context()
-	c := chunkPool.Get().(*chunk)
-	defer chunkPool.Put(c)
-	scratch := c.words
-	out := c.text[:0]
-	if n <= chunkWords {
-		if s.expired(w, ctx, false) {
-			return
-		}
-		if err := s.sub.Fill(key, scratch[:n]); err != nil {
-			s.subFail(w, err, false)
-			return
-		}
-		for _, v := range scratch[:n] {
-			out = strconv.AppendUint(out, v, 10)
-			out = append(out, '\n')
-		}
-		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
-		if _, err := w.Write(out); err != nil {
-			return
-		}
-		s.words.Add(int64(n))
-		return
-	}
-	wrote := false
-	for n > 0 {
-		if s.expired(w, ctx, wrote) {
-			return
-		}
-		batch := n
-		if batch > chunkWords {
-			batch = chunkWords
-		}
-		if err := s.sub.Fill(key, scratch[:batch]); err != nil {
-			s.subFail(w, err, wrote)
-			return
-		}
-		out = out[:0]
-		for _, v := range scratch[:batch] {
-			out = strconv.AppendUint(out, v, 10)
-			out = append(out, '\n')
-		}
-		if _, err := w.Write(out); err != nil {
-			return
-		}
-		wrote = true
-		s.words.Add(int64(batch))
-		n -= batch
-	}
-}
-
-// serveSubBytes is /v1/stream/{key}/bytes: the tenant's derived
-// stream as octets, little-endian word by word like /bytes.
-func (s *Server) serveSubBytes(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	key := r.PathValue("key")
-	n, ok := s.countWords(w, r, "n", s.maxWords*8)
-	if !ok {
-		return
-	}
-	s.setDrawHeaders(w)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatUint(n, 10))
-	ctx := r.Context()
-	c := chunkPool.Get().(*chunk)
-	defer chunkPool.Put(c)
-	wrote := false
-	for n > 0 {
-		if s.expired(w, ctx, wrote) {
-			return
-		}
-		batch := n
-		if batch > uint64(len(c.bytes)) {
-			batch = uint64(len(c.bytes))
-		}
-		if err := s.sub.FillBytes(key, c.bytes[:batch]); err != nil {
-			s.subFail(w, err, wrote)
-			return
-		}
-		if _, err := w.Write(c.bytes[:batch]); err != nil {
-			return
-		}
-		wrote = true
-		s.words.Add(int64((batch + 7) / 8))
-		n -= batch
-	}
 }

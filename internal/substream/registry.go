@@ -166,85 +166,57 @@ func (r *Registry) Uint64(key string) (uint64, error) {
 // contract as Pool.Fill: stale buffer contents must never be
 // consumable as randomness. Each word costs one token.
 func (r *Registry) Fill(key string, dst []uint64) error {
-	t, err := r.tenant(key)
+	err := r.draw(key, len(dst), func(t *tenant, g *hybridprng.Generator) {
+		g.Fill(dst)
+		t.draws.Add(uint64(len(dst)))
+	})
 	if err != nil {
 		zeroWords(dst)
 		return err
 	}
-	for {
-		t.mu.Lock()
-		if t.evicted {
-			// Evicted between lookup and lock: the generator here is
-			// stale (its state was parked). Re-resolve, which unparks.
-			t.mu.Unlock()
-			t, err = r.tenant(key)
-			if err != nil {
-				zeroWords(dst)
-				return err
-			}
-			continue
-		}
-		if err := t.takeLocked(r, len(dst)); err != nil {
-			t.mu.Unlock()
-			zeroWords(dst)
-			return err
-		}
-		t.gen.Fill(dst)
-		t.mu.Unlock()
-		t.draws.Add(uint64(len(dst)))
-		return nil
-	}
+	return nil
 }
 
 // FillBytes fills b from the tenant's stream, little-endian word by
-// word with a partial final word for ragged lengths — the same
-// layout Generator.Read and the /bytes endpoint use. On any error b
-// is zeroed. Each (possibly partial) word costs one token.
+// word with a partial final word for ragged lengths — the layout of
+// Generator.Read and the /bytes endpoint. On any error b is zeroed.
+// Each (possibly partial) word costs one token.
 func (r *Registry) FillBytes(key string, b []byte) error {
-	t, err := r.tenant(key)
+	err := r.draw(key, (len(b)+7)/8, func(t *tenant, g *hybridprng.Generator) {
+		g.Read(b)
+		t.bytes.Add(uint64(len(b)))
+	})
 	if err != nil {
 		zeroBytes(b)
 		return err
 	}
-	words := (len(b) + 7) / 8
+	return nil
+}
+
+// draw resolves key's resident tenant, charges words tokens from its
+// bucket and runs gen on the tenant and its generator, all under the
+// tenant's lock. gen meters the draw there because eviction snapshots
+// the meters under the same lock: a meter bumped after the unlock
+// could land on an already-parked tenant and be lost. A tenant
+// evicted between lookup and lock holds a stale generator (its state
+// was parked), so draw re-resolves, which unparks it.
+func (r *Registry) draw(key string, words int, gen func(*tenant, *hybridprng.Generator)) error {
 	for {
+		t, err := r.tenant(key)
+		if err != nil {
+			return err
+		}
 		t.mu.Lock()
 		if t.evicted {
 			t.mu.Unlock()
-			t, err = r.tenant(key)
-			if err != nil {
-				zeroBytes(b)
-				return err
-			}
 			continue
 		}
-		if err := t.takeLocked(r, words); err != nil {
-			t.mu.Unlock()
-			zeroBytes(b)
-			return err
-		}
-		i := 0
-		for ; i+8 <= len(b); i += 8 {
-			v := t.gen.Uint64()
-			b[i] = byte(v)
-			b[i+1] = byte(v >> 8)
-			b[i+2] = byte(v >> 16)
-			b[i+3] = byte(v >> 24)
-			b[i+4] = byte(v >> 32)
-			b[i+5] = byte(v >> 40)
-			b[i+6] = byte(v >> 48)
-			b[i+7] = byte(v >> 56)
-		}
-		if i < len(b) {
-			v := t.gen.Uint64()
-			for ; i < len(b); i++ {
-				b[i] = byte(v)
-				v >>= 8
-			}
+		err = t.takeLocked(r, words)
+		if err == nil {
+			gen(t, t.gen)
 		}
 		t.mu.Unlock()
-		t.bytes.Add(uint64(len(b)))
-		return nil
+		return err
 	}
 }
 

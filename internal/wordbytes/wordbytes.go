@@ -8,8 +8,10 @@
 // directly through a word-typed view and skip the encode-and-copy
 // step entirely. On big-endian hosts (or for unaligned buffers) the
 // conversions report failure by returning nil and callers fall back
-// to the portable binary.LittleEndian copy — output bytes are
-// identical either way, only the copy count differs.
+// to the portable binary.LittleEndian copy. A view changes where the
+// words are written, not which words are drawn: a caller keeps its
+// bytes identical either way only by making the same draw calls on
+// both paths, as hybridprng.Pool.FillBytes does.
 package wordbytes
 
 // Words returns a []uint64 view over b's storage, or nil when the

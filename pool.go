@@ -1,6 +1,7 @@
 package hybridprng
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -878,44 +879,55 @@ func (p *Pool) Read(b []byte) (int, error) {
 	return done, nil
 }
 
-// FillBytes fills b with random bytes (little-endian words, the same
-// stream layout as Read). On little-endian hosts, when b's word-
-// aligned prefix permits it, the words are generated directly into b
-// with no intermediate copy — this is the zero-allocation path the
-// server's /bytes handler rides. On a non-nil error b is zeroed in
-// full, so a reused response buffer can never leak a previous
-// response's bytes through a failed fill.
+// FillBytes fills b with random bytes: one Fill of len(b)/8 words,
+// laid out little-endian, then for a ragged length one more word whose
+// low-order bytes end the buffer. The bytes depend only on len(b) and
+// the pool's state, never on b's alignment or the host's byte order.
+// On little-endian hosts an 8-byte-aligned b is filled in place with
+// no copy and no allocation — the path the server's /bytes handler
+// rides; otherwise the words go through a pooled scratch block and
+// are encoded into b. Read splits its draws differently (512-word
+// pieces, tail word included), so on a multi-shard pool the two
+// streams need not agree. On a non-nil error b is zeroed in full, so
+// a reused response buffer can never leak a previous response's bytes
+// through a failed fill.
 func (p *Pool) FillBytes(b []byte) error {
-	if len(b) == 0 {
-		return nil
-	}
 	nw := len(b) / 8
-	if w := wordbytes.Words(b[:nw*8]); w != nil {
-		if err := p.Fill(w); err != nil {
-			zeroBytes(b)
-			return err
+	words := wordbytes.Words(b[:nw*8])
+	inPlace := words != nil
+	if !inPlace {
+		sp := fillScratch.Get().(*[]uint64)
+		defer fillScratch.Put(sp)
+		if cap(*sp) < nw {
+			*sp = make([]uint64, nw)
 		}
-		if tail := b[nw*8:]; len(tail) > 0 {
-			var one [1]uint64
-			if err := p.Fill(one[:]); err != nil {
-				zeroBytes(b)
-				return err
-			}
-			for i := range tail {
-				tail[i] = byte(one[0] >> (8 * i))
-			}
-		}
-		return nil
+		words = (*sp)[:nw]
 	}
-	// Unaligned buffer or big-endian host: copy through Read.
-	if _, err := p.Read(b); err != nil {
-		// Read zeroes only the unwritten tail; FillBytes promises a
-		// fully zeroed buffer on error.
+	if err := p.Fill(words); err != nil {
 		zeroBytes(b)
 		return err
 	}
+	if !inPlace {
+		for i, v := range words {
+			binary.LittleEndian.PutUint64(b[8*i:], v)
+		}
+	}
+	if tail := b[nw*8:]; len(tail) > 0 {
+		var one [1]uint64
+		if err := p.Fill(one[:]); err != nil {
+			zeroBytes(b)
+			return err
+		}
+		for i := range tail {
+			tail[i] = byte(one[0] >> (8 * i))
+		}
+	}
 	return nil
 }
+
+// fillScratch recycles the word blocks FillBytes encodes from when it
+// cannot fill b in place.
+var fillScratch = sync.Pool{New: func() any { return new([]uint64) }}
 
 func zeroBytes(b []byte) {
 	for i := range b {

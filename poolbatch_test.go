@@ -158,7 +158,10 @@ func TestPoolFillBytesMatchesRead(t *testing.T) {
 }
 
 // TestPoolFillBytesUnalignedFallback drives the copying fallback with
-// a deliberately misaligned buffer; the byte stream must still match.
+// deliberately misaligned buffers. On one shard the byte stream must
+// match Read; on multi-shard pools, past one 512-word piece and with
+// ragged tails, it must match an aligned FillBytes from a twin pool —
+// the bytes depend on len(b) and the pool state, never on alignment.
 func TestPoolFillBytesUnalignedFallback(t *testing.T) {
 	a, _ := NewPool(WithSeed(17), WithShards(1))
 	b, _ := NewPool(WithSeed(17), WithShards(1))
@@ -173,6 +176,39 @@ func TestPoolFillBytesUnalignedFallback(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("unaligned FillBytes diverged from Read")
+	}
+
+	for _, shards := range []int{2, 4, 16} {
+		for _, n := range []int{4104, 65536, 65539} {
+			a, err := NewPool(WithSeed(17), WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewPool(WithSeed(17), WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			backing := make([]byte, n+1)
+			got := backing[1:] // 8-byte-misaligned start
+			want := make([]byte, n)
+			if err := a.FillBytes(got); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.FillBytes(want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%d shards, n=%d: misaligned FillBytes diverged from the aligned one", shards, n)
+			}
+		}
+	}
+
+	// The fallback's scratch block is pooled, so repeated misaligned
+	// fills stay allocation-free like the in-place path.
+	p, _ := NewPool(WithSeed(17), WithShards(2))
+	misaligned := make([]byte, 65537)[1:]
+	if allocs := testing.AllocsPerRun(10, func() { p.FillBytes(misaligned) }); allocs >= 1 {
+		t.Errorf("misaligned FillBytes allocates %.1f times per call", allocs)
 	}
 }
 
