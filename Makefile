@@ -3,7 +3,7 @@
 
 GOPATH_BIN := $(shell go env GOPATH)/bin
 
-.PHONY: build test race race-full lint lint-json lint-vet fmt check battery-short battery-long bench-seed bench-gate fleet-drill substream-test
+.PHONY: build test race race-full lint lint-json lint-vet fmt portable check battery-short battery-long bench-seed bench-gate fleet-drill substream-test
 
 build:
 	go build ./...
@@ -40,6 +40,15 @@ lint-vet:
 
 fmt:
 	gofmt -l .
+
+## portable: execute the paths non-amd64 and big-endian hosts take —
+## the purego tag forces the Go walk kernel (chunk21x4) and
+## FillBytes' encode-through-scratch branch on amd64 — then vet the
+## other word sizes and byte orders. The cross-vet compiles only;
+## nothing runs arm64, s390x or 386 code here.
+portable:
+	go test -tags purego -short ./internal/core ./internal/wordbytes ./internal/bitsource .
+	for arch in arm64 s390x 386; do GOARCH=$$arch go vet ./... || exit 1; done
 
 ## battery-short: the per-PR cross-stream battery — 256 streams per
 ## source under the race detector, the same invocation CI runs.
@@ -95,5 +104,5 @@ fleet-drill:
 	go test -run Chaos -race -count=3 -v ./internal/fleet
 
 ## check: everything a merge gate checks that runs offline.
-check: build lint test race
+check: build lint test race portable
 	test -z "$$(gofmt -l .)"

@@ -387,4 +387,22 @@ func BenchmarkPool(b *testing.B) {
 			}
 		}
 	})
+	// The default-config row: randd's pool as it boots (default shard
+	// count, health monitoring at its -hmin 4) filling one 64 KiB
+	// /bytes chunk — the batched kernel and the word-at-a-time health
+	// tests together.
+	pd, err := NewPool(WithSeed(1), WithHealthMonitoring(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	chunk := make([]byte, 64*1024)
+	b.Run("fill-bytes-64KiB-health", func(b *testing.B) {
+		b.SetBytes(int64(len(chunk)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := pd.FillBytes(chunk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -87,7 +87,7 @@ func main() {
 func run() int {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		shards     = flag.Int("shards", 0, "shard count, rounded up to a power of two (0 = next power of two ≥ GOMAXPROCS)")
+		shards     = flag.Int("shards", 0, "shard count, rounded up to a power of two (0 = next power of two ≥ max(GOMAXPROCS, 16), a full batched-kernel sweep)")
 		buffer     = flag.Int("buffer", 0, "per-shard ring buffer in words (0 = default)")
 		feed       = flag.String("feed", hybridprng.FeedGlibc, "feed generator: glibc, ansic or splitmix")
 		seed       = flag.Uint64("seed", 0, "fixed feed seed (only with -seeded; default: OS entropy)")

@@ -1,0 +1,62 @@
+package bitsource
+
+import (
+	"encoding/binary"
+	"testing"
+
+	"repro/internal/baselines"
+	"repro/internal/rng"
+)
+
+// FuzzMonitorWordMatchesByte restores a monitor from arbitrary test
+// state, feeds it arbitrary words, and requires the word-at-a-time
+// monitor and the per-byte reference to marshal identically after
+// every word. Blobs RestoreMonitor rejects are skipped.
+func FuzzMonitorWordMatchesByte(f *testing.F) {
+	words := func(vs ...uint64) []byte {
+		out := make([]byte, 8*len(vs))
+		for i, v := range vs {
+			binary.LittleEndian.PutUint64(out[8*i:], v)
+		}
+		return out
+	}
+	// rct, window, aptBound, seen, count, sample, last, repeats, have, tripped, words
+	f.Add(uint8(5), uint16(512), uint16(13), uint16(8), uint16(1), byte(0x11), byte(0x22), uint8(1), true, false,
+		words(0x0123456789ABCDEF, 0x1122334455667788, 0xF0E1D2C3B4A59687))
+	f.Add(uint8(5), uint16(512), uint16(13), uint16(0), uint16(0), byte(0), byte(0), uint8(0), false, false,
+		words(0x4242424242424242, 0x4242424242424242))
+	f.Add(uint8(3), uint16(500), uint16(40), uint16(3), uint16(39), byte(0x01), byte(0x01), uint8(2), true, false,
+		words(0x0101010001000101, 0x0100010001000100))
+	f.Add(uint8(9), uint16(13), uint16(4), uint16(7), uint16(2), byte(0xAA), byte(0x55), uint8(1), true, true,
+		words(0xAA55AA55AA55AA55, 0x55AA55AA55AA55AA))
+	f.Add(uint8(1), uint16(1), uint16(1), uint16(1), uint16(5), byte(0), byte(0), uint8(7), true, true, words(0, 1, 2))
+	f.Add(uint8(31), uint16(512), uint16(410), uint16(505), uint16(300), byte(0x03), byte(0x02), uint8(1), true, false,
+		words(0x0302010003020100, 0x0303030303030303))
+	f.Fuzz(func(t *testing.T, rct uint8, window, aptBound, seen, count uint16, sample, last byte, repeats uint8, have, tripped bool, data []byte) {
+		blob := monitorState{
+			rct: int(rct), window: int(window), aptBound: int(aptBound),
+			seen: int(seen), count: int(count), repeats: int(repeats),
+			sample: sample, last: last, haveSample: have, tripped: tripped,
+		}.blob(t)
+		if _, err := RestoreMonitor(baselines.NewSplitMix64(0), blob); err != nil {
+			return
+		}
+		off := 0
+		src := rng.Func(func() uint64 {
+			var b [8]byte
+			for i := range b {
+				if len(data) > 0 {
+					b[i] = data[off%len(data)]
+					off++
+				}
+			}
+			return binary.LittleEndian.Uint64(b[:])
+		})
+		word, ref, rec := monitorPair(t, blob, src)
+		n := (len(data) + 7) / 8
+		if n < 4 {
+			n = 4
+		}
+		requireWordMatchesByte(t, word, ref, rec, n)
+	})
+}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/rng"
@@ -34,6 +36,12 @@ func (e *HealthError) Error() string {
 // error) but Err reports the failure and Tripped is true — callers
 // must check Err at their consumption boundary.
 //
+// The tests are defined byte by byte, but Uint64 checks a whole feed
+// word at once whenever it can prove the per-byte loop would neither
+// trip nor start a window inside the word; every other word runs the
+// per-byte loop. Trip points, failure text and marshalled state are
+// therefore exactly those of checking each byte in turn.
+//
 // Drawing (Uint64) is single-consumer like every Source in this
 // repository, but Err, Tripped and Stats are safe to call from any
 // goroutine concurrently with draws — the serving layer polls them
@@ -62,7 +70,8 @@ type Monitor struct {
 // entropy feed, less for a weak one — the paper's glibc feed is
 // nowhere near full entropy, so callers wrapping it should claim
 // conservatively, e.g. 4). The false-positive rate per test is
-// 2^-30, the SP 800-90B recommendation.
+// 2^-30, the SP 800-90B recommendation. The cutoffs for a given hMin
+// are computed once per process and shared by every later monitor.
 func NewMonitor(src rng.Source, hMin float64) (*Monitor, error) {
 	if src == nil {
 		return nil, fmt.Errorf("bitsource: nil source")
@@ -70,20 +79,56 @@ func NewMonitor(src rng.Source, hMin float64) (*Monitor, error) {
 	if !(hMin > 0 && hMin <= 8) { // rejects NaN too, which <=/> chains let through
 		return nil, fmt.Errorf("bitsource: claimed min-entropy %g outside (0, 8]", hMin)
 	}
-	const alphaExp = 30 // α = 2^-30
-	// RCT cutoff: 1 + ⌈30 / hMin⌉.
-	rct := 1 + int(math.Ceil(alphaExp/hMin))
-	// APT cutoff over a 512-byte window: smallest c with
-	// P[Binomial(512, 2^-hMin) ≥ c] ≤ 2^-30; the standard's
-	// CRITBINOM. Computed here by direct summation.
-	p := math.Exp2(-hMin)
-	apt := critBinom(512, p, math.Exp2(-alphaExp))
+	c := calibrate(hMin)
 	return &Monitor{
 		src:       src,
-		rctBound:  rct,
-		aptWindow: 512,
-		aptBound:  apt,
+		rctBound:  c.rct,
+		aptWindow: aptWindow,
+		aptBound:  c.apt,
 	}, nil
+}
+
+// aptWindow is the APT window in bytes.
+const aptWindow = 512
+
+// calibration is the pair of integer cutoffs a claimed hMin implies.
+type calibration struct{ rct, apt int }
+
+// maxCalibrations bounds the cutoff cache. Real callers claim one or
+// two hMin values per process; past the bound (a fuzzer sweeping
+// claims) cutoffs are still computed, just not kept.
+const maxCalibrations = 64
+
+// calibrations memoises calibrate. An entry is a pure function of its
+// key and never changes once stored, so sharing the cache across
+// pools, tenants and tests couples nothing.
+var (
+	calibrationsMu sync.Mutex
+	calibrations   = map[float64]calibration{}
+)
+
+// calibrate returns hMin's cutoffs, computing them on first use. The
+// APT cutoff costs about 1,300 Lgamma calls at hMin 4, which would
+// otherwise be paid again by every pool shard and every tenant.
+func calibrate(hMin float64) calibration {
+	calibrationsMu.Lock()
+	defer calibrationsMu.Unlock()
+	if c, ok := calibrations[hMin]; ok {
+		return c
+	}
+	const alphaExp = 30 // α = 2^-30
+	c := calibration{
+		// RCT cutoff: 1 + ⌈30 / hMin⌉.
+		rct: 1 + int(math.Ceil(alphaExp/hMin)),
+		// APT cutoff over the window: smallest c with
+		// P[Binomial(512, 2^-hMin) ≥ c] ≤ 2^-30; the standard's
+		// CRITBINOM. Computed here by direct summation.
+		apt: critBinom(aptWindow, math.Exp2(-hMin), math.Exp2(-alphaExp)),
+	}
+	if len(calibrations) < maxCalibrations {
+		calibrations[hMin] = c
+	}
+	return c
 }
 
 // critBinom returns the smallest cutoff c such that
@@ -155,13 +200,48 @@ func (m *Monitor) Stats() Stats {
 	return s
 }
 
-// Uint64 draws a word and feeds its bytes through both health tests.
+// Uint64 draws a word and feeds its bytes, low byte first, through
+// both health tests.
+//
+// Most words are checked whole. Take a monitor that has its first
+// sample, inside an APT window that neither starts in this word nor
+// ends before its last byte. If no byte of the word repeats the one
+// before it (lastByte carried in), the RCT ends at a run of one on the
+// top byte, and the APT count grows by the word's exact number of
+// bytes equal to the sample; if that stays below the cutoff, no byte
+// could have tripped either test. Every other word goes through
+// checkByte one byte at a time.
 func (m *Monitor) Uint64() uint64 {
 	v := m.src.Uint64()
+	if m.haveSample && m.aptSeen != 0 && m.aptSeen+8 <= m.aptWindow &&
+		zeroByteMask(v^(v<<8|uint64(m.lastByte))) == 0 {
+		count := m.aptCount + bits.OnesCount64(zeroByteMask(v^uint64(m.aptSample)*bytesOf1))
+		if count < m.aptBound {
+			m.lastByte, m.repeats = byte(v>>56), 1
+			m.aptCount = count
+			if m.aptSeen += 8; m.aptSeen >= m.aptWindow {
+				m.aptSeen = 0 // start a new window on the next byte
+			}
+			return v
+		}
+	}
 	for i := 0; i < 8; i++ {
 		m.checkByte(byte(v >> (8 * i)))
 	}
 	return v
+}
+
+const (
+	bytesOf1  = 0x0101010101010101
+	bytesOf7F = 0x7F7F7F7F7F7F7F7F
+)
+
+// zeroByteMask returns x with the top bit of each zero byte set and
+// every other bit clear. Adding 0x7F to a byte's low seven bits carries
+// into its top bit unless they are all zero, so no carry crosses a byte
+// and the mask is exact: its popcount is the number of zero bytes.
+func zeroByteMask(x uint64) uint64 {
+	return ^((x&bytesOf7F + bytesOf7F) | x | bytesOf7F)
 }
 
 func (m *Monitor) checkByte(b byte) {

@@ -3,6 +3,7 @@ package bitsource
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/baselines"
@@ -101,6 +102,38 @@ func TestMonitorCutoffs(t *testing.T) {
 	if m4.RCTCutoff() <= m.RCTCutoff() || m4.APTCutoff() <= m.APTCutoff() {
 		t.Error("weaker entropy claim must loosen the cutoffs")
 	}
+}
+
+// TestMonitorCalibrationShared checks the per-hMin cutoff cache from
+// several goroutines at once: every monitor gets exactly the cutoffs a
+// fresh computation gives, including claims past the cache's bound.
+func TestMonitorCalibrationShared(t *testing.T) {
+	hMins := []float64{0.5, 1, 2, 3.3, 4, 8}
+	for i := 0; i < maxCalibrations; i++ {
+		hMins = append(hMins, 0.1+float64(i)/10)
+	}
+	want := make([][2]int, len(hMins))
+	for i, h := range hMins {
+		want[i] = [2]int{1 + int(math.Ceil(30/h)), critBinom(512, math.Exp2(-h), math.Exp2(-30))}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, h := range hMins {
+				m, err := NewMonitor(baselines.NewSplitMix64(1), h)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := [2]int{m.RCTCutoff(), m.APTCutoff()}; got != want[i] {
+					t.Errorf("hMin %g: cutoffs %v, want %v", h, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestMonitorPassesHealthySource(t *testing.T) {

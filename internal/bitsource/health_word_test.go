@@ -1,0 +1,199 @@
+package bitsource
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"repro/internal/baselines"
+	"repro/internal/rng"
+)
+
+// Monitor.Uint64 checks most words whole. These tests hold it to the
+// definition: feeding each byte of the same word through checkByte
+// must leave an identical monitor — same trip, same failure text,
+// same marshalled counters — after every single word.
+
+// wordRecorder remembers the last word its source handed out, so the
+// per-byte reference can be fed exactly what the monitor under test
+// drew.
+type wordRecorder struct {
+	src  rng.Source
+	last uint64
+}
+
+func (r *wordRecorder) Uint64() uint64 {
+	r.last = r.src.Uint64()
+	return r.last
+}
+
+// checkWordByBytes is the per-byte reference for Monitor.Uint64.
+func checkWordByBytes(m *Monitor, v uint64) {
+	for i := 0; i < 8; i++ {
+		m.checkByte(byte(v >> (8 * i)))
+	}
+}
+
+func marshalMonitor(t testing.TB, m *Monitor) []byte {
+	t.Helper()
+	b, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// monitorPair restores two monitors from one blob: word draws from
+// src through the monitor under test; ref is checked byte by byte.
+func monitorPair(t testing.TB, blob []byte, src rng.Source) (word, ref *Monitor, rec *wordRecorder) {
+	t.Helper()
+	rec = &wordRecorder{src: src}
+	word, err := RestoreMonitor(rec, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref, err = RestoreMonitor(rec, blob); err != nil {
+		t.Fatal(err)
+	}
+	return word, ref, rec
+}
+
+// requireWordMatchesByte draws n words and fails at the first word
+// after which the two monitors' marshalled states differ.
+func requireWordMatchesByte(t testing.TB, word, ref *Monitor, rec *wordRecorder, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		word.Uint64()
+		checkWordByBytes(ref, rec.last)
+		got, want := marshalMonitor(t, word), marshalMonitor(t, ref)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("word %d (%#016x): word-at-a-time state\n%x\nper-byte state\n%x", i, rec.last, got, want)
+		}
+	}
+}
+
+// diffSources are the feeds the differential test runs: healthy, the
+// paper's glibc feed, stuck, byte-masked low-entropy and alternating.
+func diffSources() []struct {
+	name string
+	src  func() rng.Source
+} {
+	masked := func(seed, mask uint64) func() rng.Source {
+		return func() rng.Source {
+			s := baselines.NewSplitMix64(seed)
+			return rng.Func(func() uint64 { return s.Uint64() & mask })
+		}
+	}
+	alternate := func(a, b uint64) func() rng.Source {
+		return func() rng.Source {
+			i := 0
+			return rng.Func(func() uint64 {
+				i++
+				if i%2 == 0 {
+					return a
+				}
+				return b
+			})
+		}
+	}
+	return []struct {
+		name string
+		src  func() rng.Source
+	}{
+		{"splitmix", func() rng.Source { return baselines.NewSplitMix64(11) }},
+		{"glibc", func() rng.Source { return baselines.NewGlibcRand(12) }},
+		{"stuck", func() rng.Source { return rng.Func(func() uint64 { return 0x4242424242424242 }) }},
+		{"mask-01", masked(13, 0x0101010101010101)},
+		{"mask-03", masked(14, 0x0303030303030303)},
+		{"mask-0F", masked(15, 0x0F0F0F0F0F0F0F0F)},
+		{"mask-00FF", masked(16, 0x00FF00FF00FF00FF)},
+		{"alt-AA55", func() rng.Source { return rng.Func(func() uint64 { return 0xAA55AA55AA55AA55 }) }},
+		{"alt-words", alternate(0x0123456789ABCDEF, 0xFEDCBA9876543210)},
+		{"alt-period3", func() rng.Source {
+			// Bytes 1,2,3,1,2,3,...: the pattern drifts against word
+			// boundaries, so every byte lane sees every value.
+			k := 0
+			return rng.Func(func() uint64 {
+				var v uint64
+				for b := 0; b < 8; b++ {
+					v |= uint64(k%3+1) << (8 * b)
+					k++
+				}
+				return v
+			})
+		}},
+	}
+}
+
+var diffHMins = []float64{0.5, 1, 2, 4, 8}
+
+func TestMonitorWordMatchesByte(t *testing.T) {
+	for _, src := range diffSources() {
+		for _, h := range diffHMins {
+			t.Run(fmt.Sprintf("%s/h=%g", src.name, h), func(t *testing.T) {
+				fresh, err := NewMonitor(baselines.NewSplitMix64(0), h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				word, ref, rec := monitorPair(t, marshalMonitor(t, fresh), src.src())
+				// 4096 words cover 64 full APT windows.
+				requireWordMatchesByte(t, word, ref, rec, 4096)
+			})
+		}
+	}
+}
+
+// monitorState is a monitor's test state, written out field by field
+// so tests can build blobs no fresh monitor produces.
+type monitorState struct {
+	rct, window, aptBound int
+	seen, count, repeats  int
+	sample, last          byte
+	haveSample, tripped   bool
+}
+
+// blob marshals the state the way a checkpoint would carry it.
+func (s monitorState) blob(t testing.TB) []byte {
+	t.Helper()
+	m := &Monitor{
+		src:      baselines.NewSplitMix64(0),
+		rctBound: s.rct, aptWindow: s.window, aptBound: s.aptBound,
+		aptSeen: s.seen, aptCount: s.count, repeats: s.repeats,
+		aptSample: s.sample, lastByte: s.last, haveSample: s.haveSample,
+	}
+	if s.tripped {
+		m.trip("repetition-count", "restored trip")
+	}
+	return marshalMonitor(t, m)
+}
+
+// TestMonitorWordMatchesByteRestored starts from blobs no fresh monitor
+// produces: windows and positions that are not multiples of 8 (so
+// windows start and end mid-word), counts near the cutoff, runs in
+// progress, and monitors that have already tripped.
+func TestMonitorWordMatchesByteRestored(t *testing.T) {
+	states := []struct {
+		name string
+		st   monitorState
+	}{
+		{"window500-seen3", monitorState{rct: 5, window: 500, aptBound: 13, seen: 3, count: 1, sample: 0x42, last: 0x42, repeats: 1, haveSample: true}},
+		{"window13-seen7", monitorState{rct: 5, window: 13, aptBound: 4, seen: 7, count: 2, sample: 0x01, last: 0x01, repeats: 2, haveSample: true}},
+		{"window9-seen9", monitorState{rct: 9, window: 9, aptBound: 9, seen: 9, count: 1, haveSample: true}},
+		{"window1", monitorState{rct: 31, window: 1, aptBound: 2, seen: 1, count: 1, haveSample: true}},
+		{"window512-seen505", monitorState{rct: 5, window: 512, aptBound: 13, seen: 505, count: 12, sample: 0x03, last: 0x07, repeats: 4, haveSample: true}},
+		{"count-at-bound", monitorState{rct: 5, window: 512, aptBound: 13, seen: 100, count: 13, haveSample: true}},
+		{"bounds-1", monitorState{rct: 1, window: 64, aptBound: 1, seen: 9, haveSample: true}},
+		{"no-sample", monitorState{rct: 5, window: 512, aptBound: 13}},
+		{"no-sample-seen5", monitorState{rct: 5, window: 512, aptBound: 13, seen: 5, count: 2, last: 0x42}},
+		{"tripped", monitorState{rct: 5, window: 512, aptBound: 13, seen: 37, count: 3, sample: 0x01, last: 0x01, repeats: 3, haveSample: true, tripped: true}},
+		{"tripped-over-bound", monitorState{rct: 5, window: 100, aptBound: 13, seen: 21, count: 40, repeats: 9, haveSample: true, tripped: true}},
+	}
+	for _, st := range states {
+		for _, src := range diffSources() {
+			t.Run(st.name+"/"+src.name, func(t *testing.T) {
+				word, ref, rec := monitorPair(t, st.st.blob(t), src.src())
+				requireWordMatchesByte(t, word, ref, rec, 1024)
+			})
+		}
+	}
+}

@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 // AVX2 lockstep walk kernel: eight Gabber–Galil walks advance one
 // 63-bit feed chunk (21 steps each) per call, with every lane held in
 // YMM registers for the duration. See batch.go for the dispatch and

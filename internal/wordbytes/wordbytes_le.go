@@ -1,4 +1,4 @@
-//go:build 386 || amd64 || arm || arm64 || loong64 || mipsle || mips64le || ppc64le || riscv64 || wasm
+//go:build (386 || amd64 || arm || arm64 || loong64 || mipsle || mips64le || ppc64le || riscv64 || wasm) && !purego
 
 package wordbytes
 

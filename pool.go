@@ -266,11 +266,14 @@ type poolShard struct {
 	wrap       func(int, rng.Source) rng.Source // feed wrapper (chaos); nil normally
 }
 
-// NewPool builds a sharded pool. The shard count (WithShards,
-// default: next power of two ≥ GOMAXPROCS) is rounded up to a power
-// of two; each shard's feed seed is derived from the pool seed and
-// the shard index exactly as NewParallel derives worker seeds, so a
-// Pool and a Parallel with the same options own the same streams.
+// NewPool builds a sharded pool. The shard count is rounded up to a
+// power of two. Without WithShards it is the next power of two ≥
+// max(GOMAXPROCS, core.MaxBatchLanes): at least sixteen shards even on
+// a small host, so a bulk Fill and a gang refill each sweep a full
+// sixteen-lane lockstep group instead of falling back to the scalar
+// walk. Each shard's feed seed is derived from the pool seed and the
+// shard index exactly as NewParallel derives worker seeds, so a Pool
+// and a Parallel with the same options own the same streams.
 func NewPool(opts ...Option) (*Pool, error) {
 	c, err := buildConfig(opts)
 	if err != nil {
@@ -278,7 +281,7 @@ func NewPool(opts ...Option) (*Pool, error) {
 	}
 	n := c.shards
 	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
+		n = max(runtime.GOMAXPROCS(0), core.MaxBatchLanes)
 	}
 	n = nextPow2(n)
 	bufWords := c.shardBuffer
@@ -1020,11 +1023,9 @@ func (p *Pool) InjectFault(i int) error {
 		return fmt.Errorf("hybridprng: shard %d outside [0, %d)", i, len(p.shards))
 	}
 	s := p.shards[i]
-	if s.mon != nil {
-		s.mon.ForceTrip("fault injection")
-	}
 	s.mu.Lock()
-	if s.mon != nil {
+	if s.mon != nil { // a reseed swaps s.mon under s.mu
+		s.mon.ForceTrip("fault injection")
 		s.monTripped()
 	} else {
 		s.tripLocked(&bitsource.HealthError{Test: "forced", Detail: "fault injection"})

@@ -1,7 +1,9 @@
 package hybridprng
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -15,6 +17,47 @@ func TestPoolShardRounding(t *testing.T) {
 		}
 		if p.Shards() != tc.want {
 			t.Errorf("WithShards(%d): %d shards, want %d", tc.ask, p.Shards(), tc.want)
+		}
+	}
+}
+
+// TestPoolDefaultShards pins the default shard count, the next power
+// of two ≥ max(GOMAXPROCS, MaxBatchLanes), and what follows from it: a
+// seeded default pool serves exactly the stream of a pool built with
+// that count spelled out, so below sixteen cores the default stream is
+// the WithShards(16) stream whatever GOMAXPROCS is.
+func TestPoolDefaultShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct{ procs, want int }{
+		{1, 16}, {2, 16}, {3, 16}, {17, 32},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		opts := []Option{WithSeed(14), WithHealthMonitoring(4)}
+		def, err := NewPool(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if def.Shards() != tc.want {
+			t.Errorf("GOMAXPROCS %d: %d default shards, want %d", tc.procs, def.Shards(), tc.want)
+			continue
+		}
+		twin, err := NewPool(append(opts, WithShards(tc.want))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A bulk chunk (the striped direct path), a ring-sized draw and
+		// a ragged tail, twice over.
+		for _, n := range []int{64 << 10, 40, 64<<10 + 3, 40} {
+			got, want := make([]byte, n), make([]byte, n)
+			if err := def.FillBytes(got); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.FillBytes(want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("GOMAXPROCS %d: default pool's %d bytes differ from WithShards(%d)'s", tc.procs, n, tc.want)
+			}
 		}
 	}
 }

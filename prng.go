@@ -137,7 +137,9 @@ func WithHealthMonitoring(hMin float64) Option {
 
 // WithShards sets the shard count for NewPool (rounded up to the
 // next power of two so shard selection is a mask, not a division).
-// The default is the next power of two ≥ GOMAXPROCS. Other
+// The default is the next power of two ≥ max(GOMAXPROCS, 16), so the
+// batched kernel runs its full sixteen lanes; the default pool's
+// stream therefore depends on GOMAXPROCS only above sixteen. Other
 // constructors ignore it.
 func WithShards(n int) Option {
 	return func(c *config) error {
