@@ -43,11 +43,13 @@ fmt:
 
 ## portable: execute the paths non-amd64 and big-endian hosts take —
 ## the purego tag forces the Go walk kernel (chunk21x4) and
-## FillBytes' encode-through-scratch branch on amd64 — then vet the
-## other word sizes and byte orders. The cross-vet compiles only;
-## nothing runs arm64, s390x or 386 code here.
+## FillBytes' encode-through-scratch branch on amd64, and the short
+## suite runs as 386 (x86-64 Linux executes it natively), so 32-bit
+## int code runs too — then vet the other word sizes and byte orders.
+## arm64 and s390x are vetted only; nothing here executes them.
 portable:
 	go test -tags purego -short ./internal/core ./internal/wordbytes ./internal/bitsource .
+	GOARCH=386 go test -short ./...
 	for arch in arm64 s390x 386; do GOARCH=$$arch go vet ./... || exit 1; done
 
 ## battery-short: the per-PR cross-stream battery — 256 streams per
@@ -65,26 +67,31 @@ battery-long:
 ## trajectories. The BENCH_*.json files are merge-appended: the fresh
 ## run becomes the top level and the previous run is pushed onto the
 ## bounded history list, so the committed file shows the PR-over-PR
-## trajectory, not just the latest point. The quality battery
-## (parallel + pool + derived substreams) rides the same machinery
-## via crossstream -benchtext.
+## trajectory, not just the latest point. Timings are the median of
+## BENCH_PASSES passes over the whole family, one after another, so
+## every row is sampled across the run rather than in one host window.
+## The quality battery (parallel + pool + derived substreams) rides
+## the same machinery via crossstream -benchtext.
+BENCH_PASSES ?= 5
+POOL_BENCH = go test -run '^$$' -bench 'BenchmarkPool|BenchmarkGetNextRand' -benchtime 0.5s .
+SERVER_BENCH = go test -run '^$$' -bench 'BenchmarkServe' -benchtime 0.5s ./internal/server
 bench-seed:
 	go run ./cmd/crossstream -benchtext \
 		| go run ./cmd/benchseed -out BENCH_quality.json -merge
-	go test -run '^$$' -bench 'BenchmarkPool|BenchmarkGetNextRand' -benchtime 0.5s . \
+	for i in $$(seq $(BENCH_PASSES)); do $(POOL_BENCH) || exit 1; done \
 		| go run ./cmd/benchseed -out BENCH_pool.json -merge
-	go test -run '^$$' -bench 'BenchmarkServe' -benchtime 0.5s ./internal/server \
+	for i in $$(seq $(BENCH_PASSES)); do $(SERVER_BENCH) || exit 1; done \
 		| go run ./cmd/benchseed -out BENCH_server.json -merge
 
 ## bench-gate: run the core/pool/server benchmark families against
 ## the committed trajectories and fail on regression — any new
-## steady-state alloc/op (machine-independent), or >10% ns/op on the
-## same cpu as the committed baseline (cross-machine wall-clock is
-## noise and is not gated).
+## steady-state alloc/op (machine-independent), or >10% ns/op of the
+## median over BENCH_PASSES passes on the same cpu as the committed
+## baseline (cross-machine wall-clock is noise and is not gated).
 bench-gate:
-	go test -run '^$$' -bench 'BenchmarkPool|BenchmarkGetNextRand' -benchtime 0.5s . \
+	for i in $$(seq $(BENCH_PASSES)); do $(POOL_BENCH) || exit 1; done \
 		| go run ./cmd/benchseed -gate BENCH_pool.json
-	go test -run '^$$' -bench 'BenchmarkServe' -benchtime 0.5s ./internal/server \
+	for i in $$(seq $(BENCH_PASSES)); do $(SERVER_BENCH) || exit 1; done \
 		| go run ./cmd/benchseed -gate BENCH_server.json
 
 ## substream-test: the per-tenant substream acceptance loop — the

@@ -9,7 +9,9 @@
 //	go test -run '^$' -bench Pool . | benchseed -gate BENCH_pool.json
 //
 // Metadata lines (goos/goarch/cpu/pkg) are captured alongside each
-// benchmark's ns/op, MB/s, allocs and custom metrics (e.g. sim-ms).
+// benchmark's ns/op, MB/s, allocs and custom metrics (e.g. sim-ms). A
+// benchmark that appears several times (repeated passes piped in
+// together) is recorded as the median of its runs.
 //
 // With -merge, the previous contents of the -out file are pushed onto
 // a bounded history list instead of being thrown away, so the
@@ -33,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -88,7 +91,52 @@ func parse(r io.Reader) (*seedFile, error) {
 	if len(out.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found")
 	}
+	out.Benchmarks = medians(out.Benchmarks)
 	return out, nil
+}
+
+// medians folds repeated runs of a benchmark — several `go test
+// -bench` passes piped in one after another, as `make bench-seed`
+// does — into one entry per name, in first-seen order, whose
+// iteration count and metrics are the medians over its runs (the mean
+// of the middle two for an even count), so one fast or slow host
+// window neither sets nor fails a baseline.
+func medians(bs []benchmark) []benchmark {
+	runs := map[string][]benchmark{}
+	var order []string
+	for _, b := range bs {
+		if _, ok := runs[b.Name]; !ok {
+			order = append(order, b.Name)
+		}
+		runs[b.Name] = append(runs[b.Name], b)
+	}
+	out := make([]benchmark, 0, len(order))
+	for _, name := range order {
+		rs := runs[name]
+		iters := make([]float64, len(rs))
+		vals := map[string][]float64{}
+		for i, r := range rs {
+			iters[i] = float64(r.Iters)
+			for unit, v := range r.Metrics {
+				vals[unit] = append(vals[unit], v)
+			}
+		}
+		m := benchmark{Name: name, Iters: int64(median(iters)), Metrics: map[string]float64{}}
+		for unit, vs := range vals {
+			m.Metrics[unit] = median(vs)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	h := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[h]
+	}
+	return (vs[h-1] + vs[h]) / 2
 }
 
 // parseBench decodes one result line: name, iteration count, then

@@ -41,6 +41,37 @@ func TestParseStripsGomaxprocsSuffix(t *testing.T) {
 	}
 }
 
+// TestParseFoldsRepeatedRunsToMedian: three passes of the same
+// benchmarks piped in together become one entry each, in first-seen
+// order, carrying the median of every metric — the outlying pass
+// moves nothing.
+func TestParseFoldsRepeatedRunsToMedian(t *testing.T) {
+	pass := func(fill, draw string) string {
+		return "goos: linux\ncpu: Intel(R) Xeon(R) Processor @ 2.10GHz\n" +
+			"BenchmarkPool/fill-8KiB-2 9049 " + fill + " ns/op 0 allocs/op\n" +
+			"BenchmarkPool/uint64-2 6554396 " + draw + " ns/op\nPASS\n"
+	}
+	seed := parseSample(t, pass("134002", "177.0")+pass("90000", "240.5")+pass("130000", "180.0"))
+	if len(seed.Benchmarks) != 2 {
+		t.Fatalf("got %d benchmarks, want the 2 distinct names", len(seed.Benchmarks))
+	}
+	for i, want := range []struct {
+		name string
+		ns   float64
+	}{{"BenchmarkPool/fill-8KiB", 130000}, {"BenchmarkPool/uint64", 180}} {
+		b := seed.Benchmarks[i]
+		if b.Name != want.name || b.Metrics["ns/op"] != want.ns {
+			t.Errorf("entry %d: %s at %g ns/op, want %s at %g", i, b.Name, b.Metrics["ns/op"], want.name, want.ns)
+		}
+	}
+	if got := seed.Benchmarks[0].Metrics["allocs/op"]; got != 0 {
+		t.Errorf("allocs/op %g", got)
+	}
+	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
+		t.Errorf("median of an even count %g, want 2.5", got)
+	}
+}
+
 func TestMergeHistoryAppendsAndCaps(t *testing.T) {
 	old := &seedFile{
 		Meta:       map[string]string{"cpu": "old-cpu"},

@@ -141,6 +141,62 @@ func (g *GlibcRand) Uint64() uint64 {
 	return uint64(a>>1)<<33 | uint64(b>>1)<<2 | uint64(c>>1)&3
 }
 
+// FillWords writes the next len(dst) words of the stream: exactly the
+// words len(dst) Uint64 calls return, leaving the same state
+// (rng.BlockSource). It is the FEED's block draw. The two cursors stay
+// in locals, and so do the last three values r[i-3..i-1], so each step
+// loads only r[i-31], written 31 steps earlier, instead of reading back
+// the value it stored three steps ago as Uint64 does. Uint64 keeps its
+// own unrolled body: routed through here, one word per call measured
+// slower.
+func (g *GlibcRand) FillWords(dst []uint64) {
+	// Slot layout: g.buf holds r[i-34..i-1]; with write cursor k
+	// (= i mod 34), r[i-31] sits at (k+3) mod 34 and r[i-3..i-1] in
+	// the three slots behind k.
+	buf := &g.buf
+	k := g.k
+	j := k + 3
+	if j >= 34 {
+		j -= 34
+	}
+	back := func(d int) uint32 { // r[i-d], d ≤ 3
+		if k < d {
+			return buf[k-d+34]
+		}
+		return buf[k-d]
+	}
+	p3, p2, p1 := back(3), back(2), back(1)
+	for i := range dst {
+		a := buf[j] + p3
+		buf[k] = a
+		if j++; j == 34 {
+			j = 0
+		}
+		if k++; k == 34 {
+			k = 0
+		}
+		b := buf[j] + p2
+		buf[k] = b
+		if j++; j == 34 {
+			j = 0
+		}
+		if k++; k == 34 {
+			k = 0
+		}
+		c := buf[j] + p1
+		buf[k] = c
+		if j++; j == 34 {
+			j = 0
+		}
+		if k++; k == 34 {
+			k = 0
+		}
+		p3, p2, p1 = a, b, c
+		dst[i] = uint64(a>>1)<<33 | uint64(b>>1)<<2 | uint64(c>>1)&3
+	}
+	g.k = k
+}
+
 // Seed implements rng.Seeder.
 func (g *GlibcRand) Seed(seed uint64) {
 	*g = GlibcRand{}
@@ -173,6 +229,15 @@ func (g *GlibcRand32) Uint64() uint64 {
 	hi := uint64(uint32(g.Random()))
 	lo := uint64(uint32(g.Random()))
 	return hi<<32 | lo
+}
+
+// FillWords writes the next len(dst) naive-usage words. It shadows the
+// embedded GlibcRand's block draw, which would hand out the packed
+// 64-bit feed words instead.
+func (g *GlibcRand32) FillWords(dst []uint64) {
+	for i := range dst {
+		dst[i] = g.Uint64()
+	}
 }
 
 // Name implements rng.Named.

@@ -1,6 +1,7 @@
 package bitsource
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -58,5 +59,74 @@ func FuzzMonitorWordMatchesByte(f *testing.F) {
 			n = 4
 		}
 		requireWordMatchesByte(t, word, ref, rec, n)
+	})
+}
+
+// FuzzMonitorBlockMatchesWord restores two monitors from arbitrary
+// test state and feeds both the same arbitrary words: one through
+// FillWords blocks of an arbitrary size, one a word at a time through
+// Uint64. After every block both must marshal identically to each
+// other and to the per-byte reference. Blobs RestoreMonitor rejects
+// are skipped.
+func FuzzMonitorBlockMatchesWord(f *testing.F) {
+	words := func(vs ...uint64) []byte {
+		out := make([]byte, 8*len(vs))
+		for i, v := range vs {
+			binary.LittleEndian.PutUint64(out[8*i:], v)
+		}
+		return out
+	}
+	// rct, window, aptBound, seen, count, sample, last, repeats, have, tripped, block, words
+	f.Add(uint8(9), uint16(512), uint16(13), uint16(0), uint16(1), byte(0x11), byte(0x22), uint8(1), true, false, uint8(3),
+		words(0x0123456789ABCDEF, 0x1122334455667788, 0xF0E1D2C3B4A59687, 0x4242424242424242))
+	f.Add(uint8(9), uint16(16), uint16(5), uint16(8), uint16(2), byte(0x42), byte(0x42), uint8(7), true, false, uint8(2),
+		words(0x4242424242424242, 0x4242000042424242, 0x4200424242424242))
+	f.Add(uint8(3), uint16(500), uint16(40), uint16(3), uint16(39), byte(0x01), byte(0x01), uint8(0), true, false, uint8(5),
+		words(0x0101010001000101, 0x0100010001000100))
+	f.Add(uint8(5), uint16(512), uint16(13), uint16(0), uint16(0), byte(0), byte(0), uint8(0), false, false, uint8(1),
+		words(0x4242424242424242, 0x4242424242424242))
+	f.Add(uint8(1), uint16(8), uint16(1), uint16(0), uint16(5), byte(0), byte(0), uint8(7), true, true, uint8(64), words(0, 1, 2))
+	f.Fuzz(func(t *testing.T, rct uint8, window, aptBound, seen, count uint16, sample, last byte, repeats uint8, have, tripped bool, block uint8, data []byte) {
+		blob := monitorState{
+			rct: int(rct), window: int(window), aptBound: int(aptBound),
+			seen: int(seen), count: int(count), repeats: int(repeats),
+			sample: sample, last: last, haveSample: have, tripped: tripped,
+		}.blob(t)
+		if _, err := RestoreMonitor(baselines.NewSplitMix64(0), blob); err != nil {
+			return
+		}
+		feed := func() rng.Source {
+			off := 0
+			return rng.Func(func() uint64 {
+				var b [8]byte
+				for i := range b {
+					if len(data) > 0 {
+						b[i] = data[off%len(data)]
+						off++
+					}
+				}
+				return binary.LittleEndian.Uint64(b[:])
+			})
+		}
+		bm, ref := restoredPair(t, blob, feed())
+		wm, err := RestoreMonitor(feed(), blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int(block)%64 + 1
+		dst := make([]uint64, n)
+		for drawn := 0; drawn < max(len(data)/8, 4*n); drawn += n {
+			bm.FillWords(dst)
+			for i, v := range dst {
+				if w := wm.Uint64(); w != v {
+					t.Fatalf("word %d: block %#x, per-word %#x", drawn+i, v, w)
+				}
+				checkWordByBytes(ref, v)
+			}
+			got, word, want := marshalMonitor(t, bm), marshalMonitor(t, wm), marshalMonitor(t, ref)
+			if !bytes.Equal(got, want) || !bytes.Equal(word, want) {
+				t.Fatalf("after %d words: block state\n%x\nper-word state\n%x\nper-byte state\n%x", drawn+n, got, word, want)
+			}
+		}
 	})
 }

@@ -36,15 +36,18 @@ func (e *HealthError) Error() string {
 // error) but Err reports the failure and Tripped is true — callers
 // must check Err at their consumption boundary.
 //
-// The tests are defined byte by byte, but Uint64 checks a whole feed
-// word at once whenever it can prove the per-byte loop would neither
-// trip nor start a window inside the word; every other word runs the
-// per-byte loop. Trip points, failure text and marshalled state are
-// therefore exactly those of checking each byte in turn.
+// The tests are defined byte by byte, but the monitor checks a whole
+// feed word at once whenever it can prove the per-byte loop would
+// neither trip nor start or end a window inside the word; every other
+// word runs the per-byte loop. Trip points, failure text and
+// marshalled state are therefore exactly those of checking each byte
+// in turn. FillWords draws a block of words from the source and checks
+// it in one pass — a walker's whole bin at a time — and Uint64 is the
+// one-word case of the same check.
 //
-// Drawing (Uint64) is single-consumer like every Source in this
-// repository, but Err, Tripped and Stats are safe to call from any
-// goroutine concurrently with draws — the serving layer polls them
+// Drawing (Uint64, FillWords) is single-consumer like every Source in
+// this repository, but Err, Tripped and Stats are safe to call from
+// any goroutine concurrently with draws — the serving layer polls them
 // from health endpoints while shards keep generating.
 type Monitor struct {
 	src rng.Source
@@ -201,47 +204,127 @@ func (m *Monitor) Stats() Stats {
 }
 
 // Uint64 draws a word and feeds its bytes, low byte first, through
-// both health tests.
-//
-// Most words are checked whole. Take a monitor that has its first
-// sample, inside an APT window that neither starts in this word nor
-// ends before its last byte. If no byte of the word repeats the one
-// before it (lastByte carried in), the RCT ends at a run of one on the
-// top byte, and the APT count grows by the word's exact number of
-// bytes equal to the sample; if that stays below the cutoff, no byte
-// could have tripped either test. Every other word goes through
-// checkByte one byte at a time.
+// both health tests: the one-word case of FillWords.
 func (m *Monitor) Uint64() uint64 {
-	v := m.src.Uint64()
-	if m.haveSample && m.aptSeen != 0 && m.aptSeen+8 <= m.aptWindow &&
-		zeroByteMask(v^(v<<8|uint64(m.lastByte))) == 0 {
-		count := m.aptCount + bits.OnesCount64(zeroByteMask(v^uint64(m.aptSample)*bytesOf1))
-		if count < m.aptBound {
-			m.lastByte, m.repeats = byte(v>>56), 1
-			m.aptCount = count
-			if m.aptSeen += 8; m.aptSeen >= m.aptWindow {
-				m.aptSeen = 0 // start a new window on the next byte
-			}
-			return v
+	w := [1]uint64{m.src.Uint64()}
+	if m.checkWords(w[:]) == 0 {
+		m.checkBytes(w[0])
+	}
+	return w[0]
+}
+
+// FillWords draws len(dst) words from the wrapped source in one block
+// (rng.FillWords) and then checks them in one pass, leaving the tests
+// exactly as len(dst) Uint64 calls would (rng.BlockSource).
+func (m *Monitor) FillWords(dst []uint64) {
+	rng.FillWords(m.src, dst)
+	m.check(dst)
+}
+
+// check feeds ws's bytes, word by word and low byte first, through
+// both health tests: runs of words through checkWords, and each word
+// checkWords refuses through checkBytes.
+func (m *Monitor) check(ws []uint64) {
+	for len(ws) > 0 {
+		ws = ws[m.checkWords(ws):]
+		if len(ws) > 0 {
+			m.checkBytes(ws[0])
+			ws = ws[1:]
 		}
 	}
+}
+
+// checkBytes feeds v's bytes, low byte first, through checkByte.
+func (m *Monitor) checkBytes(v uint64) {
 	for i := 0; i < 8; i++ {
 		m.checkByte(byte(v >> (8 * i)))
 	}
-	return v
+}
+
+// checkWords checks whole words, eight bytes at a time, from the start
+// of ws for as long as that provably matches the per-byte loop, and
+// returns how many it checked. A word qualifies when the monitor has
+// its first sample and the APT window either continues through the
+// whole word or opens at its byte 0, without ending before the last
+// byte. Then
+//
+//   - RCT: flag each byte equal to the one before it (lastByte carried
+//     in). No run can reach the cutoff while the carried run (at least
+//     one) plus the flagged bytes stays below it. The run carried out
+//     is one plus the top run of flagged bytes, or the carried run plus
+//     eight when every byte is flagged.
+//   - APT: a word that opens a window takes byte 0 as the sample. The
+//     count grows by the word's bytes equal to the sample (byte 0
+//     counting itself when it opens the window), and staying below the
+//     cutoff means no byte could have tripped.
+//
+// checkWords stops at the first word that could trip a test, or whose
+// window ends or starts mid-word; check runs that word byte by byte.
+// Keeping the per-byte calls out of this loop keeps its state in
+// registers.
+func (m *Monitor) checkWords(ws []uint64) int {
+	if !m.haveSample {
+		return 0
+	}
+	// Only the loop-carried state lives in locals; the cutoffs and the
+	// window are read from m where used, which keeps register pressure
+	// (and stack spills) down.
+	last, run := uint64(m.lastByte), m.repeats
+	pat, count, seen := uint64(m.aptSample)*bytesOf1, m.aptCount, m.aptSeen
+	i := 0
+	for ; i < len(ws); i++ {
+		v := ws[i]
+		if seen+8 > m.aptWindow {
+			break
+		}
+		p, c := pat, count
+		if seen == 0 { // the word opens a window at byte 0
+			p, c = v&0xFF*bytesOf1, 0
+		}
+		if c += flagged(zeroByteMask(v ^ p)); c >= m.aptBound {
+			break
+		}
+		r := 1
+		if rep := zeroByteMask(v ^ (v<<8 | last)); rep != 0 {
+			if max(run, 1)+flagged(rep) >= m.rctBound {
+				break
+			}
+			if rep == bytesOf80 {
+				r = run + 8
+			} else {
+				r = 1 + bits.LeadingZeros64(^rep&bytesOf80)/8
+			}
+		}
+		last, run, pat, count = v>>56, r, p, c
+		if seen += 8; seen >= m.aptWindow {
+			seen = 0 // start a new window on the next byte
+		}
+	}
+	m.lastByte, m.repeats = byte(last), run
+	m.aptSample, m.aptCount, m.aptSeen = byte(pat), count, seen
+	return i
 }
 
 const (
 	bytesOf1  = 0x0101010101010101
 	bytesOf7F = 0x7F7F7F7F7F7F7F7F
+	bytesOf80 = 0x8080808080808080
 )
 
 // zeroByteMask returns x with the top bit of each zero byte set and
 // every other bit clear. Adding 0x7F to a byte's low seven bits carries
 // into its top bit unless they are all zero, so no carry crosses a byte
-// and the mask is exact: its popcount is the number of zero bytes.
+// and the mask is exact.
 func zeroByteMask(x uint64) uint64 {
 	return ^((x&bytesOf7F + bytesOf7F) | x | bytesOf7F)
+}
+
+// flagged counts the bytes a zeroByteMask result flags. The multiply
+// sums the eight 0/1 byte flags into the top byte; bits.OnesCount64
+// would compile to a CPU-feature branch and a call fallback at the
+// module's default GOAMD64=v1.
+func flagged(mask uint64) int {
+	return int((mask >> 7) * bytesOf1 >> 56)
 }
 
 func (m *Monitor) checkByte(b byte) {

@@ -172,23 +172,7 @@ func (s monitorState) blob(t testing.TB) []byte {
 // windows start and end mid-word), counts near the cutoff, runs in
 // progress, and monitors that have already tripped.
 func TestMonitorWordMatchesByteRestored(t *testing.T) {
-	states := []struct {
-		name string
-		st   monitorState
-	}{
-		{"window500-seen3", monitorState{rct: 5, window: 500, aptBound: 13, seen: 3, count: 1, sample: 0x42, last: 0x42, repeats: 1, haveSample: true}},
-		{"window13-seen7", monitorState{rct: 5, window: 13, aptBound: 4, seen: 7, count: 2, sample: 0x01, last: 0x01, repeats: 2, haveSample: true}},
-		{"window9-seen9", monitorState{rct: 9, window: 9, aptBound: 9, seen: 9, count: 1, haveSample: true}},
-		{"window1", monitorState{rct: 31, window: 1, aptBound: 2, seen: 1, count: 1, haveSample: true}},
-		{"window512-seen505", monitorState{rct: 5, window: 512, aptBound: 13, seen: 505, count: 12, sample: 0x03, last: 0x07, repeats: 4, haveSample: true}},
-		{"count-at-bound", monitorState{rct: 5, window: 512, aptBound: 13, seen: 100, count: 13, haveSample: true}},
-		{"bounds-1", monitorState{rct: 1, window: 64, aptBound: 1, seen: 9, haveSample: true}},
-		{"no-sample", monitorState{rct: 5, window: 512, aptBound: 13}},
-		{"no-sample-seen5", monitorState{rct: 5, window: 512, aptBound: 13, seen: 5, count: 2, last: 0x42}},
-		{"tripped", monitorState{rct: 5, window: 512, aptBound: 13, seen: 37, count: 3, sample: 0x01, last: 0x01, repeats: 3, haveSample: true, tripped: true}},
-		{"tripped-over-bound", monitorState{rct: 5, window: 100, aptBound: 13, seen: 21, count: 40, repeats: 9, haveSample: true, tripped: true}},
-	}
-	for _, st := range states {
+	for _, st := range restoredStates {
 		for _, src := range diffSources() {
 			t.Run(st.name+"/"+src.name, func(t *testing.T) {
 				word, ref, rec := monitorPair(t, st.st.blob(t), src.src())
@@ -196,4 +180,135 @@ func TestMonitorWordMatchesByteRestored(t *testing.T) {
 			})
 		}
 	}
+}
+
+// restoredStates are the blobs TestMonitorWordMatchesByteRestored and
+// TestMonitorBlockMatchesByteRestored start from.
+var restoredStates = []struct {
+	name string
+	st   monitorState
+}{
+	{"window500-seen3", monitorState{rct: 5, window: 500, aptBound: 13, seen: 3, count: 1, sample: 0x42, last: 0x42, repeats: 1, haveSample: true}},
+	{"window13-seen7", monitorState{rct: 5, window: 13, aptBound: 4, seen: 7, count: 2, sample: 0x01, last: 0x01, repeats: 2, haveSample: true}},
+	{"window9-seen9", monitorState{rct: 9, window: 9, aptBound: 9, seen: 9, count: 1, haveSample: true}},
+	{"window1", monitorState{rct: 31, window: 1, aptBound: 2, seen: 1, count: 1, haveSample: true}},
+	{"window512-seen505", monitorState{rct: 5, window: 512, aptBound: 13, seen: 505, count: 12, sample: 0x03, last: 0x07, repeats: 4, haveSample: true}},
+	{"count-at-bound", monitorState{rct: 5, window: 512, aptBound: 13, seen: 100, count: 13, haveSample: true}},
+	{"bounds-1", monitorState{rct: 1, window: 64, aptBound: 1, seen: 9, haveSample: true}},
+	{"no-sample", monitorState{rct: 5, window: 512, aptBound: 13}},
+	{"no-sample-seen5", monitorState{rct: 5, window: 512, aptBound: 13, seen: 5, count: 2, last: 0x42}},
+	{"tripped", monitorState{rct: 5, window: 512, aptBound: 13, seen: 37, count: 3, sample: 0x01, last: 0x01, repeats: 3, haveSample: true, tripped: true}},
+	{"tripped-over-bound", monitorState{rct: 5, window: 100, aptBound: 13, seen: 21, count: 40, repeats: 9, haveSample: true, tripped: true}},
+	{"run-near-cutoff", monitorState{rct: 9, window: 512, aptBound: 400, seen: 8, count: 1, sample: 0x42, last: 0x42, repeats: 7, haveSample: true}},
+	{"run-zero", monitorState{rct: 3, window: 512, aptBound: 500, seen: 16, count: 1, last: 0x42, haveSample: true}},
+	{"opens-window", monitorState{rct: 9, window: 64, aptBound: 5, seen: 0, count: 4, sample: 0x01, last: 0x01, repeats: 1, haveSample: true}},
+}
+
+// blockSizes are the FillWords lengths the block differential tests
+// draw: single words, a few odd sizes, and sizes either side of one
+// and of three 64-word APT windows.
+var blockSizes = []int{1, 2, 7, 63, 64, 65, 192, 193, 500}
+
+// requireBlockMatchesByte draws total words in FillWords blocks of
+// size n through block, checks the same words byte by byte through
+// ref, and fails at the first block after which the two monitors'
+// marshalled states differ or the block's words differ from twin's
+// per-word stream.
+func requireBlockMatchesByte(t testing.TB, block, ref *Monitor, twin rng.Source, n, total int) {
+	t.Helper()
+	dst := make([]uint64, n)
+	for drawn := 0; drawn < total; drawn += n {
+		block.FillWords(dst)
+		for i, v := range dst {
+			if want := twin.Uint64(); v != want {
+				t.Fatalf("block at word %d, word %d: drew %#x, per-word source %#x", drawn, i, v, want)
+			}
+			checkWordByBytes(ref, v)
+		}
+		got, want := marshalMonitor(t, block), marshalMonitor(t, ref)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("block at word %d (n=%d): block state\n%x\nper-byte state\n%x", drawn, n, got, want)
+		}
+	}
+}
+
+// blockWords is how many words a block differential test draws: full,
+// or a third of it under -short (still five APT windows or more) so
+// the race-detector job stays quick.
+func blockWords(full int) int {
+	if testing.Short() {
+		return full / 3
+	}
+	return full
+}
+
+// restoredPair restores the monitor under test over src and the
+// per-byte reference (whose source is never drawn) from one blob.
+func restoredPair(t testing.TB, blob []byte, src rng.Source) (block, ref *Monitor) {
+	t.Helper()
+	block, err := RestoreMonitor(src, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref, err = RestoreMonitor(baselines.NewSplitMix64(0), blob); err != nil {
+		t.Fatal(err)
+	}
+	return block, ref
+}
+
+func TestMonitorBlockMatchesByte(t *testing.T) {
+	for _, src := range diffSources() {
+		for _, h := range diffHMins {
+			for _, n := range blockSizes {
+				t.Run(fmt.Sprintf("%s/h=%g/n=%d", src.name, h, n), func(t *testing.T) {
+					fresh, err := NewMonitor(baselines.NewSplitMix64(0), h)
+					if err != nil {
+						t.Fatal(err)
+					}
+					block, ref := restoredPair(t, marshalMonitor(t, fresh), src.src())
+					requireBlockMatchesByte(t, block, ref, src.src(), n, blockWords(2048))
+				})
+			}
+		}
+	}
+}
+
+func TestMonitorBlockMatchesByteRestored(t *testing.T) {
+	for _, st := range restoredStates {
+		for _, src := range diffSources() {
+			for _, n := range blockSizes {
+				t.Run(fmt.Sprintf("%s/%s/n=%d", st.name, src.name, n), func(t *testing.T) {
+					block, ref := restoredPair(t, st.st.blob(t), src.src())
+					requireBlockMatchesByte(t, block, ref, src.src(), n, blockWords(1024))
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkMonitor measures the health tests on the paper's glibc
+// feed at randd's default claim (-hmin 4), per feed word: one word per
+// Uint64 call, and 96-word blocks — one lane's bin — per FillWords.
+func BenchmarkMonitor(b *testing.B) {
+	b.Run("uint64", func(b *testing.B) {
+		m, err := NewMonitor(baselines.NewGlibcRand(1), 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(8)
+		for i := 0; i < b.N; i++ {
+			m.Uint64()
+		}
+	})
+	b.Run("fill-words-96", func(b *testing.B) {
+		m, err := NewMonitor(baselines.NewGlibcRand(1), 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst := make([]uint64, 96)
+		b.SetBytes(8)
+		for i := 0; i < b.N; i += len(dst) {
+			m.FillWords(dst)
+		}
+	})
 }

@@ -21,6 +21,7 @@ import (
 	mathbits "math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/expander"
 	"repro/internal/rng"
@@ -47,6 +48,102 @@ const (
 	stepsPerChunk = 21
 	chunkBits     = stepsPerChunk * BitsPerStep // 63
 )
+
+// The bulk paths (Fill, FillBatch) read each walker's feed a bin at a
+// time — the paper's FEED → bin → GENERATE: one rng.BitReader.Bin call
+// draws, health-checks and hands over exactly the bits the walker's
+// next numbers consume, up to binBits per lane, and the walk then
+// takes its 63-bit chunks and 3-bit tail fields out of the bin by
+// funnel shift instead of one reader call per chunk. A fill borrows
+// its bins (getBins) for its own length; no walker keeps one.
+const (
+	binWords = 96 // feed words per lane per bin: 32 numbers at WalkLen 64
+	binBits  = 64 * binWords
+
+	// binMinFill is the shortest lone-lane fill that takes a bin;
+	// shorter ones call Next. A lone walk is bound by its serial step
+	// chain, which hides most of the per-field reads, so the bin's
+	// fixed cost pays off late: against Next calls, one number through
+	// a bin took 1.3-1.4× as long, 16 numbers about as long, and 64
+	// numbers 0.87-1.01× (glibc feed with and without the health
+	// monitor, 2-vCPU Xeon @ 2.1 GHz).
+	binMinFill = 16
+)
+
+// bin is one lane's bin plus a pad word, so binTake may always read
+// the word after the one an offset falls in.
+type bin [binWords + 1]uint64
+
+// binGroup holds the bins of one lockstep group, one per lane.
+type binGroup [MaxBatchLanes]bin
+
+// binFree keeps the bin groups of finished fills for the next ones, in
+// as many stripes as GOMAXPROCS at start-up, rounded up to a power of
+// two. A fill takes and returns its group on its first walker's
+// stripe, and walkers are dealt to stripes in turn as they are built,
+// so fills on different pool shards rarely share a lock. A stripe
+// keeps every group returned to it, so once fills have run no fill
+// allocates, however many run at once; it holds as many 12 KiB groups
+// as fills ever ran on it together.
+//
+// Bins cannot live on the stack: Bin hands them to the feed through an
+// interface call, so they would escape and cost a heap allocation per
+// fill. A sync.Pool would not do either: under the race detector it
+// drops a quarter of its Puts at random, so the serving path's
+// zero-allocation test would fail in the race job.
+var binFree = make([]binStripe, binStripeCount(runtime.GOMAXPROCS(0)))
+
+// binStripe is one stripe of binFree, padded to its own cache line.
+type binStripe struct {
+	mu   sync.Mutex
+	free []*binGroup
+	_    [32]byte
+}
+
+// binStripeCount returns the power of two ≥ procs, capped at 256 (the
+// range of Walker.stripe).
+func binStripeCount(procs int) int {
+	n := 1
+	for n < procs && n < 256 {
+		n *= 2
+	}
+	return n
+}
+
+// walkerSeq deals stripes to new walkers in turn.
+var walkerSeq atomic.Uint32
+
+func nextStripe() uint8 { return uint8(walkerSeq.Add(1)) }
+
+// getBins takes a group from w's stripe, or allocates one.
+func getBins(w *Walker) *binGroup {
+	st := &binFree[int(w.stripe)&(len(binFree)-1)]
+	st.mu.Lock()
+	var g *binGroup
+	if k := len(st.free); k > 0 {
+		g, st.free[k-1] = st.free[k-1], nil
+		st.free = st.free[:k-1]
+	}
+	st.mu.Unlock()
+	if g == nil {
+		g = new(binGroup)
+	}
+	return g
+}
+
+// putBins returns g to w's stripe.
+func putBins(w *Walker, g *binGroup) {
+	st := &binFree[int(w.stripe)&(len(binFree)-1)]
+	st.mu.Lock()
+	st.free = append(st.free, g)
+	st.mu.Unlock()
+}
+
+// binTake returns the 64 bin bits starting at bit 64·w+sh (sh < 64).
+// For sh == 0 the second term is zero: bin[w+1]>>1 has a clear top bit.
+func binTake(b *bin, w, sh uint) uint64 {
+	return b[w]<<sh | b[w+1]>>1>>(^sh&63)
+}
 
 // Config parameterises a Walker.
 type Config struct {
@@ -88,12 +185,13 @@ func (c Config) validate() error {
 // the generator. It is NOT safe for concurrent use; that is by
 // design (see the package comment).
 type Walker struct {
-	cfg   Config
-	graph *expander.Graph
-	full  bool
-	pos   expander.Vertex
-	bits  *rng.BitReader
-	count uint64 // numbers generated
+	cfg    Config
+	graph  *expander.Graph
+	full   bool
+	stripe uint8 // binFree stripe of the fills this walker leads
+	pos    expander.Vertex
+	bits   *rng.BitReader
+	count  uint64 // numbers generated
 }
 
 // NewWalker runs Algorithm 1 (InitializeGenerator) against the given
@@ -109,10 +207,11 @@ func NewWalker(bits *rng.BitReader, cfg Config) (*Walker, error) {
 		return nil, fmt.Errorf("core: nil bit source")
 	}
 	w := &Walker{
-		cfg:   cfg,
-		graph: cfg.Graph,
-		full:  cfg.Graph.IsFull(),
-		bits:  bits,
+		cfg:    cfg,
+		graph:  cfg.Graph,
+		full:   cfg.Graph.IsFull(),
+		stripe: nextStripe(),
+		bits:   bits,
 	}
 	if w.full {
 		w.pos = expander.VertexFromID(bits.Bits(64))
@@ -159,11 +258,7 @@ func (w *Walker) walk(l int) {
 	x, y := pos.X, pos.Y
 	i := 0
 	for l-i >= stepsPerChunk {
-		word := w.bits.Bits(chunkBits) // 21 aligned 3-bit fields
-		for k := chunkBits - BitsPerStep; k >= 0; k -= BitsPerStep {
-			b := word >> uint(k) & 7
-			x, y = stepXY(x, y, b)
-		}
+		x, y = chunk21(x, y, w.bits.Bits(chunkBits)) // 21 aligned 3-bit fields
 		i += stepsPerChunk
 	}
 	// Tail steps one field at a time, so exactly 3·l bits are
@@ -190,6 +285,15 @@ func stepXY(x, y uint32, b uint64) (uint32, uint32) {
 	c := stepC[b]
 	y += (2*x + c) & stepMaskY[b]
 	x += (2*y + c) & stepMaskX[b]
+	return x, y
+}
+
+// chunk21 advances one walk through a 63-bit feed chunk: 21 steps, the
+// chunk's top 3-bit field first.
+func chunk21(x, y uint32, word uint64) (uint32, uint32) {
+	for k := chunkBits - BitsPerStep; k >= 0; k -= BitsPerStep {
+		x, y = stepXY(x, y, word>>uint(k)&7)
+	}
 	return x, y
 }
 
@@ -224,12 +328,13 @@ func RestoreWalker(bits *rng.BitReader, cfg Config, pos expander.Vertex, generat
 		return nil, fmt.Errorf("core: nil bit source")
 	}
 	return &Walker{
-		cfg:   cfg,
-		graph: cfg.Graph,
-		full:  cfg.Graph.IsFull(),
-		pos:   pos,
-		bits:  bits,
-		count: generated,
+		cfg:    cfg,
+		graph:  cfg.Graph,
+		full:   cfg.Graph.IsFull(),
+		stripe: nextStripe(),
+		pos:    pos,
+		bits:   bits,
+		count:  generated,
 	}, nil
 }
 
@@ -241,11 +346,25 @@ func (w *Walker) Config() Config { return w.cfg }
 
 // Fill writes len(dst) successive numbers into dst — the batch-mode
 // API used when a caller wants a block at once (the paper's batch
-// size S is a scheduling knob, not a different algorithm).
+// size S is a scheduling knob, not a different algorithm). A fill of
+// binMinFill numbers or more by a bin-fed walker runs FillBatch's loop
+// as its one lane, reading the feed a bin at a time; shorter fills
+// call Next. Either way the numbers, the feed bits consumed and the
+// reader left behind are those of len(dst) Next calls.
 func (w *Walker) Fill(dst []uint64) {
+	if w.binFed() && len(dst) >= binMinFill {
+		fillBatchGroup([]*Walker{w}, [][]uint64{dst})
+		return
+	}
 	for i := range dst {
 		dst[i] = w.Next()
 	}
+}
+
+// binFed reports whether w's fills can read bins: it walks the full
+// graph and one number's feed bits fit in a bin.
+func (w *Walker) binFed() bool {
+	return w.full && w.cfg.WalkLen*BitsPerStep <= binBits
 }
 
 // Skip advances the stream by n numbers without materialising them:

@@ -14,6 +14,30 @@ type Source interface {
 	Uint64() uint64
 }
 
+// BlockSource is implemented by sources that can draw a whole block
+// of words in one call, the way the paper's CPU fills a bin of feed
+// bits for the walks to consume. FillWords must write exactly the
+// words len(dst) Uint64 calls would return and leave the source in
+// the same state.
+type BlockSource interface {
+	Source
+	FillWords(dst []uint64)
+}
+
+// FillWords writes the next len(dst) words of src into dst: one block
+// draw when src is a BlockSource, otherwise one Uint64 call per word,
+// so wrappers that count, inject faults or merely adapt a function
+// see every word go by.
+func FillWords(src Source, dst []uint64) {
+	if b, ok := src.(BlockSource); ok {
+		b.FillWords(dst)
+		return
+	}
+	for i := range dst {
+		dst[i] = src.Uint64()
+	}
+}
+
 // Seeder is implemented by generators that can be re-seeded in place.
 type Seeder interface {
 	Seed(seed uint64)
@@ -82,7 +106,10 @@ func NormFloat64(src Source) float64 {
 // BitReader extracts consecutive bit fields from a Source, most
 // significant bits of each word first. It is the software analogue of
 // the paper's "bin" stream: the CPU FEED produces raw words and the
-// walker peels 3 bits per step.
+// walker peels 3 bits per step. Bits reads one field at a time; Bin
+// hands over a whole run of fields — the bits a walker's next numbers
+// consume — drawn in one block, which is how the bulk walk paths read
+// their feed.
 type BitReader struct {
 	src  Source
 	word uint64
@@ -122,6 +149,46 @@ func (b *BitReader) Bits(n uint) uint64 {
 	b.word = w
 	b.left = 64 - need
 	return out<<need | w>>(64-need)
+}
+
+// Bin writes the next n bits of the stream into dst left-aligned —
+// bit 0 of the run is the top bit of dst[0] — with the bits past n in
+// the last word cleared; dst must hold at least ⌈n/64⌉ words. The
+// words it needs are drawn in one FillWords call, and the reader is
+// left exactly where Bits calls totalling n bits would leave it: the
+// same buffered word, the same unread count and the same source
+// position. Bin never draws a word those calls would not, so a
+// checkpoint taken after it is the one the per-field path writes.
+func (b *BitReader) Bin(dst []uint64, n uint) {
+	if n == 0 {
+		return
+	}
+	out := dst[:(n+63)/64]
+	if n <= b.left {
+		out[0] = b.word << (64 - b.left)
+		b.left -= n
+	} else {
+		// k fresh words, drawn into out and shifted down behind the
+		// buffered word's unread bits.
+		k := (n - b.left + 63) / 64
+		fresh := out[:k]
+		FillWords(b.src, fresh)
+		last := fresh[k-1]
+		if left := b.left; left != 0 { // else the fresh words are the bin as drawn
+			carry := b.word << (64 - left)
+			for i, v := range fresh {
+				fresh[i] = carry | v>>left
+				carry = v << (64 - left)
+			}
+			if uint(len(out)) > k {
+				out[k] = carry
+			}
+		}
+		b.word, b.left = last, 64*k-(n-b.left)
+	}
+	if r := n % 64; r != 0 {
+		out[len(out)-1] &^= ^uint64(0) >> r
+	}
 }
 
 // Bit returns the next single bit.

@@ -50,9 +50,11 @@ func DecodeNodeState(blob []byte) (poolBlob, regBlob []byte, err error) {
 		if len(p) < 4 {
 			return nil, fmt.Errorf("server: node state %s length truncated", what)
 		}
-		n := int(binary.LittleEndian.Uint32(p))
+		// Compared as uint64: int(n) is negative on 32-bit hosts for
+		// n ≥ 2^31 and would pass a signed length check.
+		n := binary.LittleEndian.Uint32(p)
 		p = p[4:]
-		if n > len(p) {
+		if uint64(n) > uint64(len(p)) {
 			return nil, fmt.Errorf("server: node state %s truncated (%d of %d bytes)", what, len(p), n)
 		}
 		b := p[:n]

@@ -242,13 +242,17 @@ type Pool struct {
 
 // poolShard is one walker behind a lock with a ring of pre-generated
 // words. state and err are atomic so the hot path of *other* shards
-// and the health probes never take this shard's lock.
+// and the health probes never take this shard's lock. idx and until
+// are written only under mu but are atomic too, so Stats reads them
+// without the lock: a scrape holding a shard's mu would make a
+// concurrent gang refill's TryLock skip that shard, and a later fill
+// would then serve different words.
 type poolShard struct {
 	mu    sync.Mutex
 	w     *core.Walker
 	mon   *bitsource.Monitor // nil unless WithHealthMonitoring
 	buf   []uint64
-	idx   int // next unread index in buf; len(buf) = empty
+	idx   atomic.Int64 // next unread index in buf; len(buf) = empty
 	err   atomic.Pointer[bitsource.HealthError]
 	state atomic.Uint32 // shardState
 
@@ -256,9 +260,8 @@ type poolShard struct {
 	refills atomic.Uint64 // ring refills performed
 	trips   atomic.Uint32 // health trips so far
 
-	// Recovery state, guarded by mu.
-	until    time.Time // quarantine deadline
-	probLeft int       // probation words still to discard
+	until    atomic.Pointer[time.Time] // quarantine deadline; written under mu
+	probLeft int                       // probation words still to discard; guarded by mu
 
 	pool       *Pool
 	index      int
@@ -306,13 +309,14 @@ func NewPool(opts ...Option) (*Pool, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hybridprng: pool shard %d: %w", i, err)
 		}
-		buf := make([]uint64, bufWords)
-		p.shards[i] = &poolShard{
-			w: w, mon: mon, buf: buf, idx: len(buf),
+		s := &poolShard{
+			w: w, mon: mon, buf: make([]uint64, bufWords),
 			pool: p, index: i,
 			reseedBase: reseedBase(c.seed, i),
 			wrap:       c.feedWrap,
 		}
+		s.drain()
+		p.shards[i] = s
 	}
 	return p, nil
 }
@@ -358,7 +362,7 @@ func (s *poolShard) tripLocked(e *bitsource.HealthError) {
 		return
 	}
 	s.err.Store(e)
-	s.idx = len(s.buf) // discard untrusted residue
+	s.drain() // discard untrusted residue
 	trips := s.trips.Add(1)
 	s.pool.tripEvents.Add(1)
 	pol := s.pool.policy
@@ -366,7 +370,8 @@ func (s *poolShard) tripLocked(e *bitsource.HealthError) {
 		s.state.Store(uint32(shardRetired))
 		return
 	}
-	s.until = s.pool.now().Add(pol.backoff(trips, s.reseedBase))
+	until := s.pool.now().Add(pol.backoff(trips, s.reseedBase))
+	s.until.Store(&until)
 	s.state.Store(uint32(shardQuarantined))
 }
 
@@ -374,7 +379,7 @@ func (s *poolShard) tripLocked(e *bitsource.HealthError) {
 // machinery failures, not health trips).
 func (s *poolShard) retireLocked(e *bitsource.HealthError) {
 	s.err.Store(e)
-	s.idx = len(s.buf)
+	s.drain()
 	s.state.Store(uint32(shardRetired))
 }
 
@@ -410,7 +415,7 @@ func (s *poolShard) advance() {
 	defer s.mu.Unlock()
 	switch shardState(s.state.Load()) {
 	case shardQuarantined:
-		if !s.pool.now().Before(s.until) {
+		if !s.pool.now().Before(*s.until.Load()) {
 			s.reseedLocked()
 		}
 	case shardProbation:
@@ -505,7 +510,6 @@ func (s *poolShard) probeLocked() {
 		s.w.Fill(s.buf[:k]) // scratch: the ring is empty during probation
 		left -= k
 	}
-	s.idx = len(s.buf)
 	if s.monTripped() {
 		return
 	}
@@ -528,16 +532,17 @@ func (s *poolShard) next() (v uint64, ok bool) {
 		s.mu.Unlock()
 		return 0, false
 	}
-	if s.idx == len(s.buf) {
+	i := int(s.idx.Load())
+	if i == len(s.buf) {
 		s.refillRingLocked()
 		if s.monTripped() {
 			s.mu.Unlock()
 			return 0, false
 		}
-		s.idx = 0
+		i = 0
 	}
-	v = s.buf[s.idx]
-	s.idx++
+	v = s.buf[i]
+	s.idx.Store(int64(i + 1))
 	s.mu.Unlock()
 	s.draws.Add(1)
 	return v, true
@@ -580,15 +585,14 @@ func (s *poolShard) refillRingLocked() {
 			if shardState(t.state.Load()) != shardHealthy || !t.mu.TryLock() {
 				continue
 			}
-			if shardState(t.state.Load()) != shardHealthy ||
-				(len(t.buf)-t.idx)*2 > len(t.buf) {
+			if shardState(t.state.Load()) != shardHealthy || t.buffered()*2 > len(t.buf) {
 				t.mu.Unlock()
 				continue
 			}
 			// Compact the unread residue to the front; the batched
 			// sweep appends the walker's next words right after it, so
 			// the ring still serves the stream in order.
-			residue := copy(t.buf, t.buf[t.idx:])
+			residue := copy(t.buf, t.buf[t.idx.Load():])
 			ws[n], segs[n], gang[n] = t.w, t.buf[residue:], t
 			n++
 		}
@@ -599,7 +603,7 @@ func (s *poolShard) refillRingLocked() {
 		t := gang[i]
 		t.refills.Add(1)
 		if !t.monTripped() { // tripLocked discards the untrusted ring
-			t.idx = 0
+			t.idx.Store(0)
 		}
 		t.mu.Unlock()
 	}
@@ -640,17 +644,27 @@ func (s *poolShard) healthErr() error {
 	return nil
 }
 
-// lockedStats reads the mu-guarded recovery fields for Stats.
-func (s *poolShard) lockedStats(now time.Time) (buffered int, retryIn time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	buffered = len(s.buf) - s.idx
-	if shardState(s.state.Load()) == shardQuarantined {
-		if d := s.until.Sub(now); d > 0 {
-			retryIn = d
+// buffered is the number of unread words in the ring. Stats reads it
+// without mu; every other caller holds mu.
+func (s *poolShard) buffered() int { return len(s.buf) - int(s.idx.Load()) }
+
+// drain empties the ring. Must be called with s.mu held (or before the
+// shard is shared).
+func (s *poolShard) drain() { s.idx.Store(int64(len(s.buf))) }
+
+// retryIn is the quarantine backoff left at now: zero unless the shard
+// is quarantined. It reads no mu-guarded state, so Stats may call it
+// while another goroutine holds s.mu.
+func (s *poolShard) retryIn(now time.Time) time.Duration {
+	if shardState(s.state.Load()) != shardQuarantined {
+		return 0
+	}
+	if u := s.until.Load(); u != nil {
+		if d := u.Sub(now); d > 0 {
+			return d
 		}
 	}
-	return buffered, retryIn
+	return 0
 }
 
 // Uint64 returns the next word from a healthy shard. Each call lands
@@ -1074,9 +1088,9 @@ type PoolStats struct {
 	PerShard    []ShardStats
 }
 
-// Stats snapshots the pool. Safe to call concurrently with draws; it
-// takes each shard's lock only to read the ring occupancy and the
-// quarantine deadline.
+// Stats snapshots the pool. Safe to call concurrently with draws, and
+// it takes no lock: every field it reads is atomic, so a scrape never
+// delays a draw or changes which shards a gang refill picks up.
 func (p *Pool) Stats() PoolStats {
 	now := p.now()
 	st := PoolStats{
@@ -1088,15 +1102,14 @@ func (p *Pool) Stats() PoolStats {
 	}
 	for i, s := range p.shards {
 		state := shardState(s.state.Load())
-		buffered, retryIn := s.lockedStats(now)
 		ss := ShardStats{
 			Draws:    s.draws.Load(),
 			Refills:  s.refills.Load(),
-			Buffered: buffered,
+			Buffered: s.buffered(),
 			State:    state.String(),
 			Tripped:  state != shardHealthy,
 			Trips:    s.trips.Load(),
-			RetryIn:  retryIn,
+			RetryIn:  s.retryIn(now),
 		}
 		if err := s.healthErr(); err != nil {
 			ss.Failure = err.Error()

@@ -2,8 +2,12 @@ package hybridprng
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"math/rand/v2"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestPoolGangRefillPreservesStreams pins the gang ring refill's core
@@ -256,6 +260,109 @@ func BenchmarkPoolFillBytes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := p.FillBytes(buf); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestPoolStatsTakesNoShardLock pins that a Stats scrape never waits
+// on a shard's lock: with one shard's mu held (as a long refill would
+// hold it), Stats must still return — and report that shard's ring and
+// quarantine state.
+func TestPoolStatsTakesNoShardLock(t *testing.T) {
+	p, err := NewPool(WithSeed(8), WithShards(4), WithShardBuffer(32), WithHealthMonitoring(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Uint64(); err != nil { // lands on shard 1 and fills its ring
+		t.Fatal(err)
+	}
+	if err := p.InjectFault(2); err != nil {
+		t.Fatal(err)
+	}
+	s := p.shards[1]
+	s.mu.Lock()
+	done := make(chan PoolStats, 1)
+	go func() { done <- p.Stats() }()
+	select {
+	case st := <-done:
+		s.mu.Unlock()
+		if got := st.PerShard[1].Buffered; got != 31 {
+			t.Errorf("shard 1 Buffered = %d, want 31", got)
+		}
+		if st.PerShard[2].State != "quarantined" || st.PerShard[2].RetryIn <= 0 {
+			t.Errorf("shard 2 = %+v, want quarantined with a backoff left", st.PerShard[2])
+		}
+	case <-time.After(time.Second):
+		s.mu.Unlock()
+		<-done
+		t.Fatal("Stats blocked on a held shard lock")
+	}
+}
+
+// TestPoolStatsDoesNotChangeServedWords replays one seeded sequence of
+// Fill calls — three quarters on the ring path (1–64 words), a quarter
+// on the direct path (65–2,064 words) — against a sixteen-shard,
+// health-on pool, alone and with a goroutine scraping Stats in a loop.
+// The served words must not depend on the scrapes: a scrape that took
+// shard locks made concurrent gang refills skip those shards, so later
+// direct fills drew different words. Two-word rings make nearly every
+// ring draw a gang refill, so a locking scrape collides with one in
+// the first run.
+func TestPoolStatsDoesNotChangeServedWords(t *testing.T) {
+	const calls = 4000
+	runs := 8
+	if testing.Short() {
+		runs = 3
+	}
+	serve := func(scrape bool) [32]byte {
+		p, err := NewPool(WithSeed(21), WithShards(16), WithShardBuffer(2), WithHealthMonitoring(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		defer wg.Wait()
+		defer close(stop) // runs first, also when a t.Fatal below ends the run
+		if scrape {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						p.Stats()
+					}
+				}
+			}()
+		}
+		sizes := rand.New(rand.NewPCG(21, 0))
+		h := sha256.New()
+		buf := make([]uint64, 2064)
+		var enc []byte
+		for i := 0; i < calls; i++ {
+			n := 1 + sizes.IntN(64)
+			if i%4 == 3 {
+				n = 65 + sizes.IntN(2000)
+			}
+			if err := p.Fill(buf[:n]); err != nil {
+				t.Fatal(err)
+			}
+			enc = enc[:0]
+			for _, v := range buf[:n] {
+				enc = binary.LittleEndian.AppendUint64(enc, v)
+			}
+			h.Write(enc)
+		}
+		var sum [32]byte
+		h.Sum(sum[:0])
+		return sum
+	}
+	want := serve(false)
+	for r := 0; r < runs; r++ {
+		if got := serve(true); got != want {
+			t.Fatalf("run %d: words served beside a Stats scraper differ from the quiet run", r)
 		}
 	}
 }

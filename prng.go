@@ -31,6 +31,7 @@
 package hybridprng
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -41,6 +42,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/expander"
 	"repro/internal/rng"
+	"repro/internal/wordbytes"
 )
 
 // Feed names accepted by WithFeed.
@@ -334,29 +336,34 @@ func (g *Generator) Fill(dst []uint64) { g.w.Fill(dst) }
 // they had been drawn).
 func (g *Generator) Skip(n uint64) { g.w.Skip(n) }
 
-// Read fills p with random bytes (io.Reader). It always fills the
-// whole slice and never returns an error; partially consumed words
-// are discarded between calls, so byte streams from separate Read
-// calls of the same total length are NOT bitwise identical to one
-// long Read.
+// Read fills p with random bytes (io.Reader): ⌈len(p)/8⌉ words laid
+// out little-endian, the last one cut short for a ragged length. It
+// always fills the whole slice and never returns an error; partially
+// consumed words are discarded between calls, so byte streams from
+// separate Read calls of the same total length are NOT bitwise
+// identical to one long Read. The whole words come from one Walker.Fill
+// — written in place when p can be viewed as words (wordbytes), else
+// through a stack block — so a Read of 16 words or more runs the
+// bin-fed walk; only a ragged tail word costs a Next.
 func (g *Generator) Read(p []byte) (int, error) {
-	i := 0
-	for ; i+8 <= len(p); i += 8 {
-		v := g.w.Next()
-		p[i] = byte(v)
-		p[i+1] = byte(v >> 8)
-		p[i+2] = byte(v >> 16)
-		p[i+3] = byte(v >> 24)
-		p[i+4] = byte(v >> 32)
-		p[i+5] = byte(v >> 40)
-		p[i+6] = byte(v >> 48)
-		p[i+7] = byte(v >> 56)
+	nw := len(p) / 8
+	if words := wordbytes.Words(p[:nw*8]); words != nil {
+		g.w.Fill(words)
+	} else {
+		var block [256]uint64
+		for i := 0; i < nw; {
+			ws := block[:min(nw-i, len(block))]
+			g.w.Fill(ws)
+			for _, v := range ws {
+				binary.LittleEndian.PutUint64(p[8*i:], v)
+				i++
+			}
+		}
 	}
-	if i < len(p) {
+	if tail := p[nw*8:]; len(tail) > 0 {
 		v := g.w.Next()
-		for ; i < len(p); i++ {
-			p[i] = byte(v)
-			v >>= 8
+		for i := range tail {
+			tail[i] = byte(v >> (8 * i))
 		}
 	}
 	return len(p), nil

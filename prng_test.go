@@ -374,6 +374,40 @@ func TestReadFillsEverything(t *testing.T) {
 	}
 }
 
+// TestReadMatchesWordStream pins Read to the word stream for lengths
+// on both sides of its 256-word encode block and of a bin, ragged
+// tails included, through both branches: a word-aligned buffer filled
+// in place and a misaligned one encoded through the stack block. Every
+// Read must serve the next ⌈n/8⌉ words of Uint64's stream,
+// little-endian, and leave the generator where those Uint64 calls do.
+func TestReadMatchesWordStream(t *testing.T) {
+	backing := make([]byte, 5000)     // heap blocks this size are 8-byte aligned
+	for _, off := range []int{0, 1} { // aligned, misaligned
+		for _, opts := range [][]Option{{WithSeed(83)}, {WithSeed(83), WithHealthMonitoring(4)}} {
+			g, _ := New(opts...)
+			ref, _ := New(opts...)
+			for _, n := range []int{8, 3, 256 * 8, 256*8 + 5, 257 * 8, 32*8 - 1, 4096, 0, 1} {
+				buf := backing[off : off+n]
+				if _, err := g.Read(buf); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i += 8 {
+					w := ref.Uint64()
+					for b := i; b < min(i+8, n); b++ {
+						if buf[b] != byte(w>>(8*(b-i))) {
+							t.Fatalf("offset %d, Read(%d) byte %d: %#x, word stream %#x", off, n, b, buf[b], byte(w>>(8*(b-i))))
+						}
+					}
+				}
+				if g.Position() != ref.Position() || g.Generated() != ref.Generated() {
+					t.Fatalf("offset %d, Read(%d): generator left at %v after %d numbers, word stream at %v after %d",
+						off, n, g.Position(), g.Generated(), ref.Position(), ref.Generated())
+				}
+			}
+		}
+	}
+}
+
 func TestSkipMatchesDiscardedDraws(t *testing.T) {
 	g1, _ := New(WithSeed(70))
 	g2, _ := New(WithSeed(70))

@@ -270,9 +270,11 @@ func takePrefixed(p []byte, what string) (blob, rest []byte, err error) {
 	if len(p) < 4 {
 		return nil, nil, fmt.Errorf("hybridprng: %s length truncated", what)
 	}
-	n := int(binary.LittleEndian.Uint32(p))
+	// Compared as uint64: int(n) is negative on 32-bit hosts for
+	// n ≥ 2^31 and would pass a signed length check.
+	n := binary.LittleEndian.Uint32(p)
 	p = p[4:]
-	if n > len(p) {
+	if uint64(n) > uint64(len(p)) {
 		return nil, nil, fmt.Errorf("hybridprng: %s truncated (%d of %d bytes)", what, len(p), n)
 	}
 	return p[:n], p[n:], nil
@@ -402,7 +404,7 @@ func (s *poolShard) marshalBinary(now time.Time) ([]byte, error) {
 	out = appendPrefixed(out, wBlob)
 	var b8 [8]byte
 	state := shardState(s.state.Load())
-	residue := s.buf[s.idx:]
+	residue := s.buf[s.idx.Load():]
 	if state != shardHealthy {
 		residue = nil
 	}
@@ -422,13 +424,7 @@ func (s *poolShard) marshalBinary(now time.Time) ([]byte, error) {
 	binary.LittleEndian.PutUint32(b8[:4], s.trips.Load())
 	out = append(out, b8[:4]...)
 	put64(s.reseedBase)
-	var remaining time.Duration
-	if state == shardQuarantined {
-		if remaining = s.until.Sub(now); remaining < 0 {
-			remaining = 0
-		}
-	}
-	put64(uint64(remaining))
+	put64(uint64(s.retryIn(now)))
 	probLeft := 0
 	if state == shardProbation {
 		probLeft = s.probLeft
@@ -493,11 +489,12 @@ func unmarshalShard(blob []byte, bufWords int, version byte, now time.Time) (*po
 	if len(rest) < 4 {
 		return nil, fmt.Errorf("hybridprng: shard residue length truncated")
 	}
-	nRes := int(binary.LittleEndian.Uint32(rest))
+	n := binary.LittleEndian.Uint32(rest)
 	rest = rest[4:]
-	if nRes > bufWords {
-		return nil, fmt.Errorf("hybridprng: ring residue %d exceeds buffer %d", nRes, bufWords)
+	if uint64(n) > uint64(bufWords) { // unsigned, as in takePrefixed
+		return nil, fmt.Errorf("hybridprng: ring residue %d exceeds buffer %d", n, bufWords)
 	}
+	nRes := int(n)
 	if len(rest) < 8*nRes+8+8 {
 		return nil, fmt.Errorf("hybridprng: shard state truncated")
 	}
@@ -507,7 +504,8 @@ func unmarshalShard(blob []byte, bufWords int, version byte, now time.Time) (*po
 		buf[idx+i] = binary.LittleEndian.Uint64(rest[8*i:])
 	}
 	rest = rest[8*nRes:]
-	s := &poolShard{w: w, mon: mon, buf: buf, idx: idx}
+	s := &poolShard{w: w, mon: mon, buf: buf}
+	s.idx.Store(int64(idx))
 	s.draws.Store(binary.LittleEndian.Uint64(rest))
 	s.refills.Store(binary.LittleEndian.Uint64(rest[8:]))
 	rest = rest[16:]
@@ -523,7 +521,7 @@ func unmarshalShard(blob []byte, bufWords int, version byte, now time.Time) (*po
 		rest = r
 		if he != nil {
 			s.err.Store(he)
-			s.idx = len(s.buf)
+			s.drain()
 			s.state.Store(uint32(shardRetired))
 		}
 		if len(rest) != 0 {
@@ -562,13 +560,14 @@ func unmarshalShard(blob []byte, bufWords int, version byte, now time.Time) (*po
 	switch state {
 	case shardHealthy:
 	case shardQuarantined:
-		s.idx = len(s.buf)
-		s.until = now.Add(remaining)
+		s.drain()
+		until := now.Add(remaining)
+		s.until.Store(&until)
 	case shardProbation:
-		s.idx = len(s.buf)
+		s.drain()
 		s.probLeft = probLeft
 	case shardRetired:
-		s.idx = len(s.buf)
+		s.drain()
 	}
 	return s, nil
 }

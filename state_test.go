@@ -3,6 +3,7 @@ package hybridprng
 import (
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestCheckpointResumesExactStream(t *testing.T) {
@@ -386,5 +387,35 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLengthDecodersRejectHugeLengths feeds the u32 length fields a
+// value at or above 2^31. Converted with int() on a 32-bit host such a
+// length turns negative, passes a signed bounds check and panics when
+// slicing; every decoder must report truncation instead (GOARCH=386
+// runs this test natively on an x86-64 host).
+func TestLengthDecodersRejectHugeLengths(t *testing.T) {
+	huge := []byte{0xF0, 0xFF, 0xFF, 0xFF}
+	if _, _, err := takePrefixed(append(huge, 1, 2, 3), "blob"); err == nil {
+		t.Error("takePrefixed accepted a 0xFFFFFFF0-byte blob in 3 bytes")
+	}
+	g, err := New(WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wBlob, err := marshalWalker(g.w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := append(appendPrefixed(nil, wBlob), huge...)
+	shard = append(shard, make([]byte, 64)...)
+	if _, err := unmarshalShard(shard, 16, poolVersion, time.Now()); err == nil {
+		t.Error("unmarshalShard accepted a ring residue of 0xFFFFFFF0 words")
+	}
+	par := append([]byte(parMagic), parVersion, 1, 0, 0, 0)
+	par = append(append(par, huge...), 1, 2, 3)
+	if err := new(Parallel).UnmarshalBinary(par); err == nil {
+		t.Error("Parallel.UnmarshalBinary accepted a 0xFFFFFFF0-byte worker blob")
 	}
 }
