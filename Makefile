@@ -42,11 +42,12 @@ fmt:
 	gofmt -l .
 
 ## portable: execute the paths non-amd64 and big-endian hosts take —
-## the purego tag forces the Go walk kernel (chunk21x4) and
-## FillBytes' encode-through-scratch branch on amd64, and the short
-## suite runs as 386 (x86-64 Linux executes it natively), so 32-bit
-## int code runs too — then vet the other word sizes and byte orders.
-## arm64 and s390x are vetted only; nothing here executes them.
+## the purego tag forces the portable walk (every lane through
+## chunk21's three-step table) and FillBytes' encode-through-scratch
+## branch on amd64, and the short suite runs as 386 (x86-64 Linux
+## executes it natively), so 32-bit int code runs too — then vet the
+## other word sizes and byte orders. arm64 and s390x are vetted only;
+## nothing here executes them.
 portable:
 	go test -tags purego -short ./internal/core ./internal/wordbytes ./internal/bitsource .
 	GOARCH=386 go test -short ./...
@@ -75,20 +76,26 @@ battery-long:
 BENCH_PASSES ?= 5
 POOL_BENCH = go test -run '^$$' -bench 'BenchmarkPool|BenchmarkGetNextRand' -benchtime 0.5s .
 SERVER_BENCH = go test -run '^$$' -bench 'BenchmarkServe' -benchtime 0.5s ./internal/server
+CORE_BENCH = go test -run '^$$' -bench 'BenchmarkFillBatch|BenchmarkRegistryDraw' -benchtime 0.5s ./internal/core ./internal/substream
 bench-seed:
 	go run ./cmd/crossstream -benchtext \
 		| go run ./cmd/benchseed -out BENCH_quality.json -merge
+	for i in $$(seq $(BENCH_PASSES)); do $(CORE_BENCH) || exit 1; done \
+		| go run ./cmd/benchseed -out BENCH_core.json -merge
 	for i in $$(seq $(BENCH_PASSES)); do $(POOL_BENCH) || exit 1; done \
 		| go run ./cmd/benchseed -out BENCH_pool.json -merge
 	for i in $$(seq $(BENCH_PASSES)); do $(SERVER_BENCH) || exit 1; done \
 		| go run ./cmd/benchseed -out BENCH_server.json -merge
 
-## bench-gate: run the core/pool/server benchmark families against
-## the committed trajectories and fail on regression — any new
+## bench-gate: run the core (walk at 1-16 lanes, keyed draws), pool
+## and server benchmark families against the committed trajectories
+## and fail on regression — any new
 ## steady-state alloc/op (machine-independent), or >10% ns/op of the
 ## median over BENCH_PASSES passes on the same cpu as the committed
 ## baseline (cross-machine wall-clock is noise and is not gated).
 bench-gate:
+	for i in $$(seq $(BENCH_PASSES)); do $(CORE_BENCH) || exit 1; done \
+		| go run ./cmd/benchseed -gate BENCH_core.json
 	for i in $$(seq $(BENCH_PASSES)); do $(POOL_BENCH) || exit 1; done \
 		| go run ./cmd/benchseed -gate BENCH_pool.json
 	for i in $$(seq $(BENCH_PASSES)); do $(SERVER_BENCH) || exit 1; done \

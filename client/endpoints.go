@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -229,19 +230,24 @@ func (s *endpointSet) stats(now time.Time) ([]EndpointStats, uint64) {
 	return out, epochChanges
 }
 
+// maxRetryAfter caps a Retry-After delay: longer ones saturate here
+// instead of wrapping time.Duration, and a clock reading plus the cap
+// still fits the int64 nanoseconds Client.shedUntil holds.
+const maxRetryAfter = 100 * 365 * 24 * time.Hour
+
 // parseRetryAfter reads a Retry-After header as delay seconds or an
-// HTTP date; 0 means absent or unparseable.
+// HTTP date, capped at maxRetryAfter; 0 means absent or unparseable.
 func parseRetryAfter(h http.Header) time.Duration {
 	v := h.Get("Retry-After")
 	if v == "" {
 		return 0
 	}
-	if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
-		return time.Duration(secs) * time.Second
+	if secs, err := strconv.ParseInt(v, 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
+		return time.Duration(max(0, min(secs, int64(maxRetryAfter/time.Second)))) * time.Second
 	}
 	if t, err := http.ParseTime(v); err == nil {
 		if d := time.Until(t); d > 0 {
-			return d
+			return min(d, maxRetryAfter)
 		}
 	}
 	return 0

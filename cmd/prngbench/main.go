@@ -177,5 +177,5 @@ func figure6(n int) {
 		rep.ProjectedWallNs(6)/1e6)
 	fmt.Printf("(this host has %d core(s); the hybrid walkers scale linearly —\n"+
 		" the paper's Figure 6 crossover needs ≳ %d cores at these per-number costs)\n\n",
-		rep.HostCores, int(rep.PerNumberNs/ser.PerNumberNs)+1)
+		rep.HostCores, int(rep.ProjectedWallNs(1)/float64(rep.N)/ser.PerNumberNs)+1)
 }

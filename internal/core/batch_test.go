@@ -226,26 +226,6 @@ func TestFillBatchRestoreMidBatch(t *testing.T) {
 	}
 }
 
-// TestNextBatchMatchesNext covers the one-word-per-lane entry point.
-func TestNextBatchMatchesNext(t *testing.T) {
-	const width = 11
-	ws := make([]*Walker, width)
-	refs := make([]*Walker, width)
-	for i := range ws {
-		ws[i], _ = NewWalker(newBits(uint64(i)+1), Config{})
-		refs[i], _ = NewWalker(newBits(uint64(i)+1), Config{})
-	}
-	out := make([]uint64, width)
-	for round := 0; round < 5; round++ {
-		NextBatch(ws, out)
-		for i, v := range out {
-			if want := refs[i].Next(); v != want {
-				t.Fatalf("round %d lane %d: %#x != %#x", round, i, v, want)
-			}
-		}
-	}
-}
-
 // TestFillBatchConcurrentGroups stresses concurrent batched fills of
 // disjoint walker sets (the shape Pool.Fill and the serving pool's
 // gang refill produce) under -race.

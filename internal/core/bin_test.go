@@ -120,7 +120,7 @@ func TestBinFillMatchesNext(t *testing.T) {
 					for j := range ws {
 						check("FillBatch", j, dst[j], before[j])
 					}
-					lone := make([]uint64, sizes[k]+binMinFill-1) // 15 and 16 included
+					lone := make([]uint64, sizes[k]+binMinFill-1) // binMinFill-1 and binMinFill included
 					before[0] = count(0)
 					ws[0].Fill(lone)
 					check("Fill", 0, lone, before[0])

@@ -12,8 +12,7 @@
 //
 // Walkers are deliberately unsynchronised: the paper's thread safety
 // comes from each GPU thread owning an independent walk. Pool
-// provides the matching many-walker construct; SafeWalker wraps a
-// single walker in a mutex for callers who want to share one.
+// provides the matching many-walker construct.
 package core
 
 import (
@@ -61,13 +60,12 @@ const (
 	binBits  = 64 * binWords
 
 	// binMinFill is the shortest lone-lane fill that takes a bin;
-	// shorter ones call Next. A lone walk is bound by its serial step
-	// chain, which hides most of the per-field reads, so the bin's
-	// fixed cost pays off late: against Next calls, one number through
-	// a bin took 1.3-1.4× as long, 16 numbers about as long, and 64
-	// numbers 0.87-1.01× (glibc feed with and without the health
-	// monitor, 2-vCPU Xeon @ 2.1 GHz).
-	binMinFill = 16
+	// shorter ones call Next. Against k Next calls, a keyed draw of k
+	// numbers through a bin took 1.34× as long at k = 1, 1.05-1.08× at
+	// 2 and 3, 0.96-1.05× at 4 and 0.83-0.85× from 5 to 16
+	// (BenchmarkRegistryDraw, health monitor on, medians of 10-12
+	// alternated runs, 2-vCPU Xeon @ 2.1 GHz).
+	binMinFill = 5
 )
 
 // bin is one lane's bin plus a pad word, so binTake may always read
@@ -242,10 +240,8 @@ func uniformMod(bits *rng.BitReader, m uint32) uint32 {
 }
 
 // walk advances the position by l steps, consuming 3 bits per step.
-// The full-graph fast path pulls 63 feed bits at a time (21 steps)
-// and inlines the neighbour maps; this is the generator's hot loop
-// and the difference between ≈ 1.8 µs and ≈ 0.1 µs per number on the
-// CPU backend.
+// On the full graph it pulls 63 feed bits (21 steps) at a time and
+// walks them through chunk21, the generator's hot loop.
 func (w *Walker) walk(l int) {
 	pos := w.pos
 	if !w.full {
@@ -288,11 +284,43 @@ func stepXY(x, y uint32, b uint64) (uint32, uint32) {
 	return x, y
 }
 
+// affine is an affine map of Z_{2^32}²: (x, y) → (a·x + b·y + e,
+// c·x + d·y + f). Every step is one (it adds 2x+c to y or 2y+c to x),
+// so any run of steps composes to one.
+type affine struct{ a, b, c, d, e, f uint32 }
+
+func (m *affine) apply(x, y uint32) (uint32, uint32) {
+	return m.a*x + m.b*y + m.e, m.c*x + m.d*y + m.f
+}
+
+// step3 holds the composite of every run of three steps (12 KiB),
+// indexed by the run's three fields as one 9-bit slice of a chunk, the
+// first step's field on top. An affine map is fixed by its images of
+// (0,0), (1,0) and (0,1), so each entry is three stepXY walks.
+var step3 = func() (t [512]affine) {
+	for i := range t {
+		walk3 := func(x, y uint32) (uint32, uint32) {
+			for k := 6; k >= 0; k -= BitsPerStep {
+				x, y = stepXY(x, y, uint64(i>>k&7))
+			}
+			return x, y
+		}
+		e, f := walk3(0, 0)
+		x1, y1 := walk3(1, 0)
+		x2, y2 := walk3(0, 1)
+		t[i] = affine{a: x1 - e, b: x2 - e, c: y1 - f, d: y2 - f, e: e, f: f}
+	}
+	return t
+}()
+
 // chunk21 advances one walk through a 63-bit feed chunk: 21 steps, the
-// chunk's top 3-bit field first.
+// chunk's top 3-bit field first, as seven step3 maps of four multiplies
+// each. It walks Next, Skip, Algorithm 1 and every lane outside an AVX2
+// lockstep group (walkBins); three calls took 74-95 ns, against 236-282
+// ns as 21 dependent stepXY calls each (2-vCPU Xeon @ 2.1 GHz).
 func chunk21(x, y uint32, word uint64) (uint32, uint32) {
-	for k := chunkBits - BitsPerStep; k >= 0; k -= BitsPerStep {
-		x, y = stepXY(x, y, word>>uint(k)&7)
+	for k := chunkBits - 3*BitsPerStep; k >= 0; k -= 3 * BitsPerStep {
+		x, y = step3[word>>uint(k)&511].apply(x, y)
 	}
 	return x, y
 }
@@ -376,26 +404,6 @@ func (w *Walker) Skip(n uint64) {
 		w.count++
 	}
 }
-
-// SafeWalker is a Walker behind a mutex, for callers that insist on
-// sharing one stream across goroutines. Prefer Pool.
-type SafeWalker struct {
-	mu sync.Mutex
-	w  *Walker
-}
-
-// NewSafeWalker wraps w.
-func NewSafeWalker(w *Walker) *SafeWalker { return &SafeWalker{w: w} }
-
-// Next returns the next number under the lock.
-func (s *SafeWalker) Next() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Next()
-}
-
-// Uint64 makes SafeWalker an rng.Source.
-func (s *SafeWalker) Uint64() uint64 { return s.Next() }
 
 // Pool is a set of independent walkers, one per worker — the
 // software image of the paper's "each GPU thread performs its own

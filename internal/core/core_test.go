@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -154,44 +153,6 @@ func TestWalkerUint64IsNext(t *testing.T) {
 		if w1.Uint64() != w2.Next() {
 			t.Fatal("Uint64 must alias Next")
 		}
-	}
-}
-
-func TestSafeWalkerConcurrentUse(t *testing.T) {
-	w, _ := NewWalker(newBits(10), Config{})
-	sw := NewSafeWalker(w)
-	const goroutines = 8
-	const perG = 500
-	var wg sync.WaitGroup
-	out := make([][]uint64, goroutines)
-	for i := 0; i < goroutines; i++ {
-		out[i] = make([]uint64, 0, perG)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < perG; j++ {
-				out[i] = append(out[i], sw.Uint64())
-			}
-		}(i)
-	}
-	wg.Wait()
-	// All values across goroutines must be distinct with high
-	// probability (64-bit outputs, 4000 draws).
-	seen := make(map[uint64]bool, goroutines*perG)
-	dups := 0
-	for _, s := range out {
-		for _, v := range s {
-			if seen[v] {
-				dups++
-			}
-			seen[v] = true
-		}
-	}
-	if dups > 0 {
-		t.Errorf("%d duplicate outputs under concurrency", dups)
-	}
-	if w.Generated() != goroutines*perG {
-		t.Errorf("Generated = %d, want %d", w.Generated(), goroutines*perG)
 	}
 }
 

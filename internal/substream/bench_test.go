@@ -9,7 +9,7 @@ import (
 // routes make them — /v1/stream/{key}/u64?n=k through Fill and
 // /v1/stream/{key}/bytes through FillBytes — from one word up to the
 // 4 KiB draw of the tenants workload, with the health monitor on as in
-// randd. Draws under 16 words walk per field, longer ones through a
+// randd. Draws under five words walk per field, longer ones through a
 // bin (core's binMinFill).
 func BenchmarkRegistryDraw(b *testing.B) {
 	r, err := New(Config{RootSeed: 1, HealthHMin: 4})
@@ -17,7 +17,7 @@ func BenchmarkRegistryDraw(b *testing.B) {
 		b.Fatal(err)
 	}
 	const key = "bench-tenant"
-	for _, n := range []int{1, 8, 16, 64} {
+	for _, n := range []int{1, 2, 4, 8, 16, 64} {
 		b.Run(fmt.Sprintf("u64-%d", n), func(b *testing.B) {
 			dst := make([]uint64, n)
 			b.SetBytes(int64(8 * n))

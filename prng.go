@@ -343,7 +343,7 @@ func (g *Generator) Skip(n uint64) { g.w.Skip(n) }
 // separate Read calls of the same total length are NOT bitwise
 // identical to one long Read. The whole words come from one Walker.Fill
 // — written in place when p can be viewed as words (wordbytes), else
-// through a stack block — so a Read of 16 words or more runs the
+// through a stack block — so a Read of five words or more runs the
 // bin-fed walk; only a ragged tail word costs a Next.
 func (g *Generator) Read(p []byte) (int, error) {
 	nw := len(p) / 8
