@@ -97,7 +97,7 @@ func run() int {
 		maxWords   = flag.Uint64("max-request", 0, "per-request cap for /u64 and /bytes in words (0 = default)")
 		inFlight   = flag.Int("max-inflight", 0, "concurrent draw requests before shedding with 429 (0 = default, negative disables)")
 		reqTimeout = flag.Duration("request-timeout", 0, "per-request deadline for /u64 and /bytes (0 = default, negative disables)")
-		streamWT   = flag.Duration("stream-write-timeout", 0, "per-chunk idle-write deadline for /stream; a client that stops reading this long is disconnected (0 = default, negative disables)")
+		streamWT   = flag.Duration("stream-write-timeout", 0, "per-chunk idle-write deadline on every draw route; a client that stops reading this long is disconnected (0 = default, negative disables)")
 		drain      = flag.Duration("drain-timeout", 5*time.Second, "how long shutdown waits for in-flight requests before snapshotting")
 		state      = flag.String("state", "", "checkpoint file: restored on boot when present, written on shutdown and by POST /snapshot (empty disables)")
 		chaosSeed  = flag.Uint64("chaos", 0, "enable the deterministic fault injector with this schedule seed (dev only; incompatible with -state)")

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/blob"
 	"repro/internal/rng"
 )
 
@@ -420,46 +421,24 @@ const (
 // trip state. Not safe to call concurrently with Uint64 draws; the
 // caller must hold whatever lock serialises drawing.
 func (m *Monitor) MarshalBinary() ([]byte, error) {
-	out := []byte{monitorTag, monitorVersion}
-	var b [4]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(b[:], v)
-		out = append(out, b[:]...)
-	}
-	putBool := func(v bool) {
-		if v {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
-		}
-	}
-	putStr := func(s string) ([]byte, error) {
-		if len(s) > 0xFFFF {
-			return nil, fmt.Errorf("bitsource: monitor detail too long (%d bytes)", len(s))
-		}
-		binary.LittleEndian.PutUint16(b[:2], uint16(len(s)))
-		out = append(out, b[:2]...)
-		return append(out, s...), nil
-	}
-	put32(uint32(m.rctBound))
-	put32(uint32(m.aptWindow))
-	put32(uint32(m.aptBound))
+	le := binary.LittleEndian
+	out := append(make([]byte, 0, 64), monitorTag, monitorVersion) // 30 fixed bytes and a short failure record
+	out = le.AppendUint32(out, uint32(m.rctBound))
+	out = le.AppendUint32(out, uint32(m.aptWindow))
+	out = le.AppendUint32(out, uint32(m.aptBound))
 	out = append(out, m.lastByte)
-	put32(uint32(m.repeats))
+	out = le.AppendUint32(out, uint32(m.repeats))
 	out = append(out, m.aptSample)
-	put32(uint32(m.aptCount))
-	put32(uint32(m.aptSeen))
-	putBool(m.haveSample)
+	out = le.AppendUint32(out, uint32(m.aptCount))
+	out = le.AppendUint32(out, uint32(m.aptSeen))
+	out = blob.AppendBool(out, m.haveSample)
 	e := m.err.Load()
-	putBool(e != nil)
+	out = blob.AppendBool(out, e != nil)
 	if e != nil {
-		var err error
-		if out, err = putStr(e.Test); err != nil {
-			return nil, err
+		if len(e.Test) > 0xFFFF || len(e.Detail) > 0xFFFF {
+			return nil, fmt.Errorf("bitsource: monitor detail too long (%d and %d bytes)", len(e.Test), len(e.Detail))
 		}
-		if out, err = putStr(e.Detail); err != nil {
-			return nil, err
-		}
+		out = blob.AppendBytes16(blob.AppendBytes16(out, e.Test), e.Detail)
 	}
 	return out, nil
 }
@@ -470,78 +449,31 @@ func RestoreMonitor(src rng.Source, data []byte) (*Monitor, error) {
 	if src == nil {
 		return nil, fmt.Errorf("bitsource: nil source")
 	}
-	const fixed = 2 + 4 + 4 + 4 + 1 + 4 + 1 + 4 + 4 + 1 + 1
-	if len(data) < fixed {
-		return nil, fmt.Errorf("bitsource: monitor state too short (%d bytes)", len(data))
-	}
-	if data[0] != monitorTag {
-		return nil, fmt.Errorf("bitsource: monitor state tag %#x, want %#x", data[0], monitorTag)
-	}
-	if data[1] != monitorVersion {
-		return nil, fmt.Errorf("bitsource: unsupported monitor state version %d", data[1])
-	}
-	p := data[2:]
-	get32 := func() int {
-		v := binary.LittleEndian.Uint32(p)
-		p = p[4:]
-		return int(v)
+	r := blob.NewReader(data, "bitsource: monitor state")
+	if tag, version := r.Byte(), r.Byte(); r.Err() == nil && (tag != monitorTag || version != monitorVersion) {
+		return nil, fmt.Errorf("bitsource: monitor state tag %#x version %d, want %#x version %d", tag, version, monitorTag, monitorVersion)
 	}
 	m := &Monitor{src: src}
-	m.rctBound = get32()
-	m.aptWindow = get32()
-	m.aptBound = get32()
-	m.lastByte = p[0]
-	p = p[1:]
-	m.repeats = get32()
-	m.aptSample = p[0]
-	p = p[1:]
-	m.aptCount = get32()
-	m.aptSeen = get32()
-	m.haveSample = p[0] != 0
-	tripped := p[1] != 0
-	p = p[2:]
-	for _, v := range [...]struct {
-		name string
-		val  int
-	}{
-		{"RCT cutoff", m.rctBound},
-		{"APT window", m.aptWindow},
-		{"APT cutoff", m.aptBound},
-	} {
-		if v.val < 1 || v.val > monitorMaxBound {
-			return nil, fmt.Errorf("bitsource: monitor %s %d outside [1, %d]", v.name, v.val, monitorMaxBound)
-		}
+	rct, window, apt := r.Uint32(), r.Uint32(), r.Uint32()
+	m.lastByte = r.Byte()
+	repeats := r.Uint32()
+	m.aptSample = r.Byte()
+	count, seen := r.Uint32(), r.Uint32()
+	m.haveSample = r.Bool()
+	if r.Bool() {
+		test := string(r.Bytes16())
+		m.err.Store(&HealthError{Test: test, Detail: string(r.Bytes16())})
 	}
-	if m.repeats < 0 || m.repeats > monitorMaxBound || m.aptCount < 0 || m.aptCount > monitorMaxBound ||
-		m.aptSeen < 0 || m.aptSeen > m.aptWindow {
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	if rct < 1 || rct > monitorMaxBound || window < 1 || window > monitorMaxBound || apt < 1 || apt > monitorMaxBound {
+		return nil, fmt.Errorf("bitsource: monitor RCT cutoff %d, APT window %d or APT cutoff %d outside [1, %d]", rct, window, apt, monitorMaxBound)
+	}
+	if repeats > monitorMaxBound || count > monitorMaxBound || seen > window {
 		return nil, fmt.Errorf("bitsource: monitor counters out of range")
 	}
-	if tripped {
-		getStr := func(what string) (string, error) {
-			if len(p) < 2 {
-				return "", fmt.Errorf("bitsource: monitor %s truncated", what)
-			}
-			n := int(binary.LittleEndian.Uint16(p))
-			p = p[2:]
-			if len(p) < n {
-				return "", fmt.Errorf("bitsource: monitor %s truncated", what)
-			}
-			s := string(p[:n])
-			p = p[n:]
-			return s, nil
-		}
-		test, err := getStr("failure test name")
-		if err != nil {
-			return nil, err
-		}
-		detail, err := getStr("failure detail")
-		if err != nil {
-			return nil, err
-		}
-		m.err.Store(&HealthError{Test: test, Detail: detail})
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("bitsource: %d trailing bytes after monitor state", len(p))
-	}
+	m.rctBound, m.aptWindow, m.aptBound = int(rct), int(window), int(apt)
+	m.repeats, m.aptCount, m.aptSeen = int(repeats), int(count), int(seen)
 	return m, nil
 }

@@ -23,10 +23,11 @@ import (
 	"testing"
 )
 
-// fixtureImporter resolves the handful of std imports fixtures use
-// from compiler export data, shared across tests.
+// fixtureImporter resolves the handful of std imports fixtures use,
+// plus the module's checkpoint framing package, from compiler export
+// data, shared across tests.
 var fixtureImporter = sync.OnceValues(func() (map[string]string, error) {
-	listed, err := goList("time", "sync", "sync/atomic", "encoding/binary", "errors", "math/rand", "context")
+	listed, err := goList("time", "sync", "sync/atomic", "encoding/binary", "errors", "math/rand", "context", "repro/internal/blob")
 	if err != nil {
 		return nil, err
 	}

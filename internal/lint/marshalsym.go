@@ -313,10 +313,12 @@ func (ms *marshalSym) countCall(c *opCounts, call *ast.CallExpr, closures map[ty
 		ms.countExpr(c, arg, closures, cond, loop)
 	}
 	// encoding/binary byte-order methods: PutUintN / AppendUintN
-	// encode, UintN decodes.
+	// encode, UintN decodes. The checkpoint framing package adds
+	// AppendBytesN (a length header, then the bytes) on the encode
+	// side and its Reader's UintN / BytesN on the decode side.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if fn, ok := ms.pass.Info.Uses[sel.Sel].(*types.Func); ok {
-			if fn.Pkg() != nil && fn.Pkg().Path() == "encoding/binary" {
+			if fn.Pkg() != nil && (fn.Pkg().Path() == "encoding/binary" || fn.Pkg().Path() == "repro/internal/blob") {
 				name := fn.Name()
 				enc := true
 				switch {
@@ -324,8 +326,12 @@ func (ms *marshalSym) countCall(c *opCounts, call *ast.CallExpr, closures map[ty
 					name = name[len("PutUint"):]
 				case strings.HasPrefix(name, "AppendUint"):
 					name = name[len("AppendUint"):]
+				case strings.HasPrefix(name, "AppendBytes"):
+					name = name[len("AppendBytes"):]
 				case strings.HasPrefix(name, "Uint"):
 					name, enc = name[len("Uint"):], false
+				case strings.HasPrefix(name, "Bytes"):
+					name, enc = name[len("Bytes"):], false
 				default:
 					return
 				}

@@ -5,6 +5,8 @@ package marshalsym
 import (
 	"encoding/binary"
 	"errors"
+
+	"repro/internal/blob"
 )
 
 // Widget reproduces the historical monitor-marshal bug: a field was
@@ -139,4 +141,18 @@ func (o *Oneway) UnmarshalBinary(p []byte) error {
 	}
 	o.n = binary.LittleEndian.Uint64(p)
 	return nil
+}
+
+// Framed32's decoder reads through the checkpoint framing package and
+// drops the second length-prefixed string.
+type Framed32 struct{ name, note string }
+
+func (f *Framed32) MarshalBinary() ([]byte, error) { // want "always writes 2 4-byte values but UnmarshalBinary consumes at most 1"
+	return blob.AppendBytes32(blob.AppendBytes32(nil, f.name), f.note), nil
+}
+
+func (f *Framed32) UnmarshalBinary(p []byte) error {
+	r := blob.NewReader(p, "framed32")
+	f.name = string(r.Bytes32())
+	return r.Done()
 }

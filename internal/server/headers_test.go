@@ -263,46 +263,59 @@ func TestServeU64LargeStillStreams(t *testing.T) {
 	}
 }
 
-// TestStreamWriteDeadline: a /stream client that connects and then
-// never reads must be disconnected once a chunk write stalls past
-// StreamWriteTimeout, releasing its in-flight slot (observable via
-// the timeouts counter).
+// TestStreamWriteDeadline: a client that connects to a draw route and
+// then never reads must be disconnected once a chunk write stalls past
+// StreamWriteTimeout, releasing its in-flight slot (observable via the
+// timeouts counter and the in-flight gauge). Every route writes through
+// the same deadline; the bounded ones are asked for more than the TCP
+// buffers hold, and their request deadline (the 30 s default) cannot
+// fire first.
 func TestStreamWriteDeadline(t *testing.T) {
-	pool, err := hybridprng.NewPool(
-		hybridprng.WithSeed(1),
-		hybridprng.WithShards(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(pool, Options{StreamWriteTimeout: 150 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go hs.Serve(ln)
-	t.Cleanup(func() { hs.Close() })
+	for _, route := range []string{"/stream", "/bytes?n=67108864", "/v1/stream/alice/bytes?n=67108864", "/u64?n=16777216"} {
+		t.Run(route, func(t *testing.T) {
+			pool, err := hybridprng.NewPool(
+				hybridprng.WithSeed(1),
+				hybridprng.WithShards(2),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A one-step walk keeps the keyed route fast under -race.
+			reg, err := substream.New(substream.Config{RootSeed: 1, WalkLen: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := New(pool, Options{StreamWriteTimeout: 150 * time.Millisecond, Substreams: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := &http.Server{Handler: srv.Handler()}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go hs.Serve(ln)
+			t.Cleanup(func() { hs.Close() })
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// A raw request we never read the response of: the server keeps
-	// writing until the TCP buffers fill, then the chunk write blocks
-	// and the deadline fires.
-	fmt.Fprintf(conn, "GET /stream HTTP/1.1\r\nHost: test\r\n\r\n")
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			// A raw request we never read the response of: the server
+			// keeps writing until the TCP buffers fill, then the chunk
+			// write blocks and the deadline fires.
+			fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: test\r\n\r\n", route)
 
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if srv.timeouts.Value() > 0 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
+			deadline := time.Now().Add(10 * time.Second)
+			for time.Now().Before(deadline) {
+				if srv.timeouts.Value() > 0 && srv.inFlight.Load() == 0 {
+					return
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+			t.Fatalf("stalled client never hit the write deadline (timeouts=%d, in flight=%d)",
+				srv.timeouts.Value(), srv.inFlight.Load())
+		})
 	}
-	t.Fatalf("stalled /stream client never hit the write deadline (timeouts=%d)", srv.timeouts.Value())
 }

@@ -79,11 +79,11 @@
 // other draw routes additionally carry a per-request deadline
 // (Options.RequestTimeout); a request that cannot finish in time is
 // truncated (or 503'd when nothing has been written) instead of
-// holding its connection indefinitely. /stream
-// is exempt from the request deadline — it is unbounded by design —
-// but each chunk write carries an idle-write deadline
-// (Options.StreamWriteTimeout): a client that stops reading loses
-// the connection instead of pinning an in-flight slot forever.
+// holding its connection indefinitely. /stream is exempt from the
+// request deadline — it is unbounded by design. Every draw route's
+// body writes carry an idle-write deadline (Options.StreamWriteTimeout):
+// a client that stops reading loses the connection instead of pinning
+// an in-flight slot forever.
 //
 // # Exact resume
 //
@@ -135,8 +135,8 @@ const DefaultMaxInFlight = 256
 // /bytes: generous against the word cap, but finite.
 const DefaultRequestTimeout = 30 * time.Second
 
-// DefaultStreamWriteTimeout is the per-chunk write deadline on
-// /stream: a client that stops reading for this long loses its
+// DefaultStreamWriteTimeout is the per-chunk write deadline on every
+// draw route: a client that stops reading for this long loses its
 // connection instead of pinning an in-flight slot forever.
 const DefaultStreamWriteTimeout = time.Minute
 
@@ -222,10 +222,10 @@ type Options struct {
 	// 0 means DefaultRequestTimeout; negative disables deadlines.
 	RequestTimeout time.Duration
 	// StreamWriteTimeout is the idle-write deadline applied to each
-	// /stream chunk: a stalled client that stops reading is
-	// disconnected once a single write blocks this long, freeing its
-	// in-flight slot. 0 means DefaultStreamWriteTimeout; negative
-	// disables the deadline.
+	// body chunk of every draw route: a stalled client that stops
+	// reading is disconnected once a single write blocks this long,
+	// freeing its in-flight slot. 0 means DefaultStreamWriteTimeout;
+	// negative disables the deadline.
 	StreamWriteTimeout time.Duration
 	// DrainWait bounds how long POST /drain waits for in-flight draws
 	// before aborting and returning the node to service. 0 means
@@ -668,7 +668,7 @@ func (s *Server) serveU64(w http.ResponseWriter, r *http.Request, fill func([]ui
 		if buffered {
 			w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 		}
-		if _, err := w.Write(out); err != nil {
+		if !s.writeChunk(w, out) {
 			return
 		}
 		s.words.Add(int64(batch))
@@ -704,7 +704,7 @@ func (s *Server) serveBytes(w http.ResponseWriter, r *http.Request, fill func([]
 			s.drawFailed(w, err, wrote)
 			return
 		}
-		if _, err := w.Write(c.bytes[:batch]); err != nil {
+		if !s.writeChunk(w, c.bytes[:batch]) {
 			return
 		}
 		s.words.Add(int64((batch + 7) / 8))
@@ -755,7 +755,6 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request) {
 	s.setDrawHeaders(w)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	flusher, _ := w.(http.Flusher)
-	rc := http.NewResponseController(w)
 	ctx := r.Context()
 	c := chunkPool.Get().(*chunk)
 	defer chunkPool.Put(c)
@@ -771,29 +770,37 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request) {
 			s.drawFailed(w, err, wrote)
 			return
 		}
-		// Idle-write deadline: /stream is exempt from the request
-		// timeout by design, but a client that stops *reading* must
-		// not pin an in-flight slot forever. The deadline is re-armed
-		// per chunk, so it bounds stall time, not stream length.
-		// SetWriteDeadline errors (unsupported writer, e.g. a test
-		// recorder) downgrade to the old no-deadline behaviour.
-		if s.streamWrite > 0 {
-			_ = rc.SetWriteDeadline(time.Now().Add(s.streamWrite)) //lint:wallclock socket deadlines are kernel wall-clock by definition
-		}
-		if _, err := w.Write(c.bytes[:batch*8]); err != nil {
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				s.timeouts.Add(1)
-				s.reqErrs.Add(1)
-			}
+		if !s.writeChunk(w, c.bytes[:batch*8]) {
 			return
 		}
 		wrote = true
 		s.words.Add(int64(batch))
 		if flusher != nil {
-			flusher.Flush()
+			flusher.Flush() // still under the chunk's write deadline
 		}
 		limit -= batch
 	}
+}
+
+// writeChunk writes one chunk of a draw body and reports whether it
+// went out. Each chunk re-arms the idle-write deadline, so a client
+// that stops reading cannot pin the handler in Write, where the
+// request deadline is never checked, and its in-flight slot with it;
+// net/http clears the deadline when the response ends. Writers without
+// SetWriteDeadline (test recorders) get no deadline, and no error
+// allocated per call as http.ResponseController would.
+func (s *Server) writeChunk(w http.ResponseWriter, b []byte) bool {
+	if dl, ok := w.(interface{ SetWriteDeadline(time.Time) error }); ok && s.streamWrite > 0 {
+		_ = dl.SetWriteDeadline(time.Now().Add(s.streamWrite)) //lint:wallclock socket deadlines are kernel wall-clock by definition
+	}
+	if _, err := w.Write(b); err != nil {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			s.timeouts.Add(1)
+			s.reqErrs.Add(1)
+		}
+		return false
+	}
+	return true
 }
 
 // HealthBody is the machine-readable /healthz payload served for the

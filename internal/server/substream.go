@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/blob"
 )
 
 // Node state container, "hprng-node" v1:
@@ -22,53 +24,24 @@ const (
 // EncodeNodeState wraps a pool blob and a substream registry blob
 // into the composite node container.
 func EncodeNodeState(poolBlob, regBlob []byte) []byte {
-	out := append([]byte{}, nodeMagic...)
-	out = binary.LittleEndian.AppendUint16(out, nodeVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(poolBlob)))
-	out = append(out, poolBlob...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(regBlob)))
-	out = append(out, regBlob...)
-	return out
+	out := binary.LittleEndian.AppendUint16([]byte(nodeMagic), nodeVersion)
+	return blob.AppendBytes32(blob.AppendBytes32(out, poolBlob), regBlob)
 }
 
 // DecodeNodeState splits a node state blob into its pool and registry
 // parts. A blob that does not carry the container magic is an
-// old-style raw pool blob and is returned as (blob, nil, nil).
-func DecodeNodeState(blob []byte) (poolBlob, regBlob []byte, err error) {
-	if len(blob) < len(nodeMagic) || string(blob[:len(nodeMagic)]) != nodeMagic {
-		return blob, nil, nil
+// old-style raw pool blob and is returned as (data, nil, nil).
+func DecodeNodeState(data []byte) (poolBlob, regBlob []byte, err error) {
+	r := blob.NewReader(data, "server: node state")
+	if !r.Magic(nodeMagic) {
+		return data, nil, nil
 	}
-	p := blob[len(nodeMagic):]
-	if len(p) < 2 {
-		return nil, nil, fmt.Errorf("server: node state header truncated")
-	}
-	if v := binary.LittleEndian.Uint16(p); v != nodeVersion {
+	if v := r.Uint16(); r.Err() == nil && v != nodeVersion {
 		return nil, nil, fmt.Errorf("server: unsupported node state version %d", v)
 	}
-	p = p[2:]
-	take := func(what string) ([]byte, error) {
-		if len(p) < 4 {
-			return nil, fmt.Errorf("server: node state %s length truncated", what)
-		}
-		// Compared as uint64: int(n) is negative on 32-bit hosts for
-		// n ≥ 2^31 and would pass a signed length check.
-		n := binary.LittleEndian.Uint32(p)
-		p = p[4:]
-		if uint64(n) > uint64(len(p)) {
-			return nil, fmt.Errorf("server: node state %s truncated (%d of %d bytes)", what, len(p), n)
-		}
-		b := p[:n]
-		p = p[n:]
-		return b, nil
-	}
-	if poolBlob, err = take("pool blob"); err != nil {
+	poolBlob, regBlob = r.Bytes32(), r.Bytes32()
+	if err := r.Done(); err != nil {
 		return nil, nil, err
-	}
-	if regBlob, err = take("registry blob"); err != nil {
-		return nil, nil, err
-	}
-	if len(p) != 0 {
-		return nil, nil, fmt.Errorf("server: %d trailing bytes after node state", len(p))
 	}
 	return poolBlob, regBlob, nil
 }

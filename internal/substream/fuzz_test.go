@@ -85,6 +85,9 @@ func FuzzRegistryState(f *testing.F) {
 	f.Add([]byte(regMagic))
 	f.Add(blob[:len(blob)/2])
 	f.Add(append([]byte{}, append(blob, 0)...))
+	for _, forged := range forgedRegistryBlobs() {
+		f.Add(forged)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r2, err := Restore(data, Config{})
 		if err != nil {

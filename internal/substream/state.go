@@ -6,6 +6,7 @@ import (
 	"math"
 
 	hybridprng "repro"
+	"repro/internal/blob"
 )
 
 // Registry state blob, "hsubreg" v1:
@@ -35,27 +36,27 @@ const (
 func (r *Registry) MarshalBinary() ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := append([]byte{}, regMagic...)
-	out = binary.LittleEndian.AppendUint16(out, regVersion)
-	out = binary.LittleEndian.AppendUint64(out, r.cfg.RootSeed)
-	out = appendPrefixed(out, []byte(r.cfg.Feed))
-	out = binary.LittleEndian.AppendUint32(out, uint32(r.cfg.WalkLen))
-	out = binary.LittleEndian.AppendUint32(out, uint32(r.cfg.InitWalkLen))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(r.cfg.HealthHMin))
+	le := binary.LittleEndian
+	out := le.AppendUint16([]byte(regMagic), regVersion)
+	out = le.AppendUint64(out, r.cfg.RootSeed)
+	out = blob.AppendBytes32(out, r.cfg.Feed)
+	out = le.AppendUint32(out, uint32(r.cfg.WalkLen))
+	out = le.AppendUint32(out, uint32(r.cfg.InitWalkLen))
+	out = le.AppendUint64(out, math.Float64bits(r.cfg.HealthHMin))
 	keys := r.sortedKeysLocked()
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(keys)))
+	out = le.AppendUint32(out, uint32(len(keys)))
 	for _, k := range keys {
 		var p parked
 		if t, ok := r.resident[k]; ok {
 			t.mu.Lock()
-			blob, err := t.gen.MarshalBinary()
+			gBlob, err := t.gen.MarshalBinary()
 			tokens := t.tokens
 			t.mu.Unlock()
 			if err != nil {
 				return nil, fmt.Errorf("substream: marshalling tenant %q: %w", k, err)
 			}
 			p = parked{
-				blob:   blob,
+				blob:   gBlob,
 				draws:  t.draws.Load(),
 				bytes:  t.bytes.Load(),
 				sheds:  t.sheds.Load(),
@@ -64,12 +65,11 @@ func (r *Registry) MarshalBinary() ([]byte, error) {
 		} else {
 			p = *r.parked[k]
 		}
-		out = appendPrefixed(out, []byte(k))
-		out = appendPrefixed(out, p.blob)
-		out = binary.LittleEndian.AppendUint64(out, p.draws)
-		out = binary.LittleEndian.AppendUint64(out, p.bytes)
-		out = binary.LittleEndian.AppendUint64(out, p.sheds)
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(p.tokens))
+		out = blob.AppendBytes32(blob.AppendBytes32(out, k), p.blob)
+		out = le.AppendUint64(out, p.draws)
+		out = le.AppendUint64(out, p.bytes)
+		out = le.AppendUint64(out, p.sheds)
+		out = le.AppendUint64(out, math.Float64bits(p.tokens))
 	}
 	return out, nil
 }
@@ -82,41 +82,39 @@ func (r *Registry) MarshalBinary() ([]byte, error) {
 // restarts). Derivation parameters are taken from the blob; the
 // runtime knobs configured at New/Restore time are kept.
 func (r *Registry) UnmarshalBinary(data []byte) error {
-	c := cursor{p: data}
-	if !c.magic(regMagic) {
+	c := blob.NewReader(data, "substream: registry state")
+	if !c.Magic(regMagic) {
 		return fmt.Errorf("substream: bad registry magic")
 	}
-	if v := c.u16(); c.err == nil && v != regVersion {
+	if v := c.Uint16(); c.Err() == nil && v != regVersion {
 		return fmt.Errorf("substream: unsupported registry state version %d", v)
 	}
-	rootSeed := c.u64()
-	feed := string(c.bytes("feed name"))
-	walkLen := c.u32()
-	initWalkLen := c.u32()
-	hMin := math.Float64frombits(c.u64())
-	n := int(c.u32())
-	if c.err != nil {
-		return c.err
+	rootSeed, feed := c.Uint64(), string(c.Bytes32())
+	walkLen, initWalkLen := c.Uint32(), c.Uint32()
+	hMin, n := math.Float64frombits(c.Uint64()), c.Uint32()
+	if err := c.Err(); err != nil {
+		return err
 	}
 	switch feed {
 	case hybridprng.FeedGlibc, hybridprng.FeedANSIC, hybridprng.FeedSplitMix:
 	default:
 		return fmt.Errorf("substream: state blob names unknown feed %q", feed)
 	}
-	parkedSet := make(map[string]*parked, n)
-	seeds := make(map[uint64]string, n)
-	for i := 0; i < n; i++ {
-		key := string(c.bytes("tenant key"))
-		blob := c.bytes("tenant generator blob")
+	// The maps grow as tenants decode: n comes from the blob, and a
+	// forged count must not size an allocation.
+	parkedSet := make(map[string]*parked)
+	seeds := make(map[uint64]string)
+	for i := uint32(0); i < n; i++ {
+		key := string(c.Bytes32())
 		p := &parked{
-			blob:  append([]byte{}, blob...),
-			draws: c.u64(),
-			bytes: c.u64(),
-			sheds: c.u64(),
+			blob:  append([]byte{}, c.Bytes32()...),
+			draws: c.Uint64(),
+			bytes: c.Uint64(),
+			sheds: c.Uint64(),
 		}
-		p.tokens = math.Float64frombits(c.u64())
-		if c.err != nil {
-			return c.err
+		p.tokens = math.Float64frombits(c.Uint64())
+		if err := c.Err(); err != nil {
+			return err
 		}
 		canon, err := Canonical(key)
 		if err != nil || canon != key {
@@ -135,8 +133,8 @@ func (r *Registry) UnmarshalBinary(data []byte) error {
 		parkedSet[key] = p
 		seeds[seed] = key
 	}
-	if len(c.p) != 0 {
-		return fmt.Errorf("substream: %d trailing bytes after registry state", len(c.p))
+	if err := c.Done(); err != nil {
+		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -150,79 +148,4 @@ func (r *Registry) UnmarshalBinary(data []byte) error {
 	r.parked = parkedSet
 	r.seeds = seeds
 	return nil
-}
-
-// appendPrefixed appends a u32 length header and the blob.
-func appendPrefixed(out, blob []byte) []byte {
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(blob)))
-	return append(out, blob...)
-}
-
-// cursor is a little decode helper: reads latch the first error and
-// subsequent reads return zero values, so decode bodies stay linear.
-type cursor struct {
-	p   []byte
-	err error
-}
-
-func (c *cursor) magic(m string) bool {
-	if c.err != nil || len(c.p) < len(m) || string(c.p[:len(m)]) != m {
-		return false
-	}
-	c.p = c.p[len(m):]
-	return true
-}
-
-func (c *cursor) u16() uint16 {
-	if c.err != nil {
-		return 0
-	}
-	if len(c.p) < 2 {
-		c.err = fmt.Errorf("substream: registry state truncated")
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(c.p)
-	c.p = c.p[2:]
-	return v
-}
-
-func (c *cursor) u32() uint32 {
-	if c.err != nil {
-		return 0
-	}
-	if len(c.p) < 4 {
-		c.err = fmt.Errorf("substream: registry state truncated")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.p)
-	c.p = c.p[4:]
-	return v
-}
-
-func (c *cursor) u64() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	if len(c.p) < 8 {
-		c.err = fmt.Errorf("substream: registry state truncated")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.p)
-	c.p = c.p[8:]
-	return v
-}
-
-// bytes consumes a u32 length-prefixed blob.
-func (c *cursor) bytes(what string) []byte {
-	n := int(c.u32())
-	if c.err != nil {
-		return nil
-	}
-	if n > len(c.p) {
-		c.err = fmt.Errorf("substream: %s truncated (%d of %d bytes)", what, len(c.p), n)
-		return nil
-	}
-	b := c.p[:n]
-	c.p = c.p[n:]
-	return b
 }

@@ -130,9 +130,6 @@ func (s shardState) String() string {
 // of each field means its default; the zero policy as a whole is the
 // default policy.
 type RecoveryPolicy struct {
-	// Disabled restores the legacy behaviour: a tripped shard is
-	// retired permanently on its first trip.
-	Disabled bool
 	// QuarantineBase is the backoff before the first reseed attempt
 	// (default 30s). Each subsequent trip multiplies the backoff by
 	// BackoffFactor (default 2) up to QuarantineMax (default 10m).
@@ -150,7 +147,8 @@ type RecoveryPolicy struct {
 	// (default 4096).
 	ProbationWords int
 	// MaxTrips is the total number of trips a shard is allowed
-	// before it is retired for real (default 6).
+	// before it is retired for real (default 6); 1 retires a shard
+	// on its first trip.
 	MaxTrips int
 }
 
@@ -350,11 +348,10 @@ func nextPow2(n int) int {
 }
 
 // tripLocked records a health failure and moves the shard to
-// quarantined (or retired, when the trip budget is spent or recovery
-// is disabled). Must be called with s.mu held; the error is
-// published before the state so concurrent healthErr readers that
-// observe the trip always see the cause. No-op unless the shard is
-// currently healthy or in probation.
+// quarantined (or retired, when the trip budget is spent). Must be
+// called with s.mu held; the error is published before the state so
+// concurrent healthErr readers that observe the trip always see the
+// cause. No-op unless the shard is currently healthy or in probation.
 func (s *poolShard) tripLocked(e *bitsource.HealthError) {
 	switch shardState(s.state.Load()) {
 	case shardHealthy, shardProbation:
@@ -366,7 +363,7 @@ func (s *poolShard) tripLocked(e *bitsource.HealthError) {
 	trips := s.trips.Add(1)
 	s.pool.tripEvents.Add(1)
 	pol := s.pool.policy
-	if pol.Disabled || int(trips) >= pol.MaxTrips {
+	if int(trips) >= pol.MaxTrips {
 		s.state.Store(uint32(shardRetired))
 		return
 	}
@@ -902,7 +899,7 @@ func (p *Pool) Read(b []byte) (int, error) {
 // the pool's state, never on b's alignment or the host's byte order.
 // On little-endian hosts an 8-byte-aligned b is filled in place with
 // no copy and no allocation — the path the server's /bytes handler
-// rides; otherwise the words go through a pooled scratch block and
+// rides; otherwise the words go through a reused scratch block and
 // are encoded into b. Read splits its draws differently (512-word
 // pieces, tail word included), so on a multi-shard pool the two
 // streams need not agree. On a non-nil error b is zeroed in full, so
@@ -913,12 +910,20 @@ func (p *Pool) FillBytes(b []byte) error {
 	words := wordbytes.Words(b[:nw*8])
 	inPlace := words != nil
 	if !inPlace {
-		sp := fillScratch.Get().(*[]uint64)
-		defer fillScratch.Put(sp)
-		if cap(*sp) < nw {
-			*sp = make([]uint64, nw)
+		fillScratch.Lock()
+		if k := len(fillScratch.free); k > 0 {
+			words, fillScratch.free = fillScratch.free[k-1], fillScratch.free[:k-1]
 		}
-		words = (*sp)[:nw]
+		fillScratch.Unlock()
+		if cap(words) < nw {
+			words = make([]uint64, nw)
+		}
+		words = words[:nw]
+		defer func() {
+			fillScratch.Lock()
+			fillScratch.free = append(fillScratch.free, words)
+			fillScratch.Unlock()
+		}()
 	}
 	if err := p.Fill(words); err != nil {
 		zeroBytes(b)
@@ -942,9 +947,15 @@ func (p *Pool) FillBytes(b []byte) error {
 	return nil
 }
 
-// fillScratch recycles the word blocks FillBytes encodes from when it
-// cannot fill b in place.
-var fillScratch = sync.Pool{New: func() any { return new([]uint64) }}
+// fillScratch keeps the word blocks FillBytes encodes from when it
+// cannot fill b in place, as many as such fills ever ran at once. A
+// sync.Pool would not do: under the race detector it drops a quarter
+// of its Puts, so the fallback's zero-allocation test would fail in
+// the race job (core's binFree keeps its bins the same way).
+var fillScratch struct {
+	sync.Mutex
+	free [][]uint64
+}
 
 func zeroBytes(b []byte) {
 	for i := range b {

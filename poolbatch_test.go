@@ -221,7 +221,7 @@ func TestPoolFillBytesUnalignedFallback(t *testing.T) {
 // comes back zero, including the unaligned tail.
 func TestPoolFillBytesZeroesOnError(t *testing.T) {
 	p, err := NewPool(WithSeed(5), WithShards(2),
-		WithRecovery(RecoveryPolicy{Disabled: true}))
+		WithRecovery(RecoveryPolicy{MaxTrips: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,9 +177,8 @@ func WithShardBuffer(words int) Option {
 // WithRecovery sets the pool's shard self-healing policy (see
 // RecoveryPolicy). Zero-valued fields take the documented defaults,
 // so WithRecovery(RecoveryPolicy{QuarantineBase: time.Second}) only
-// shortens the first backoff. Pass Disabled: true to restore the
-// legacy behaviour where a tripped shard is retired permanently.
-// Other constructors ignore it.
+// shortens the first backoff. MaxTrips: 1 retires a shard
+// permanently on its first trip. Other constructors ignore it.
 func WithRecovery(p RecoveryPolicy) Option {
 	return func(c *config) error {
 		if err := p.validate(); err != nil {

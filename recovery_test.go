@@ -184,18 +184,35 @@ func TestChaosAllShardsTripThenRecover(t *testing.T) {
 }
 
 // TestChaosDisabledPolicyRetiresImmediately pins the legacy
-// behaviour behind RecoveryPolicy.Disabled.
+// retire-on-first-trip behaviour, now MaxTrips: 1. A v3 pool blob
+// written with the old RecoveryPolicy.Disabled flag byte set must
+// restore to the same behaviour.
 func TestChaosDisabledPolicyRetiresImmediately(t *testing.T) {
 	p, err := NewPool(WithSeed(4), WithShards(2), WithShardBuffer(8),
-		WithHealthMonitoring(4), WithRecovery(RecoveryPolicy{Disabled: true}))
+		WithHealthMonitoring(4), WithRecovery(RecoveryPolicy{MaxTrips: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.InjectFault(1); err != nil {
+	flagged, err := NewPool(WithSeed(4), WithShards(2), WithShardBuffer(8), WithHealthMonitoring(4))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.Retired != 1 || st.PerShard[1].State != "retired" {
-		t.Fatalf("disabled recovery: %+v", st)
+	blob, err := flagged.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(poolMagic)+1+4+4+8] = 1 // the v3 flag byte, after the pool header
+	restored := new(Pool)
+	if err := restored.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]*Pool{"MaxTrips 1": p, "flagged v3 blob": restored} {
+		if err := p.InjectFault(1); err != nil {
+			t.Fatal(err)
+		}
+		if st := p.Stats(); st.Retired != 1 || st.PerShard[1].State != "retired" {
+			t.Fatalf("%s: disabled recovery: %+v", name, st)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/bitsource"
+	"repro/internal/blob"
 	"repro/internal/core"
 	"repro/internal/expander"
 	"repro/internal/rng"
@@ -117,37 +118,22 @@ func marshalWalker(w *core.Walker) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(feedState) > 0xFFFF {
-		return nil, fmt.Errorf("hybridprng: feed state too large (%d bytes)", len(feedState))
-	}
-	if len(monState) > 0xFFFF {
-		return nil, fmt.Errorf("hybridprng: monitor state too large (%d bytes)", len(monState))
+	if len(feedState) > 0xFFFF || len(monState) > 0xFFFF {
+		return nil, fmt.Errorf("hybridprng: feed or monitor state too large (%d, %d bytes)", len(feedState), len(monState))
 	}
 	cfg := w.Config()
 	word, left := br.State()
-
-	out := append([]byte(stateMagic), stateVersion, tag)
-	var b8 [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(b8[:4], v)
-		out = append(out, b8[:4]...)
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		out = append(out, b8[:]...)
-	}
-	put32(uint32(cfg.WalkLen))
-	put32(uint32(cfg.InitWalkLen))
-	put64(w.Position().ID())
-	put64(w.Generated())
-	put64(word)
+	le := binary.LittleEndian
+	const fixedLen = len(stateMagic) + 2 + 4 + 4 + 8 + 8 + 8 + 1 + 2 + 2
+	out := append(append(make([]byte, 0, fixedLen+len(feedState)+len(monState)), stateMagic...), stateVersion, tag)
+	out = le.AppendUint32(out, uint32(cfg.WalkLen))
+	out = le.AppendUint32(out, uint32(cfg.InitWalkLen))
+	out = le.AppendUint64(out, w.Position().ID())
+	out = le.AppendUint64(out, w.Generated())
+	out = le.AppendUint64(out, word)
 	out = append(out, byte(left))
-	binary.LittleEndian.PutUint16(b8[:2], uint16(len(feedState)))
-	out = append(out, b8[:2]...)
-	out = append(out, feedState...)
-	binary.LittleEndian.PutUint16(b8[:2], uint16(len(monState)))
-	out = append(out, b8[:2]...)
-	return append(out, monState...), nil
+	out = blob.AppendBytes16(out, feedState)
+	return blob.AppendBytes16(out, monState), nil
 }
 
 // unmarshalWalker decodes a blob written by marshalWalker (or by the
@@ -155,49 +141,23 @@ func marshalWalker(w *core.Walker) ([]byte, error) {
 // none; otherwise it is already wired between the feed and the
 // returned walker's bit reader.
 func unmarshalWalker(data []byte) (*core.Walker, *bitsource.Monitor, error) {
-	const fixedV1 = len(stateMagic) + 2 + 4 + 4 + 8 + 8 + 8 + 1 + 2
-	if len(data) < fixedV1 {
-		return nil, nil, fmt.Errorf("hybridprng: state too short (%d bytes)", len(data))
-	}
-	if string(data[:len(stateMagic)]) != stateMagic {
+	r := blob.NewReader(data, "hybridprng: state")
+	if !r.Magic(stateMagic) {
 		return nil, nil, fmt.Errorf("hybridprng: bad state magic")
 	}
-	p := data[len(stateMagic):]
-	version := p[0]
-	if version != 1 && version != stateVersion {
+	version, tag := r.Byte(), r.Byte()
+	if r.Err() == nil && version != 1 && version != stateVersion {
 		return nil, nil, fmt.Errorf("hybridprng: unsupported state version %d", version)
 	}
-	tag := p[1]
-	p = p[2:]
-	walkLen := binary.LittleEndian.Uint32(p)
-	initWalkLen := binary.LittleEndian.Uint32(p[4:])
-	pos := binary.LittleEndian.Uint64(p[8:])
-	generated := binary.LittleEndian.Uint64(p[16:])
-	brWord := binary.LittleEndian.Uint64(p[24:])
-	brLeft := p[32]
-	feedLen := int(binary.LittleEndian.Uint16(p[33:]))
-	p = p[35:]
-	if len(p) < feedLen {
-		return nil, nil, fmt.Errorf("hybridprng: feed state truncated (%d of %d bytes)", len(p), feedLen)
-	}
-	feedState := p[:feedLen]
-	p = p[feedLen:]
+	walkLen, initWalkLen := r.Uint32(), r.Uint32()
+	pos, generated, brWord := r.Uint64(), r.Uint64(), r.Uint64()
+	brLeft, feedState := r.Byte(), r.Bytes16()
 	var monState []byte
-	switch version {
-	case 1:
-		if len(p) != 0 {
-			return nil, nil, fmt.Errorf("hybridprng: %d trailing bytes after v1 state", len(p))
-		}
-	default:
-		if len(p) < 2 {
-			return nil, nil, fmt.Errorf("hybridprng: monitor state length truncated")
-		}
-		monLen := int(binary.LittleEndian.Uint16(p))
-		p = p[2:]
-		if len(p) != monLen {
-			return nil, nil, fmt.Errorf("hybridprng: monitor state length %d, want %d", len(p), monLen)
-		}
-		monState = p
+	if version == stateVersion {
+		monState = r.Bytes16()
+	}
+	if err := r.Done(); err != nil {
+		return nil, nil, err
 	}
 	if brLeft > 64 {
 		return nil, nil, fmt.Errorf("hybridprng: bit buffer count %d out of range", brLeft)
@@ -258,43 +218,19 @@ func (g *Generator) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// appendPrefixed appends a u32 length header and the blob.
-func appendPrefixed(out, blob []byte) []byte {
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(blob)))
-	return append(append(out, b4[:]...), blob...)
-}
-
-// takePrefixed consumes a u32 length-prefixed blob from p.
-func takePrefixed(p []byte, what string) (blob, rest []byte, err error) {
-	if len(p) < 4 {
-		return nil, nil, fmt.Errorf("hybridprng: %s length truncated", what)
-	}
-	// Compared as uint64: int(n) is negative on 32-bit hosts for
-	// n ≥ 2^31 and would pass a signed length check.
-	n := binary.LittleEndian.Uint32(p)
-	p = p[4:]
-	if uint64(n) > uint64(len(p)) {
-		return nil, nil, fmt.Errorf("hybridprng: %s truncated (%d of %d bytes)", what, len(p), n)
-	}
-	return p[:n], p[n:], nil
-}
-
 // MarshalBinary checkpoints every worker of the pool: the container
 // is the magic, a version, the worker count and one length-prefixed
 // per-walker state per worker. Not safe to call while other
 // goroutines draw from the workers.
 func (p *Parallel) MarshalBinary() ([]byte, error) {
 	out := append([]byte(parMagic), parVersion)
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], uint32(p.pool.Size()))
-	out = append(out, b4[:]...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(p.pool.Size()))
 	for i := 0; i < p.pool.Size(); i++ {
-		blob, err := marshalWalker(p.pool.Walker(i))
+		wBlob, err := marshalWalker(p.pool.Walker(i))
 		if err != nil {
 			return nil, fmt.Errorf("hybridprng: worker %d: %w", i, err)
 		}
-		out = appendPrefixed(out, blob)
+		out = blob.AppendBytes32(out, wBlob)
 	}
 	return out, nil
 }
@@ -303,35 +239,34 @@ func (p *Parallel) MarshalBinary() ([]byte, error) {
 // replacing p's state entirely; every worker resumes its exact
 // stream, monitors included.
 func (p *Parallel) UnmarshalBinary(data []byte) error {
-	if len(data) < len(parMagic)+1+4 {
-		return fmt.Errorf("hybridprng: parallel state too short (%d bytes)", len(data))
-	}
-	if string(data[:len(parMagic)]) != parMagic {
+	r := blob.NewReader(data, "hybridprng: parallel state")
+	if !r.Magic(parMagic) {
 		return fmt.Errorf("hybridprng: bad parallel state magic")
 	}
-	rest := data[len(parMagic):]
-	if rest[0] != parVersion {
-		return fmt.Errorf("hybridprng: unsupported parallel state version %d", rest[0])
+	version, workers := r.Byte(), r.Uint32()
+	if err := r.Err(); err != nil {
+		return err
 	}
-	workers := int(binary.LittleEndian.Uint32(rest[1:]))
-	rest = rest[5:]
+	if version != parVersion {
+		return fmt.Errorf("hybridprng: unsupported parallel state version %d", version)
+	}
 	if workers < 1 || workers > maxShards {
 		return fmt.Errorf("hybridprng: worker count %d outside [1, %d]", workers, maxShards)
 	}
 	walkers := make([]*core.Walker, workers)
 	monitors := make([]*bitsource.Monitor, workers)
 	for i := range walkers {
-		blob, r, err := takePrefixed(rest, fmt.Sprintf("worker %d state", i))
-		if err != nil {
+		wBlob := r.Bytes32()
+		if err := r.Err(); err != nil {
 			return err
 		}
-		rest = r
-		if walkers[i], monitors[i], err = unmarshalWalker(blob); err != nil {
+		var err error
+		if walkers[i], monitors[i], err = unmarshalWalker(wBlob); err != nil {
 			return fmt.Errorf("hybridprng: worker %d: %w", i, err)
 		}
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("hybridprng: %d trailing bytes after parallel state", len(rest))
+	if err := r.Done(); err != nil {
+		return err
 	}
 	pool, err := core.PoolFromWalkers(walkers)
 	if err != nil {
@@ -354,40 +289,28 @@ func (p *Parallel) UnmarshalBinary(data []byte) error {
 // backoff is stored as *remaining* duration, so restore re-anchors
 // it to the restoring process's clock.
 func (p *Pool) MarshalBinary() ([]byte, error) {
+	le := binary.LittleEndian
 	out := append([]byte(poolMagic), poolVersion)
-	var b8 [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(b8[:4], v)
-		out = append(out, b8[:4]...)
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		out = append(out, b8[:]...)
-	}
-	put32(uint32(len(p.shards)))
-	put32(uint32(len(p.shards[0].buf)))
-	put64(p.tickets.Load())
+	out = le.AppendUint32(out, uint32(len(p.shards)))
+	out = le.AppendUint32(out, uint32(len(p.shards[0].buf)))
+	out = le.AppendUint64(out, p.tickets.Load())
 	pol := p.policy
-	if pol.Disabled {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
-	put64(uint64(pol.QuarantineBase))
-	put64(math.Float64bits(pol.BackoffFactor))
-	put64(uint64(pol.QuarantineMax))
-	put64(math.Float64bits(pol.JitterFrac))
-	put32(uint32(pol.ProbationWords))
-	put32(uint32(pol.MaxTrips))
-	put64(p.tripEvents.Load())
-	put64(p.recoveries.Load())
+	out = append(out, 0) // retire-on-first-trip flag: now MaxTrips 1, see UnmarshalBinary
+	out = le.AppendUint64(out, uint64(pol.QuarantineBase))
+	out = le.AppendUint64(out, math.Float64bits(pol.BackoffFactor))
+	out = le.AppendUint64(out, uint64(pol.QuarantineMax))
+	out = le.AppendUint64(out, math.Float64bits(pol.JitterFrac))
+	out = le.AppendUint32(out, uint32(pol.ProbationWords))
+	out = le.AppendUint32(out, uint32(pol.MaxTrips))
+	out = le.AppendUint64(out, p.tripEvents.Load())
+	out = le.AppendUint64(out, p.recoveries.Load())
 	now := p.now()
 	for i, s := range p.shards {
-		blob, err := s.marshalBinary(now)
+		sBlob, err := s.marshalBinary(now)
 		if err != nil {
 			return nil, fmt.Errorf("hybridprng: shard %d: %w", i, err)
 		}
-		out = appendPrefixed(out, blob)
+		out = blob.AppendBytes32(out, sBlob)
 	}
 	return out, nil
 }
@@ -400,159 +323,96 @@ func (s *poolShard) marshalBinary(now time.Time) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []byte
-	out = appendPrefixed(out, wBlob)
-	var b8 [8]byte
+	le := binary.LittleEndian
 	state := shardState(s.state.Load())
 	residue := s.buf[s.idx.Load():]
 	if state != shardHealthy {
 		residue = nil
 	}
-	binary.LittleEndian.PutUint32(b8[:4], uint32(len(residue)))
-	out = append(out, b8[:4]...)
+	// 64 bytes of slack hold the counters, the recovery state and a short failure record.
+	out := blob.AppendBytes32(make([]byte, 0, 4+len(wBlob)+4+8*len(residue)+64), wBlob)
+	out = le.AppendUint32(out, uint32(len(residue)))
 	for _, v := range residue {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		out = append(out, b8[:]...)
+		out = le.AppendUint64(out, v)
 	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		out = append(out, b8[:]...)
-	}
-	put64(s.draws.Load())
-	put64(s.refills.Load())
+	out = le.AppendUint64(out, s.draws.Load())
+	out = le.AppendUint64(out, s.refills.Load())
 	out = append(out, byte(state))
-	binary.LittleEndian.PutUint32(b8[:4], s.trips.Load())
-	out = append(out, b8[:4]...)
-	put64(s.reseedBase)
-	put64(uint64(s.retryIn(now)))
+	out = le.AppendUint32(out, s.trips.Load())
+	out = le.AppendUint64(out, s.reseedBase)
+	out = le.AppendUint64(out, uint64(s.retryIn(now)))
 	probLeft := 0
 	if state == shardProbation {
 		probLeft = s.probLeft
 	}
-	binary.LittleEndian.PutUint32(b8[:4], uint32(probLeft))
-	out = append(out, b8[:4]...)
-	if he := s.err.Load(); he != nil && state != shardHealthy {
-		out = append(out, 1)
-		for _, str := range []string{he.Test, he.Detail} {
-			if len(str) > 0xFFFF {
-				return nil, fmt.Errorf("hybridprng: shard failure detail too long")
-			}
-			binary.LittleEndian.PutUint16(b8[:2], uint16(len(str)))
-			out = append(out, b8[:2]...)
-			out = append(out, str...)
+	out = le.AppendUint32(out, uint32(probLeft))
+	he := s.err.Load()
+	failed := he != nil && state != shardHealthy
+	out = blob.AppendBool(out, failed)
+	if failed {
+		if len(he.Test) > 0xFFFF || len(he.Detail) > 0xFFFF {
+			return nil, fmt.Errorf("hybridprng: shard failure detail too long")
 		}
-	} else {
-		out = append(out, 0)
+		out = blob.AppendBytes16(blob.AppendBytes16(out, he.Test), he.Detail)
 	}
 	return out, nil
-}
-
-// takeFailure consumes the optional failure-detail record shared by
-// the v1 and v3 shard formats.
-func takeFailure(rest []byte) (*bitsource.HealthError, []byte, error) {
-	if len(rest) < 1 {
-		return nil, nil, fmt.Errorf("hybridprng: shard failure flag truncated")
-	}
-	flagged := rest[0] != 0
-	rest = rest[1:]
-	if !flagged {
-		return nil, rest, nil
-	}
-	var strs [2]string
-	for i := range strs {
-		if len(rest) < 2 {
-			return nil, nil, fmt.Errorf("hybridprng: shard failure detail truncated")
-		}
-		n := int(binary.LittleEndian.Uint16(rest))
-		rest = rest[2:]
-		if len(rest) < n {
-			return nil, nil, fmt.Errorf("hybridprng: shard failure detail truncated")
-		}
-		strs[i] = string(rest[:n])
-		rest = rest[n:]
-	}
-	return &bitsource.HealthError{Test: strs[0], Detail: strs[1]}, rest, nil
 }
 
 // unmarshalShard rebuilds one shard; bufWords is the ring capacity
 // and version the container version from the pool header. now
 // re-anchors a quarantined shard's remaining backoff.
-func unmarshalShard(blob []byte, bufWords int, version byte, now time.Time) (*poolShard, error) {
-	wBlob, rest, err := takePrefixed(blob, "shard walker state")
-	if err != nil {
+func unmarshalShard(data []byte, bufWords int, version byte, now time.Time) (*poolShard, error) {
+	r := blob.NewReader(data, "hybridprng: shard state")
+	wBlob := r.Bytes32()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	w, mon, err := unmarshalWalker(wBlob)
 	if err != nil {
 		return nil, err
 	}
-	if len(rest) < 4 {
-		return nil, fmt.Errorf("hybridprng: shard residue length truncated")
-	}
-	n := binary.LittleEndian.Uint32(rest)
-	rest = rest[4:]
-	if uint64(n) > uint64(bufWords) { // unsigned, as in takePrefixed
+	n := r.Uint32()
+	if uint64(n) > uint64(bufWords) {
 		return nil, fmt.Errorf("hybridprng: ring residue %d exceeds buffer %d", n, bufWords)
 	}
-	nRes := int(n)
-	if len(rest) < 8*nRes+8+8 {
-		return nil, fmt.Errorf("hybridprng: shard state truncated")
-	}
 	buf := make([]uint64, bufWords)
-	idx := bufWords - nRes
-	for i := 0; i < nRes; i++ {
-		buf[idx+i] = binary.LittleEndian.Uint64(rest[8*i:])
+	idx := bufWords - int(n)
+	for i := idx; i < bufWords; i++ {
+		buf[i] = r.Uint64()
 	}
-	rest = rest[8*nRes:]
 	s := &poolShard{w: w, mon: mon, buf: buf}
 	s.idx.Store(int64(idx))
-	s.draws.Store(binary.LittleEndian.Uint64(rest))
-	s.refills.Store(binary.LittleEndian.Uint64(rest[8:]))
-	rest = rest[16:]
-
-	if version == 1 {
+	s.draws.Store(r.Uint64())
+	s.refills.Store(r.Uint64())
+	state, remaining, probLeft := shardHealthy, time.Duration(0), uint32(0)
+	if version != 1 {
+		state = shardState(r.Byte())
+		s.trips.Store(r.Uint32())
+		s.reseedBase = r.Uint64()
+		remaining = time.Duration(r.Uint64())
+		probLeft = r.Uint32()
+	}
+	var he *bitsource.HealthError
+	if r.Bool() {
+		test := string(r.Bytes16())
+		he = &bitsource.HealthError{Test: test, Detail: string(r.Bytes16())}
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	if version == 1 && he != nil {
 		// Legacy blob: a tripped shard was retired permanently, and
 		// that is how it restores — a v1 snapshot must not resurrect a
 		// feed that failed its health tests.
-		he, r, err := takeFailure(rest)
-		if err != nil {
-			return nil, err
-		}
-		rest = r
-		if he != nil {
-			s.err.Store(he)
-			s.drain()
-			s.state.Store(uint32(shardRetired))
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("hybridprng: %d trailing bytes after shard state", len(rest))
-		}
-		return s, nil
+		state = shardRetired
 	}
-
-	if len(rest) < 1+4+8+8+4 {
-		return nil, fmt.Errorf("hybridprng: shard recovery state truncated")
-	}
-	state := shardState(rest[0])
 	if state > shardRetired {
-		return nil, fmt.Errorf("hybridprng: unknown shard state %d", rest[0])
-	}
-	s.trips.Store(binary.LittleEndian.Uint32(rest[1:]))
-	s.reseedBase = binary.LittleEndian.Uint64(rest[5:])
-	remaining := time.Duration(binary.LittleEndian.Uint64(rest[13:]))
-	probLeft := int(binary.LittleEndian.Uint32(rest[21:]))
-	rest = rest[25:]
-	he, rest, err := takeFailure(rest)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("hybridprng: %d trailing bytes after shard state", len(rest))
+		return nil, fmt.Errorf("hybridprng: unknown shard state %d", state)
 	}
 	if remaining < 0 || remaining > 1000*time.Hour {
 		return nil, fmt.Errorf("hybridprng: shard backoff %v out of range", remaining)
 	}
-	if probLeft < 0 || probLeft > maxShardBuffer {
+	if probLeft > maxShardBuffer {
 		return nil, fmt.Errorf("hybridprng: shard probation balance %d out of range", probLeft)
 	}
 	s.state.Store(uint32(state))
@@ -565,7 +425,7 @@ func unmarshalShard(blob []byte, bufWords int, version byte, now time.Time) (*po
 		s.until.Store(&until)
 	case shardProbation:
 		s.drain()
-		s.probLeft = probLeft
+		s.probLeft = int(probLeft)
 	case shardRetired:
 		s.drain()
 	}
@@ -578,23 +438,21 @@ func unmarshalShard(blob []byte, bufWords int, version byte, now time.Time) (*po
 // process's clock; call SetClock *before* UnmarshalBinary to restore
 // against a test clock) or their probation balance. v1 blobs decode
 // with their tripped shards retired, the semantics they were written
-// under.
+// under; a v3 blob whose retire-on-first-trip flag is set restores
+// with MaxTrips 1, which retires a shard on its first trip.
 func (p *Pool) UnmarshalBinary(data []byte) error {
-	if len(data) < len(poolMagic)+1+4+4+8 {
-		return fmt.Errorf("hybridprng: pool state too short (%d bytes)", len(data))
-	}
-	if string(data[:len(poolMagic)]) != poolMagic {
+	r := blob.NewReader(data, "hybridprng: pool state")
+	if !r.Magic(poolMagic) {
 		return fmt.Errorf("hybridprng: bad pool state magic")
 	}
-	rest := data[len(poolMagic):]
-	version := rest[0]
+	version := r.Byte()
+	shards, bufWords, tickets := r.Uint32(), r.Uint32(), r.Uint64()
+	if err := r.Err(); err != nil {
+		return err
+	}
 	if version != 1 && version != poolVersion {
 		return fmt.Errorf("hybridprng: unsupported pool state version %d", version)
 	}
-	shards := int(binary.LittleEndian.Uint32(rest[1:]))
-	bufWords := int(binary.LittleEndian.Uint32(rest[5:]))
-	tickets := binary.LittleEndian.Uint64(rest[9:])
-	rest = rest[17:]
 	if shards < 1 || shards > maxShards || shards&(shards-1) != 0 {
 		return fmt.Errorf("hybridprng: shard count %d is not a power of two in [1, %d]", shards, maxShards)
 	}
@@ -608,20 +466,16 @@ func (p *Pool) UnmarshalBinary(data []byte) error {
 	pol := RecoveryPolicy{}
 	var tripEvents, recoveries uint64
 	if version == poolVersion {
-		const polLen = 1 + 8 + 8 + 8 + 8 + 4 + 4 + 8 + 8
-		if len(rest) < polLen {
-			return fmt.Errorf("hybridprng: pool policy truncated")
+		retireFirst := r.Bool()
+		pol.QuarantineBase = time.Duration(r.Uint64())
+		pol.BackoffFactor = math.Float64frombits(r.Uint64())
+		pol.QuarantineMax = time.Duration(r.Uint64())
+		pol.JitterFrac = math.Float64frombits(r.Uint64())
+		pol.ProbationWords, pol.MaxTrips = int(r.Uint32()), int(r.Uint32())
+		tripEvents, recoveries = r.Uint64(), r.Uint64()
+		if retireFirst {
+			pol.MaxTrips = 1
 		}
-		pol.Disabled = rest[0] != 0
-		pol.QuarantineBase = time.Duration(binary.LittleEndian.Uint64(rest[1:]))
-		pol.BackoffFactor = math.Float64frombits(binary.LittleEndian.Uint64(rest[9:]))
-		pol.QuarantineMax = time.Duration(binary.LittleEndian.Uint64(rest[17:]))
-		pol.JitterFrac = math.Float64frombits(binary.LittleEndian.Uint64(rest[25:]))
-		pol.ProbationWords = int(binary.LittleEndian.Uint32(rest[33:]))
-		pol.MaxTrips = int(binary.LittleEndian.Uint32(rest[37:]))
-		tripEvents = binary.LittleEndian.Uint64(rest[41:])
-		recoveries = binary.LittleEndian.Uint64(rest[49:])
-		rest = rest[polLen:]
 		if math.IsNaN(pol.BackoffFactor) || math.IsNaN(pol.JitterFrac) {
 			return fmt.Errorf("hybridprng: pool policy carries NaN")
 		}
@@ -635,17 +489,17 @@ func (p *Pool) UnmarshalBinary(data []byte) error {
 		policy: pol.withDefaults(),
 	}
 	for i := range restored.shards {
-		blob, r, err := takePrefixed(rest, fmt.Sprintf("shard %d state", i))
-		if err != nil {
+		sBlob := r.Bytes32()
+		if err := r.Err(); err != nil {
 			return err
 		}
-		rest = r
-		if restored.shards[i], err = unmarshalShard(blob, bufWords, version, now()); err != nil {
+		var err error
+		if restored.shards[i], err = unmarshalShard(sBlob, int(bufWords), version, now()); err != nil {
 			return fmt.Errorf("hybridprng: shard %d: %w", i, err)
 		}
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("hybridprng: %d trailing bytes after pool state", len(rest))
+	if err := r.Done(); err != nil {
+		return err
 	}
 	p.shards, p.mask, p.policy = restored.shards, restored.mask, restored.policy
 	if p.now == nil {

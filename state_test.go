@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/blob"
 )
 
 func TestCheckpointResumesExactStream(t *testing.T) {
@@ -394,12 +396,10 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 // value at or above 2^31. Converted with int() on a 32-bit host such a
 // length turns negative, passes a signed bounds check and panics when
 // slicing; every decoder must report truncation instead (GOARCH=386
-// runs this test natively on an x86-64 host).
+// runs this test natively on an x86-64 host). The length-prefixed
+// reads themselves are covered by internal/blob's tests.
 func TestLengthDecodersRejectHugeLengths(t *testing.T) {
 	huge := []byte{0xF0, 0xFF, 0xFF, 0xFF}
-	if _, _, err := takePrefixed(append(huge, 1, 2, 3), "blob"); err == nil {
-		t.Error("takePrefixed accepted a 0xFFFFFFF0-byte blob in 3 bytes")
-	}
 	g, err := New(WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +408,7 @@ func TestLengthDecodersRejectHugeLengths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard := append(appendPrefixed(nil, wBlob), huge...)
+	shard := append(blob.AppendBytes32(nil, wBlob), huge...)
 	shard = append(shard, make([]byte, 64)...)
 	if _, err := unmarshalShard(shard, 16, poolVersion, time.Now()); err == nil {
 		t.Error("unmarshalShard accepted a ring residue of 0xFFFFFFF0 words")
@@ -417,5 +417,44 @@ func TestLengthDecodersRejectHugeLengths(t *testing.T) {
 	par = append(append(par, huge...), 1, 2, 3)
 	if err := new(Parallel).UnmarshalBinary(par); err == nil {
 		t.Error("Parallel.UnmarshalBinary accepted a 0xFFFFFFF0-byte worker blob")
+	}
+}
+
+// BenchmarkCheckpoint times one marshal plus one unmarshal of a
+// monitored Generator and of a 16-shard monitored Pool, the blobs
+// randd writes on every snapshot, drain and tenant eviction.
+func BenchmarkCheckpoint(b *testing.B) {
+	g, err := New(WithSeed(1), WithHealthMonitoring(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g.Uint64()
+	p, err := NewPool(WithSeed(1), WithShards(16), WithHealthMonitoring(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := p.Fill(make([]uint64, 5000)); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		m     interface{ MarshalBinary() ([]byte, error) }
+		fresh func() interface{ UnmarshalBinary([]byte) error }
+	}{
+		{"generator-monitored", g, func() interface{ UnmarshalBinary([]byte) error } { return new(Generator) }},
+		{"pool-16", p, func() interface{ UnmarshalBinary([]byte) error } { return new(Pool) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				data, err := c.m.MarshalBinary()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := c.fresh().UnmarshalBinary(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
