@@ -37,39 +37,6 @@ func (g *MT19937) seed32(seed uint32) {
 	g.idx = mtN
 }
 
-// NewMT19937ByArray seeds with init_by_array, the recommended
-// full-entropy seeding.
-func NewMT19937ByArray(key []uint32) *MT19937 {
-	g := NewMT19937(19650218)
-	i, j := 1, 0
-	k := len(key)
-	if mtN > k {
-		k = mtN
-	}
-	for ; k > 0; k-- {
-		g.mt[i] = (g.mt[i] ^ ((g.mt[i-1] ^ (g.mt[i-1] >> 30)) * 1664525)) + key[j] + uint32(j)
-		i++
-		j++
-		if i >= mtN {
-			g.mt[0] = g.mt[mtN-1]
-			i = 1
-		}
-		if j >= len(key) {
-			j = 0
-		}
-	}
-	for k = mtN - 1; k > 0; k-- {
-		g.mt[i] = (g.mt[i] ^ ((g.mt[i-1] ^ (g.mt[i-1] >> 30)) * 1566083941)) - uint32(i)
-		i++
-		if i >= mtN {
-			g.mt[0] = g.mt[mtN-1]
-			i = 1
-		}
-	}
-	g.mt[0] = 0x80000000
-	return g
-}
-
 func (g *MT19937) generate() {
 	for i := 0; i < mtN; i++ {
 		y := g.mt[i]&mtUpperMask | g.mt[(i+1)%mtN]&mtLowerMask

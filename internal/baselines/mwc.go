@@ -19,9 +19,9 @@ type MWC struct {
 // DefaultMWCMultipliers is a set of safe-prime multipliers of the
 // kind CUDAMCML distributes to its threads (a·2^32−1 prime and
 // a·2^31−1 prime ⇒ long period, independent streams). The values
-// are the twelve largest good multipliers below 2^32, generated by
-// FindMWCMultipliers and re-verified by the package tests with the
-// deterministic Miller–Rabin test in safeprime.go.
+// are the twelve largest good multipliers below 2^32; the package
+// tests re-derive them with math/big's primality test, which is exact
+// below 2^64.
 var DefaultMWCMultipliers = []uint32{
 	4294967118, 4294966893, 4294966830, 4294966284, 4294966164,
 	4294965708, 4294965675, 4294964880, 4294964568, 4294963860,

@@ -1,7 +1,6 @@
 // Package bitsource provides the generator's FEED work unit: sources
-// of cheap random bits and an asynchronous chunked feeder that
-// overlaps bit production with consumption, the software analogue of
-// the paper's CPU→GPU "bin" stream over PCIe.
+// of cheap random bits and the SP 800-90B health monitor that checks
+// them.
 //
 // The paper's design point is that the feed bits may come from a
 // fast, low-quality generator (glibc rand()); the expander walk
@@ -13,9 +12,6 @@ package bitsource
 import (
 	cryptorand "crypto/rand"
 	"encoding/binary"
-	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/baselines"
 	"repro/internal/rng"
@@ -49,113 +45,4 @@ func ANSIC(seed uint32) *rng.BitReader {
 // high-quality feed ablation.
 func SplitMix(seed uint64) *rng.BitReader {
 	return rng.NewBitReader(baselines.NewSplitMix64(seed))
-}
-
-// Feeder produces fixed-size chunks of feed words on a background
-// goroutine, double-buffered through a channel, so the consumer (the
-// walker, standing in for the GPU) never waits while the producer
-// (standing in for the CPU) keeps up — the FEED/GENERATE overlap of
-// the paper's Figure 4 in plain Go.
-//
-// The zero value is not usable; construct with NewFeeder. Close the
-// feeder to release its goroutine.
-type Feeder struct {
-	chunks   chan []uint64
-	recycle  chan []uint64
-	done     chan struct{}
-	closed   sync.Once
-	produced atomic.Uint64
-}
-
-// NewFeeder starts a feeder drawing from src. chunkWords is the
-// chunk size in 64-bit words (the paper's bin batch); depth is the
-// pipeline depth (number of chunks that may be in flight; 2 is
-// classic double buffering).
-func NewFeeder(src rng.Source, chunkWords, depth int) (*Feeder, error) {
-	if src == nil {
-		return nil, fmt.Errorf("bitsource: nil source")
-	}
-	if chunkWords < 1 {
-		return nil, fmt.Errorf("bitsource: chunkWords %d < 1", chunkWords)
-	}
-	if depth < 1 {
-		return nil, fmt.Errorf("bitsource: depth %d < 1", depth)
-	}
-	f := &Feeder{
-		chunks:  make(chan []uint64, depth),
-		recycle: make(chan []uint64, depth+1),
-		done:    make(chan struct{}),
-	}
-	go func() {
-		defer close(f.chunks)
-		for {
-			var buf []uint64
-			select {
-			case buf = <-f.recycle:
-			default:
-				buf = make([]uint64, chunkWords)
-			}
-			for i := range buf {
-				buf[i] = src.Uint64()
-			}
-			select {
-			case f.chunks <- buf:
-				f.produced.Add(uint64(len(buf)))
-			case <-f.done:
-				return
-			}
-		}
-	}()
-	return f, nil
-}
-
-// WordsProduced returns the number of words handed to the pipeline
-// so far.
-func (f *Feeder) WordsProduced() uint64 { return f.produced.Load() }
-
-// Close stops the producer goroutine. Sources already handed out
-// keep draining buffered chunks and then report exhaustion by
-// panicking, matching BitReader's contract of an infinite stream —
-// close only after consumers are done.
-func (f *Feeder) Close() {
-	f.closed.Do(func() { close(f.done) })
-}
-
-// Source returns a consumer-side rng.Source that drains the feeder's
-// chunks. Each call to Source returns an independent consumer; a
-// single consumer is not safe for concurrent use (one per goroutine,
-// like walkers).
-func (f *Feeder) Source() rng.Source {
-	return &feederSource{f: f}
-}
-
-type feederSource struct {
-	f   *Feeder
-	cur []uint64
-	idx int
-}
-
-func (s *feederSource) Uint64() uint64 {
-	if s.idx >= len(s.cur) {
-		if s.cur != nil {
-			select {
-			case s.f.recycle <- s.cur:
-			default:
-			}
-		}
-		chunk, ok := <-s.f.chunks
-		if !ok {
-			panic("bitsource: feeder closed while consumer still draining")
-		}
-		s.cur = chunk
-		s.idx = 0
-	}
-	v := s.cur[s.idx]
-	s.idx++
-	return v
-}
-
-// Bits returns a BitReader over a fresh consumer of the feeder.
-func (f *Feeder) Bits() *rng.BitReader {
-	return rng.NewBitReader(f.Source())
 }

@@ -1,10 +1,6 @@
 package bitsource
 
-import (
-	"testing"
-
-	"repro/internal/baselines"
-)
+import "testing"
 
 func TestCryptoSeedVaries(t *testing.T) {
 	a, b := CryptoSeed(), CryptoSeed()
@@ -35,104 +31,6 @@ func TestConvenienceConstructors(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if e.Bits(17) != f.Bits(17) {
 			t.Fatal("splitmix feed not deterministic")
-		}
-	}
-}
-
-func TestFeederValidation(t *testing.T) {
-	src := baselines.NewSplitMix64(1)
-	if _, err := NewFeeder(nil, 8, 2); err == nil {
-		t.Error("nil source should fail")
-	}
-	if _, err := NewFeeder(src, 0, 2); err == nil {
-		t.Error("zero chunk should fail")
-	}
-	if _, err := NewFeeder(src, 8, 0); err == nil {
-		t.Error("zero depth should fail")
-	}
-}
-
-func TestFeederDeliversSourceStream(t *testing.T) {
-	// A single consumer must see exactly the source stream, in
-	// order, across chunk boundaries.
-	f, err := NewFeeder(baselines.NewSplitMix64(99), 16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	ref := baselines.NewSplitMix64(99)
-	consumer := f.Source()
-	for i := 0; i < 1000; i++ {
-		if got, want := consumer.Uint64(), ref.Uint64(); got != want {
-			t.Fatalf("word %d = %d, want %d", i, got, want)
-		}
-	}
-	if f.WordsProduced() < 1000 {
-		t.Errorf("WordsProduced = %d, want ≥ 1000", f.WordsProduced())
-	}
-}
-
-func TestFeederBitsReader(t *testing.T) {
-	f, err := NewFeeder(baselines.NewSplitMix64(5), 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	br := f.Bits()
-	ref := baselines.NewSplitMix64(5)
-	// 64 bits in 3-bit nibbles + remainder must reassemble word 0.
-	var v uint64
-	for i := 0; i < 21; i++ {
-		v = v<<3 | br.Bits(3)
-	}
-	v = v<<1 | br.Bits(1)
-	if want := ref.Uint64(); v != want {
-		t.Fatalf("reassembled %d, want %d", v, want)
-	}
-}
-
-func TestFeederCloseIdempotent(t *testing.T) {
-	f, err := NewFeeder(baselines.NewSplitMix64(1), 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	f.Close() // must not panic
-}
-
-func TestFeederConsumerPanicsAfterDrain(t *testing.T) {
-	f, err := NewFeeder(baselines.NewSplitMix64(1), 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := f.Source()
-	f.Close()
-	// Drain whatever is buffered, then expect the documented panic.
-	defer func() {
-		if recover() == nil {
-			t.Error("consumer should panic once the closed feeder is drained")
-		}
-	}()
-	for i := 0; i < 100; i++ {
-		s.Uint64()
-	}
-}
-
-func TestFeederTwoConsumersDisjoint(t *testing.T) {
-	f, err := NewFeeder(baselines.NewSplitMix64(123), 32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	s1, s2 := f.Source(), f.Source()
-	seen := make(map[uint64]int)
-	for i := 0; i < 200; i++ {
-		seen[s1.Uint64()]++
-		seen[s2.Uint64()]++
-	}
-	for v, c := range seen {
-		if c > 1 {
-			t.Fatalf("word %d delivered %d times across consumers", v, c)
 		}
 	}
 }

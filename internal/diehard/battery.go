@@ -18,7 +18,6 @@ package diehard
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -167,28 +166,6 @@ func RunBatteryInterleaved(name string, srcs []rng.Source, cfg Config) Outcome {
 	return RunBattery(name, rng.Interleave(srcs...), cfg)
 }
 
-// RunOne runs a single named test.
-func RunOne(name string, src rng.Source, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	for _, t := range Menu() {
-		if t.Name == name {
-			ps, err := t.Run(src, cfg.Scale)
-			return Result{Name: t.Name, Description: t.Description, PValues: ps, Err: err}, nil
-		}
-	}
-	return Result{}, fmt.Errorf("diehard: unknown test %q", name)
-}
-
-// TestNames lists the menu in order.
-func TestNames() []string {
-	menu := Menu()
-	names := make([]string, len(menu))
-	for i, t := range menu {
-		names[i] = t.Name
-	}
-	return names
-}
-
 // lane32 adapts a 64-bit source to the 32-bit lane stream the
 // classic battery was specified over (see rng.Lanes32): several
 // historical generators hide their defects in the low bits, and a
@@ -203,11 +180,4 @@ func scaled(base int, scale float64) int {
 		n = 1
 	}
 	return n
-}
-
-// sortedCopy returns a sorted copy of xs.
-func sortedCopy(xs []float64) []float64 {
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	return c
 }

@@ -176,41 +176,6 @@ type errDummy struct{}
 
 func (errDummy) Error() string { return "dummy" }
 
-func TestRunOneUnknownName(t *testing.T) {
-	if _, err := RunOne("nonsense", baselines.NewSplitMix64(1), Config{}); err == nil {
-		t.Error("unknown test should fail")
-	}
-}
-
-func TestRunOneBirthday(t *testing.T) {
-	res, err := RunOne("birthday-spacings", baselines.NewMT19937_64(7), Config{Scale: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PValues) == 0 {
-		t.Fatal("no p-values")
-	}
-	for _, p := range res.PValues {
-		if p < 0 || p > 1 {
-			t.Errorf("p = %g out of range", p)
-		}
-	}
-}
-
-func TestTestNamesMatchesMenu(t *testing.T) {
-	names := TestNames()
-	if len(names) != 15 {
-		t.Fatalf("menu has %d entries, want 15", len(names))
-	}
-	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			t.Fatalf("duplicate test name %q", n)
-		}
-		seen[n] = true
-	}
-}
-
 func TestScaledHelper(t *testing.T) {
 	if scaled(100, 1) != 100 || scaled(100, 0.5) != 50 {
 		t.Error("scaled arithmetic wrong")
@@ -283,9 +248,5 @@ func TestKSStatisticAgainstBattery(t *testing.T) {
 	}
 	if ks.D > 0.12 {
 		t.Errorf("evenly spread p-values have D = %g", ks.D)
-	}
-	sc := sortedCopy([]float64{0.3, 0.1, 0.2})
-	if sc[0] != 0.1 || sc[2] != 0.3 {
-		t.Error("sortedCopy broken")
 	}
 }

@@ -206,13 +206,6 @@ func (st *Stream) CopyH2D(label string, bytes int64) Interval {
 	return st.copy(label, bytes)
 }
 
-// CopyD2H issues an asynchronous device-to-host copy and returns its
-// interval. The C1060's single DMA engine serves both directions, so
-// it shares the copy resource with CopyH2D.
-func (st *Stream) CopyD2H(label string, bytes int64) Interval {
-	return st.copy(label, bytes)
-}
-
 func (st *Stream) copy(label string, bytes int64) Interval {
 	st.mu.Lock()
 	defer st.mu.Unlock()

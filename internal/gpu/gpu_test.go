@@ -349,27 +349,6 @@ func TestPureDeviceVsHybridScheduleShape(t *testing.T) {
 	}
 }
 
-func TestWriteTraceCSV(t *testing.T) {
-	s := NewSim()
-	s.Schedule("cpu", "FEED", 0, 10)
-	s.Schedule("gpu", "GEN", 10, 20)
-	var buf strings.Builder
-	if err := s.WriteTraceCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines:\n%s", len(lines), out)
-	}
-	if lines[0] != "resource,label,start_ns,end_ns" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "cpu,FEED,0.000,10.000") {
-		t.Errorf("row = %q", lines[1])
-	}
-}
-
 func TestDeviceAccessors(t *testing.T) {
 	sim := NewSim()
 	d, _ := NewDevice(sim, TeslaC1060())
@@ -380,12 +359,12 @@ func TestDeviceAccessors(t *testing.T) {
 		t.Errorf("resource names: %q / %q", d.ComputeResource(), d.CopyResource())
 	}
 	st := d.NewStream(0)
-	iv := st.CopyD2H("d2h", 1000)
+	iv := st.CopyH2D("h2d", 1000)
 	if iv.Resource != d.CopyResource() {
-		t.Error("D2H must use the copy engine")
+		t.Error("H2D must use the copy engine")
 	}
 	tr := sim.Trace()
-	if len(tr) != 1 || tr[0].Label != "d2h" {
+	if len(tr) != 1 || tr[0].Label != "h2d" {
 		t.Errorf("trace = %+v", tr)
 	}
 }

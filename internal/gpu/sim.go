@@ -21,7 +21,6 @@ package gpu
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 )
@@ -155,24 +154,6 @@ func (s *Sim) ResourceNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// WriteTraceCSV writes the trace as CSV (resource,label,start_ns,
-// end_ns), one row per interval in booking order — the raw material
-// for external plotting of the Figure 1/4 timelines.
-func (s *Sim) WriteTraceCSV(w io.Writer) error {
-	s.mu.Lock()
-	trace := append([]Interval(nil), s.trace...)
-	s.mu.Unlock()
-	if _, err := fmt.Fprintln(w, "resource,label,start_ns,end_ns"); err != nil {
-		return err
-	}
-	for _, iv := range trace {
-		if _, err := fmt.Fprintf(w, "%s,%s,%.3f,%.3f\n", iv.Resource, iv.Label, iv.Start, iv.End); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // TimelineString renders a compact textual timeline of the trace —

@@ -43,8 +43,5 @@ func (it *Interleaved) Uint64() uint64 {
 	return v
 }
 
-// Width returns the number of interleaved sources.
-func (it *Interleaved) Width() int { return len(it.srcs) }
-
 // Name implements Named.
 func (it *Interleaved) Name() string { return "interleaved" }

@@ -101,15 +101,6 @@ func ExclusiveSum(src []int64, workers int) (dst []int64, total int64) {
 	return dst, run
 }
 
-// InclusiveSum computes dst[i] = Σ_{j≤i} src[j].
-func InclusiveSum(src []int64, workers int) []int64 {
-	dst, _ := ExclusiveSum(src, workers)
-	for i, v := range src {
-		dst[i] += v
-	}
-	return dst
-}
-
 // Compact writes the elements of src whose keep flag is set into a
 // fresh slice, preserving order, using the scan-based scatter (the
 // GPU stream-compaction pattern, parallel across workers). The

@@ -46,16 +46,6 @@ func TestExclusiveSumParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestInclusiveSum(t *testing.T) {
-	got := InclusiveSum([]int64{1, 2, 3}, 2)
-	want := []int64{1, 3, 6}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("inclusive[%d] = %d", i, got[i])
-		}
-	}
-}
-
 func TestCompactSmall(t *testing.T) {
 	out := Compact([]int32{10, 20, 30, 40}, []bool{true, false, false, true}, 4)
 	if len(out) != 2 || out[0] != 10 || out[1] != 40 {

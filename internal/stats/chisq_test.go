@@ -101,68 +101,3 @@ func TestChiSquareUniformBins(t *testing.T) {
 		t.Error("single bin should fail")
 	}
 }
-
-func TestHistogramBasics(t *testing.T) {
-	h, err := NewHistogram(0, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(-0.5)
-	h.Add(0.05)
-	h.Add(0.95)
-	h.Add(1.5)
-	if h.Under != 1 || h.Over != 1 {
-		t.Errorf("under=%d over=%d, want 1,1", h.Under, h.Over)
-	}
-	if h.Counts[0] != 1 || h.Counts[9] != 1 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.Total() != 4 {
-		t.Errorf("total = %d, want 4", h.Total())
-	}
-	if _, err := NewHistogram(1, 0, 5); err == nil {
-		t.Error("inverted range should fail")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero bins should fail")
-	}
-}
-
-func TestHistogramChiSquareUniform(t *testing.T) {
-	h, _ := NewHistogram(0, 1, 16)
-	rng := rand.New(rand.NewSource(77))
-	for i := 0; i < 16000; i++ {
-		h.Add(rng.Float64())
-	}
-	res, err := h.ChiSquareUniform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P < 1e-4 || res.P > 1-1e-4 {
-		t.Errorf("uniform histogram chi-square p = %g, should be unremarkable", res.P)
-	}
-}
-
-func TestSummaryStats(t *testing.T) {
-	var s SummaryStats
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if s.N() != 8 {
-		t.Errorf("n = %d, want 8", s.N())
-	}
-	if !almostEqual(s.Mean(), 5, 1e-12) {
-		t.Errorf("mean = %g, want 5", s.Mean())
-	}
-	// Sample variance of that classic set is 32/7.
-	if !almostEqual(s.Variance(), 32.0/7.0, 1e-12) {
-		t.Errorf("variance = %g, want %g", s.Variance(), 32.0/7.0)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("min/max = %g/%g, want 2/9", s.Min(), s.Max())
-	}
-	var empty SummaryStats
-	if empty.Variance() != 0 {
-		t.Error("variance of empty stats should be 0")
-	}
-}

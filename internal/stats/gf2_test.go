@@ -88,26 +88,6 @@ func TestStringersAndAccessors(t *testing.T) {
 	}
 }
 
-func TestHistogramMeanAndStdDev(t *testing.T) {
-	h, _ := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	if got := h.Mean(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("histogram mean = %g, want 5", got)
-	}
-	empty, _ := NewHistogram(0, 1, 4)
-	if !math.IsNaN(empty.Mean()) {
-		t.Error("empty histogram mean should be NaN")
-	}
-	var s SummaryStats
-	s.Add(1)
-	s.Add(3)
-	if math.Abs(s.StdDev()-math.Sqrt2) > 1e-12 {
-		t.Errorf("stddev = %g", s.StdDev())
-	}
-}
-
 func TestChiSquareSurvivalEdges(t *testing.T) {
 	if ChiSquareSurvival(-1, 3) != 1 || ChiSquareSurvival(1, 0) != 1 {
 		t.Error("degenerate survival should be 1")

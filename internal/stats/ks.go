@@ -204,40 +204,3 @@ func matMul(A, B [][]float64, m int) [][]float64 {
 	}
 	return C
 }
-
-// AndersonDarlingUniform computes the Anderson–Darling A² statistic
-// of the values against Uniform[0,1) together with an approximate
-// upper-tail p-value (Marsaglia & Marsaglia 2004 style approximation).
-// Used by ablation reporting; the batteries themselves use KS to
-// match the paper.
-func AndersonDarlingUniform(values []float64) (a2, p float64, err error) {
-	n := len(values)
-	if n == 0 {
-		return 0, 0, fmt.Errorf("stats: AD test on empty sample")
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	const eps = 1e-12
-	sum := 0.0
-	for i, v := range sorted {
-		u := math.Min(math.Max(v, eps), 1-eps)
-		w := sorted[n-1-i]
-		w = math.Min(math.Max(w, eps), 1-eps)
-		sum += float64(2*i+1) * (math.Log(u) + math.Log(1-w))
-	}
-	a2 = -float64(n) - sum/float64(n)
-	p = 1 - adInf(a2)
-	return a2, p, nil
-}
-
-// adInf approximates the limiting Anderson–Darling CDF.
-func adInf(z float64) float64 {
-	if z <= 0 {
-		return 0
-	}
-	if z < 2 {
-		return math.Exp(-1.2337141/z) / math.Sqrt(z) *
-			(2.00012 + (0.247105-(0.0649821-(0.0347962-(0.0116720-0.00168691*z)*z)*z)*z)*z)
-	}
-	return math.Exp(-math.Exp(1.0776 - (2.30695-(0.43424-(0.082433-(0.008056-0.0003146*z)*z)*z)*z)*z))
-}

@@ -160,35 +160,3 @@ func TestKolmogorovCDFQuickProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestAndersonDarlingUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	vals := make([]float64, 2000)
-	for i := range vals {
-		vals[i] = rng.Float64()
-	}
-	a2, p, err := AndersonDarlingUniform(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2 < 0 {
-		t.Errorf("A² = %g, must be non-negative for a sane sample", a2)
-	}
-	if p < 0.001 {
-		t.Errorf("AD rejected a uniform sample: p=%g", p)
-	}
-	// Skewed sample must be rejected.
-	for i := range vals {
-		vals[i] = math.Sqrt(rng.Float64()) // density 2x on [0,1)
-	}
-	_, p, err = AndersonDarlingUniform(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p > 1e-4 {
-		t.Errorf("AD failed to reject sqrt-skewed sample: p=%g", p)
-	}
-	if _, _, err := AndersonDarlingUniform(nil); err == nil {
-		t.Error("AD on empty sample should fail")
-	}
-}

@@ -105,18 +105,22 @@ func TestChiSquareCDFKnownValues(t *testing.T) {
 	}
 }
 
-func TestPoissonCDFMatchesDirectSum(t *testing.T) {
-	for _, lambda := range []float64{0.5, 2, 10, 30} {
-		for _, k := range []int{0, 1, 5, 20, 50} {
-			direct := 0.0
-			for i := 0; i <= k; i++ {
-				direct += PoissonPMF(lambda, i)
-			}
-			got := PoissonCDF(lambda, k)
-			if !almostEqual(got, direct, 1e-10) {
-				t.Errorf("PoissonCDF(%g, %d) = %g, direct sum %g", lambda, k, got, direct)
-			}
+func TestNormalQuantileRoundTrip(t *testing.T) {
+	for _, p := range []float64{1e-10, 0.001, 0.02425, 0.2, 0.5, 0.8, 0.999, 1 - 1e-10} {
+		x := NormalQuantile(p)
+		if got := NormalCDF(x); math.Abs(got-p) > 1e-12 {
+			t.Errorf("CDF(Quantile(%g)) = %g", p, got)
 		}
+	}
+	if NormalQuantile(0.5) != 0 && math.Abs(NormalQuantile(0.5)) > 1e-12 {
+		t.Errorf("Quantile(0.5) = %g", NormalQuantile(0.5))
+	}
+	if !math.IsInf(NormalQuantile(0), -1) || !math.IsInf(NormalQuantile(1), 1) {
+		t.Error("quantile endpoints must be infinite")
+	}
+	// Known value: Φ⁻¹(0.975) = 1.959963985…
+	if math.Abs(NormalQuantile(0.975)-1.959963984540054) > 1e-9 {
+		t.Errorf("Quantile(0.975) = %.12f", NormalQuantile(0.975))
 	}
 }
 
@@ -143,12 +147,5 @@ func TestBinomialLogPMF(t *testing.T) {
 	}
 	if BinomialLogPMF(5, 0, 0) != 0 {
 		t.Error("BinomialLogPMF(5,0,0) should be log(1)=0")
-	}
-}
-
-func TestLnChoose(t *testing.T) {
-	got := math.Exp(LnChoose(52, 5))
-	if !almostEqual(got, 2598960, 1e-3) {
-		t.Errorf("C(52,5) = %g, want 2598960", got)
 	}
 }
