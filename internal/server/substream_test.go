@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	hybridprng "repro"
+	"repro/internal/bitsource"
 	"repro/internal/substream"
 )
 
@@ -360,6 +363,63 @@ func TestSubstreamKeyValidationHTTP(t *testing.T) {
 	if bytes.Equal(a, b) {
 		t.Fatal("padded spelling restarted the stream instead of continuing it")
 	}
+}
+
+// TestSubstreamTrippedTenantHTTP: a tenant whose SP 800-90B monitor
+// has tripped answers 503 with the health error's text and no stream
+// bytes, while other tenants keep serving.
+func TestSubstreamTrippedTenantHTTP(t *testing.T) {
+	src, err := substream.New(substream.Config{RootSeed: 1, HealthHMin: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Uint64("alice"); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Trip alice's monitor in the checkpoint. Her generator blob ends
+	// the registry blob, ahead of four u64 meters, with the monitor
+	// state: a u16 length, then 30 bytes whose last is the trip flag.
+	// A tripped monitor appends its failure's test name and detail, two
+	// u16-prefixed strings (here empty), so both lengths grow by 4.
+	le := binary.LittleEndian
+	start, end := bytes.LastIndex(reg, []byte("hprng")), len(reg)-32
+	tripped := bytes.Clone(reg[:end])
+	tripped[end-1] = 1
+	le.PutUint16(tripped[end-32:], le.Uint16(tripped[end-32:])+4)
+	le.PutUint32(tripped[start-4:], le.Uint32(tripped[start-4:])+4)
+	tripped = append(append(tripped, 0, 0, 0, 0), reg[end:]...)
+	regB, err := substream.Restore(tripped, substream.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := hybridprng.NewPool(resumeOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(pool, Options{Substreams: regB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ht := httptest.NewServer(srv.Handler())
+	defer ht.Close()
+	resp, err := http.Get(keyURL(ht.URL, "alice", "bytes", 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("tripped tenant: status %d with a %d-byte body, want 503", resp.StatusCode, len(body))
+	}
+	var he *bitsource.HealthError
+	if err := regB.Fill("alice", make([]uint64, 1)); !errors.As(err, &he) || string(body) != he.Error()+"\n" {
+		t.Fatalf("tripped tenant: 503 body %q, Fill error %v; want the HealthError's text", body, err)
+	}
+	getKeyedBytes(t, ht.URL, "bob", 64)
 }
 
 func TestSubstreamRoutesAbsentWithoutRegistry(t *testing.T) {

@@ -162,14 +162,12 @@ func (r *Registry) Uint64(key string) (uint64, error) {
 }
 
 // Fill fills dst from the tenant's stream. On any error — bad key,
-// rate limit, derivation collision — dst is zeroed, the same
-// contract as Pool.Fill: stale buffer contents must never be
-// consumable as randomness. Each word costs one token.
+// rate limit, derivation collision, a tripped health monitor — dst
+// is zeroed, the same contract as Pool.Fill: stale buffer contents
+// must never be consumable as randomness. Each word costs one token.
 func (r *Registry) Fill(key string, dst []uint64) error {
-	err := r.draw(key, len(dst), func(t *tenant, g *hybridprng.Generator) {
-		g.Fill(dst)
-		t.draws.Add(uint64(len(dst)))
-	})
+	err := r.draw(key, len(dst), func(g *hybridprng.Generator) { g.Fill(dst) },
+		func(t *tenant) { t.draws.Add(uint64(len(dst))) })
 	if err != nil {
 		zeroWords(dst)
 		return err
@@ -182,10 +180,8 @@ func (r *Registry) Fill(key string, dst []uint64) error {
 // Generator.Read and the /bytes endpoint. On any error b is zeroed.
 // Each (possibly partial) word costs one token.
 func (r *Registry) FillBytes(key string, b []byte) error {
-	err := r.draw(key, (len(b)+7)/8, func(t *tenant, g *hybridprng.Generator) {
-		g.Read(b)
-		t.bytes.Add(uint64(len(b)))
-	})
+	err := r.draw(key, (len(b)+7)/8, func(g *hybridprng.Generator) { g.Read(b) },
+		func(t *tenant) { t.bytes.Add(uint64(len(b))) })
 	if err != nil {
 		zeroBytes(b)
 		return err
@@ -194,13 +190,19 @@ func (r *Registry) FillBytes(key string, b []byte) error {
 }
 
 // draw resolves key's resident tenant, charges words tokens from its
-// bucket and runs gen on the tenant and its generator, all under the
-// tenant's lock. gen meters the draw there because eviction snapshots
-// the meters under the same lock: a meter bumped after the unlock
-// could land on an already-parked tenant and be lost. A tenant
-// evicted between lookup and lock holds a stale generator (its state
-// was parked), so draw re-resolves, which unparks it.
-func (r *Registry) draw(key string, words int, gen func(*tenant, *hybridprng.Generator)) error {
+// bucket, runs fill on its generator and meters the draw with served,
+// all under the tenant's lock. The meters are bumped there because
+// eviction snapshots them under the same lock: a meter bumped after
+// the unlock could land on an already-parked tenant and be lost. A
+// tenant evicted between lookup and lock holds a stale generator (its
+// state was parked), so draw re-resolves, which unparks it.
+//
+// A tenant whose SP 800-90B monitor has tripped, before the draw or
+// during it, fails with the monitor's *bitsource.HealthError and is
+// not metered. It is never reseeded, which would change its keyed
+// stream: the trip travels in the parked and checkpointed generator
+// blob, so the key stays refused across eviction and restore.
+func (r *Registry) draw(key string, words int, fill func(*hybridprng.Generator), served func(*tenant)) error {
 	for {
 		t, err := r.tenant(key)
 		if err != nil {
@@ -211,9 +213,15 @@ func (r *Registry) draw(key string, words int, gen func(*tenant, *hybridprng.Gen
 			t.mu.Unlock()
 			continue
 		}
-		err = t.takeLocked(r, words)
+		err = t.gen.HealthErr()
 		if err == nil {
-			gen(t, t.gen)
+			err = t.takeLocked(r, words)
+		}
+		if err == nil {
+			fill(t.gen)
+			if err = t.gen.HealthErr(); err == nil {
+				served(t)
+			}
 		}
 		t.mu.Unlock()
 		return err

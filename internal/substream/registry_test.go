@@ -2,6 +2,7 @@ package substream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -9,6 +10,8 @@ import (
 	"time"
 
 	hybridprng "repro"
+	"repro/internal/bitsource"
+	"repro/internal/blob"
 )
 
 func mustRegistry(t *testing.T, cfg Config) *Registry {
@@ -319,6 +322,113 @@ func TestMarshalDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(build(), build()) {
 		t.Fatal("identical histories marshalled to different blobs")
+	}
+}
+
+// withTenantMonitor returns a copy of reg, a registry blob, whose
+// last tenant's SP 800-90B monitor state is replaced by edit(state).
+// That tenant's generator blob is reg's last length-prefixed field,
+// ahead of its four u64 meters, and the monitor state is the
+// generator blob's last u16-length-prefixed field.
+func withTenantMonitor(t *testing.T, reg []byte, edit func(mon []byte) []byte) []byte {
+	t.Helper()
+	const meters, monLen = 32, 30 // an untripped monitor's state is 30 bytes
+	start, end := bytes.LastIndex(reg, []byte("hprng")), len(reg)-meters
+	if start < 4 || int(binary.LittleEndian.Uint32(reg[start-4:])) != end-start ||
+		binary.LittleEndian.Uint16(reg[end-monLen-2:]) != monLen {
+		t.Fatal("registry blob does not end with an untripped monitored tenant")
+	}
+	gen := blob.AppendBytes16(bytes.Clone(reg[start:end-monLen-2]), edit(bytes.Clone(reg[end-monLen:end])))
+	return append(blob.AppendBytes32(bytes.Clone(reg[:start-4]), gen), reg[end:]...)
+}
+
+// tripMonitor sets an untripped monitor state's trip flag, its last
+// byte, and appends the failure record a tripped monitor carries.
+func tripMonitor(mon []byte) []byte {
+	mon[len(mon)-1] = 1
+	return blob.AppendBytes16(blob.AppendBytes16(mon, "forced"), "tripped by test")
+}
+
+// requireRefused asserts that both draw kinds on key fail with the
+// tenant's HealthError and zero their buffers.
+func requireRefused(t *testing.T, r *Registry, key, when string) {
+	t.Helper()
+	var he *bitsource.HealthError
+	words := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	if err := r.Fill(key, words); !errors.As(err, &he) || !equalWords(words, make([]uint64, len(words))) {
+		t.Fatalf("%s: Fill = %v with words %x, want a HealthError and zeroed words", when, err, words)
+	}
+	b := bytes.Repeat([]byte{0xee}, 64)
+	if err := r.FillBytes(key, b); !errors.As(err, &he) || !bytes.Equal(b, make([]byte, len(b))) {
+		t.Fatalf("%s: FillBytes = %v with bytes %x, want a HealthError and zeroed bytes", when, err, b)
+	}
+}
+
+// TestTrippedTenantIsRefused: a tenant whose health monitor has
+// tripped serves nothing more and is not metered for the refused
+// draws. The refusal outlives eviction and a checkpoint round trip,
+// because the trip flag travels in the tenant's generator blob.
+func TestTrippedTenantIsRefused(t *testing.T) {
+	src := mustRegistry(t, Config{RootSeed: 7, HealthHMin: 4})
+	drawWords(t, src, "alice", 4)
+	reg, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(withTenantMonitor(t, reg, tripMonitor), Config{MaxResident: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireRefused(t, r, "alice", "restored")
+
+	drawWords(t, r, "bob", 1) // parks alice: one resident slot
+	if s := r.Stats(); s.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", s.Evictions)
+	}
+	requireRefused(t, r, "alice", "unparked")
+
+	reg2, err := r.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err = Restore(reg2, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	requireRefused(t, r, "alice", "round-tripped")
+	drawWords(t, r, "bob", 1) // other tenants keep serving
+	for _, ts := range r.Stats().PerTenant {
+		if ts.Key == "alice" && (ts.Draws != 4 || ts.Bytes != 0) {
+			t.Fatalf("refused draws were metered: %+v", ts)
+		}
+	}
+}
+
+// TestTenantTrippingMidDrawIsRefused: a monitor that trips during a
+// draw fails that draw too. The restored monitor's repetition cutoff
+// is 2, so the first byte equal to its predecessor trips it.
+func TestTenantTrippingMidDrawIsRefused(t *testing.T) {
+	src := mustRegistry(t, Config{RootSeed: 7, HealthHMin: 4})
+	drawWords(t, src, "alice", 4)
+	reg, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(withTenantMonitor(t, reg, func(mon []byte) []byte {
+		binary.LittleEndian.PutUint32(mon[2:], 2) // RCT cutoff
+		return mon
+	}), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := make([]uint64, 256)
+	var he *bitsource.HealthError
+	if err := r.Fill("alice", words); !errors.As(err, &he) || he.Test != "repetition-count" ||
+		!equalWords(words, make([]uint64, len(words))) {
+		t.Fatalf("Fill = %v, want a repetition-count HealthError and zeroed words", err)
+	}
+	requireRefused(t, r, "alice", "after the trip")
+	if ts := r.Stats().PerTenant[0]; ts.Draws != 4 {
+		t.Fatalf("draws = %d, want the 4 served before the trip", ts.Draws)
 	}
 }
 
