@@ -113,14 +113,16 @@ func (c *Client) probe(ep *endpoint) error {
 
 // fetchBytes performs one GET against ep's draw path — /bytes for
 // the shared pool, the keyed /v1/stream/{key}/bytes for a Substream
-// handle — and returns the word-aligned prefix of the body.
-// Endpoint health bookkeeping
-// happens here: 429 arms the Retry-After backoff, other failures arm
-// the exponential one, success clears it and records the
-// cooperation headers. A truncated body is both: its whole words are
-// valid served randomness (kept), but the endpoint clearly struggled
-// mid-response (marked failed), and the partial trailing word is
-// dropped — it must never be stitched to the next block.
+// handle — and returns the word-aligned prefix of the body, at most
+// the words requested. Endpoint health bookkeeping happens here: 429
+// arms the Retry-After backoff, other failures arm the exponential
+// one, success clears it and records the cooperation headers. A body
+// of the wrong length is both: its whole words, up to the requested
+// count, are valid served randomness (kept), but the endpoint clearly
+// misbehaved (marked failed). A partial trailing word is dropped — it
+// must never be stitched to the next block — and the body is read no
+// further than one byte past the request, so an endless body cannot
+// grow the client's memory.
 func (c *Client) fetchBytes(ctx context.Context, ep *endpoint, words int) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.opts.RequestTimeout)
 	defer cancel()
@@ -161,8 +163,10 @@ func (c *Client) fetchBytes(ctx context.Context, ep *endpoint, words int) ([]byt
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1024))
 		return nil, fmt.Errorf("client: %s%s: %s", ep.base, c.drawPath, resp.Status)
 	}
-	body, readErr := io.ReadAll(resp.Body)
-	usable := len(body) - len(body)%8
+	want := words * 8
+	body, readErr := io.ReadAll(io.LimitReader(resp.Body, int64(want)+1))
+	usable := min(len(body), want)
+	usable -= usable % 8
 	if usable == 0 {
 		c.eps.fail(ep, 0)
 		if readErr != nil {
@@ -170,9 +174,9 @@ func (c *Client) fetchBytes(ctx context.Context, ep *endpoint, words int) ([]byt
 		}
 		return nil, fmt.Errorf("client: %s%s: empty block", ep.base, c.drawPath)
 	}
-	if readErr != nil || len(body) != words*8 {
-		// Truncated: keep the aligned prefix, drop the torn tail,
-		// and treat the endpoint as failing.
+	if readErr != nil || len(body) != want {
+		// Truncated or oversized: keep the aligned prefix, drop the
+		// rest, and treat the endpoint as failing.
 		c.discarded.Add(uint64(len(body) - usable))
 		c.eps.fail(ep, 0)
 		return body[:usable], nil
