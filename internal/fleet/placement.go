@@ -1,6 +1,9 @@
 package fleet
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Placement: logical shard ranges onto nodes, bounded by derated
 // capacity. The discipline is the one a GPU scheduler applies to
@@ -15,7 +18,9 @@ import "sort"
 // that has not reported pool health yet is charged at full declared
 // capacity (registration precedes the first heartbeat by design).
 // Dead, draining and drained nodes rate zero — nothing may be
-// placed on them.
+// placed on them. The product is taken in 128 bits: capacity and
+// both shard counts come from node-sent JSON. Heartbeat rejects
+// healthy > shards, so the quotient fits and Div64 cannot panic.
 func (c *Controller) deratedLocked(n *node) uint64 {
 	switch n.state {
 	case StateDead, StateDraining, StateDrained:
@@ -24,7 +29,9 @@ func (c *Controller) deratedLocked(n *node) uint64 {
 	if n.shards <= 0 {
 		return n.capacity
 	}
-	return n.capacity * uint64(n.healthy) / uint64(n.shards)
+	hi, lo := bits.Mul64(n.capacity, uint64(n.healthy))
+	q, _ := bits.Div64(hi, lo, uint64(n.shards))
+	return q
 }
 
 // budgetLocked converts derated words/s into whole logical shards.
