@@ -3,10 +3,15 @@
 
 GOPATH_BIN := $(shell go env GOPATH)/bin
 
-.PHONY: build test race race-full lint lint-json lint-vet fmt portable check battery-short battery-long bench-seed bench-gate fleet-drill substream-test
+.PHONY: build vet test race race-full lint lint-json lint-vet fmt portable check battery-short battery-long bench-seed bench-gate fleet-drill substream-test
 
 build:
 	go build ./...
+
+## vet: CI's first step — the standard vet checks on the host
+## architecture (portable vets the other word sizes and byte orders).
+vet:
+	go vet ./...
 
 test:
 	go test ./...
@@ -118,5 +123,5 @@ fleet-drill:
 	go test -run Chaos -race -count=3 -v ./internal/fleet
 
 ## check: everything a merge gate checks that runs offline.
-check: build lint test race portable
+check: vet build lint test race portable
 	test -z "$$(gofmt -l .)"
