@@ -3,7 +3,7 @@
 
 GOPATH_BIN := $(shell go env GOPATH)/bin
 
-.PHONY: build vet test race race-full lint lint-json lint-vet fmt portable check battery-short battery-long bench-seed bench-gate fleet-drill substream-test
+.PHONY: build vet test race race-full lint lint-json lint-vet fmt portable fuzz-smoke check battery-short battery-long bench-seed bench-gate fleet-drill substream-test
 
 build:
 	go build ./...
@@ -48,15 +48,25 @@ fmt:
 
 ## portable: execute the paths non-amd64 and big-endian hosts take —
 ## the purego tag forces the portable walk (every lane through
-## chunk21's three-step table) and FillBytes' encode-through-scratch
-## branch on amd64, and the short suite runs as 386 (x86-64 Linux
-## executes it natively), so 32-bit int code runs too — then vet the
+## chunk21's three-step table, where AVX2 hosts run groups of five or
+## more lanes through the round kernel) and FillBytes'
+## encode-through-scratch branch on amd64, and the short suite runs as
+## 386 (x86-64 Linux executes it natively), so 32-bit int code runs
+## too — then vet the
 ## other word sizes and byte orders. arm64 and s390x are vetted only;
 ## nothing here executes them.
 portable:
 	go test -tags purego -short ./internal/core ./internal/wordbytes ./internal/bitsource .
 	GOARCH=386 go test -short ./...
 	for arch in arm64 s390x 386; do GOARCH=$$arch go vet ./... || exit 1; done
+
+## fuzz-smoke: run each SP 800-90B monitor fuzzer for 30 s past its
+## seed corpus. The window screen and the word-at-a-time check skip the
+## per-byte tests; these fuzzers hold both to them on inputs nobody
+## wrote down.
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzMonitorBlockMatchesWord$$' -fuzztime 30s ./internal/bitsource
+	go test -run '^$$' -fuzz '^FuzzMonitorWordMatchesByte$$' -fuzztime 30s ./internal/bitsource
 
 ## battery-short: the per-PR cross-stream battery — 256 streams per
 ## source under the race detector, the same invocation CI runs.
@@ -123,5 +133,5 @@ fleet-drill:
 	go test -run Chaos -race -count=3 -v ./internal/fleet
 
 ## check: everything a merge gate checks that runs offline.
-check: vet build lint test race portable
+check: vet build lint test race portable fuzz-smoke
 	test -z "$$(gofmt -l .)"

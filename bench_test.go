@@ -389,20 +389,29 @@ func BenchmarkPool(b *testing.B) {
 	})
 	// The default-config row: randd's pool as it boots (default shard
 	// count, health monitoring at its -hmin 4) filling one 64 KiB
-	// /bytes chunk — the batched kernel and the word-at-a-time health
-	// tests together.
-	pd, err := NewPool(WithSeed(1), WithHealthMonitoring(4))
-	if err != nil {
-		b.Fatal(err)
-	}
+	// /bytes chunk — the batched kernel and the window-screened health
+	// tests together — and its bare twin without the monitor, so the
+	// health tests' share of the fill is the gap between the two rows.
 	chunk := make([]byte, 64*1024)
-	b.Run("fill-bytes-64KiB-health", func(b *testing.B) {
-		b.SetBytes(int64(len(chunk)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := pd.FillBytes(chunk); err != nil {
-				b.Fatal(err)
-			}
+	for _, row := range []struct {
+		name string
+		opts []Option
+	}{
+		{"fill-bytes-64KiB", nil},
+		{"fill-bytes-64KiB-health", []Option{WithHealthMonitoring(4)}},
+	} {
+		pd, err := NewPool(append([]Option{WithSeed(1)}, row.opts...)...)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		b.Run(row.name, func(b *testing.B) {
+			b.SetBytes(int64(len(chunk)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := pd.FillBytes(chunk); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

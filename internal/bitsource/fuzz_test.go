@@ -2,11 +2,9 @@ package bitsource
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"repro/internal/baselines"
-	"repro/internal/rng"
 )
 
 // FuzzMonitorWordMatchesByte restores a monitor from arbitrary test
@@ -14,25 +12,18 @@ import (
 // monitor and the per-byte reference to marshal identically after
 // every word. Blobs RestoreMonitor rejects are skipped.
 func FuzzMonitorWordMatchesByte(f *testing.F) {
-	words := func(vs ...uint64) []byte {
-		out := make([]byte, 8*len(vs))
-		for i, v := range vs {
-			binary.LittleEndian.PutUint64(out[8*i:], v)
-		}
-		return out
-	}
 	// rct, window, aptBound, seen, count, sample, last, repeats, have, tripped, words
 	f.Add(uint8(5), uint16(512), uint16(13), uint16(8), uint16(1), byte(0x11), byte(0x22), uint8(1), true, false,
-		words(0x0123456789ABCDEF, 0x1122334455667788, 0xF0E1D2C3B4A59687))
+		wordBytes(0x0123456789ABCDEF, 0x1122334455667788, 0xF0E1D2C3B4A59687))
 	f.Add(uint8(5), uint16(512), uint16(13), uint16(0), uint16(0), byte(0), byte(0), uint8(0), false, false,
-		words(0x4242424242424242, 0x4242424242424242))
+		wordBytes(0x4242424242424242, 0x4242424242424242))
 	f.Add(uint8(3), uint16(500), uint16(40), uint16(3), uint16(39), byte(0x01), byte(0x01), uint8(2), true, false,
-		words(0x0101010001000101, 0x0100010001000100))
+		wordBytes(0x0101010001000101, 0x0100010001000100))
 	f.Add(uint8(9), uint16(13), uint16(4), uint16(7), uint16(2), byte(0xAA), byte(0x55), uint8(1), true, true,
-		words(0xAA55AA55AA55AA55, 0x55AA55AA55AA55AA))
-	f.Add(uint8(1), uint16(1), uint16(1), uint16(1), uint16(5), byte(0), byte(0), uint8(7), true, true, words(0, 1, 2))
+		wordBytes(0xAA55AA55AA55AA55, 0x55AA55AA55AA55AA))
+	f.Add(uint8(1), uint16(1), uint16(1), uint16(1), uint16(5), byte(0), byte(0), uint8(7), true, true, wordBytes(0, 1, 2))
 	f.Add(uint8(31), uint16(512), uint16(410), uint16(505), uint16(300), byte(0x03), byte(0x02), uint8(1), true, false,
-		words(0x0302010003020100, 0x0303030303030303))
+		wordBytes(0x0302010003020100, 0x0303030303030303))
 	f.Fuzz(func(t *testing.T, rct uint8, window, aptBound, seen, count uint16, sample, last byte, repeats uint8, have, tripped bool, data []byte) {
 		blob := monitorState{
 			rct: int(rct), window: int(window), aptBound: int(aptBound),
@@ -42,18 +33,7 @@ func FuzzMonitorWordMatchesByte(f *testing.F) {
 		if _, err := RestoreMonitor(baselines.NewSplitMix64(0), blob); err != nil {
 			return
 		}
-		off := 0
-		src := rng.Func(func() uint64 {
-			var b [8]byte
-			for i := range b {
-				if len(data) > 0 {
-					b[i] = data[off%len(data)]
-					off++
-				}
-			}
-			return binary.LittleEndian.Uint64(b[:])
-		})
-		word, ref, rec := monitorPair(t, blob, src)
+		word, ref, rec := monitorPair(t, blob, cycleFeed(data))
 		n := (len(data) + 7) / 8
 		if n < 4 {
 			n = 4
@@ -69,23 +49,21 @@ func FuzzMonitorWordMatchesByte(f *testing.F) {
 // other and to the per-byte reference. Blobs RestoreMonitor rejects
 // are skipped.
 func FuzzMonitorBlockMatchesWord(f *testing.F) {
-	words := func(vs ...uint64) []byte {
-		out := make([]byte, 8*len(vs))
-		for i, v := range vs {
-			binary.LittleEndian.PutUint64(out[8*i:], v)
-		}
-		return out
-	}
 	// rct, window, aptBound, seen, count, sample, last, repeats, have, tripped, block, words
 	f.Add(uint8(9), uint16(512), uint16(13), uint16(0), uint16(1), byte(0x11), byte(0x22), uint8(1), true, false, uint8(3),
-		words(0x0123456789ABCDEF, 0x1122334455667788, 0xF0E1D2C3B4A59687, 0x4242424242424242))
+		wordBytes(0x0123456789ABCDEF, 0x1122334455667788, 0xF0E1D2C3B4A59687, 0x4242424242424242))
 	f.Add(uint8(9), uint16(16), uint16(5), uint16(8), uint16(2), byte(0x42), byte(0x42), uint8(7), true, false, uint8(2),
-		words(0x4242424242424242, 0x4242000042424242, 0x4200424242424242))
+		wordBytes(0x4242424242424242, 0x4242000042424242, 0x4200424242424242))
 	f.Add(uint8(3), uint16(500), uint16(40), uint16(3), uint16(39), byte(0x01), byte(0x01), uint8(0), true, false, uint8(5),
-		words(0x0101010001000101, 0x0100010001000100))
+		wordBytes(0x0101010001000101, 0x0100010001000100))
 	f.Add(uint8(5), uint16(512), uint16(13), uint16(0), uint16(0), byte(0), byte(0), uint8(0), false, false, uint8(1),
-		words(0x4242424242424242, 0x4242424242424242))
-	f.Add(uint8(1), uint16(8), uint16(1), uint16(0), uint16(5), byte(0), byte(0), uint8(7), true, true, uint8(64), words(0, 1, 2))
+		wordBytes(0x4242424242424242, 0x4242424242424242))
+	f.Add(uint8(1), uint16(8), uint16(1), uint16(0), uint16(5), byte(0), byte(0), uint8(7), true, true, uint8(64), wordBytes(0, 1, 2))
+	for _, e := range screenEdges { // eight-word blocks
+		st := e.st
+		f.Add(uint8(st.rct), uint16(st.window), uint16(st.aptBound), uint16(st.seen), uint16(st.count), st.sample, st.last, uint8(st.repeats),
+			st.haveSample, st.tripped, uint8(7), wordBytes(e.words...))
+	}
 	f.Fuzz(func(t *testing.T, rct uint8, window, aptBound, seen, count uint16, sample, last byte, repeats uint8, have, tripped bool, block uint8, data []byte) {
 		blob := monitorState{
 			rct: int(rct), window: int(window), aptBound: int(aptBound),
@@ -95,21 +73,8 @@ func FuzzMonitorBlockMatchesWord(f *testing.F) {
 		if _, err := RestoreMonitor(baselines.NewSplitMix64(0), blob); err != nil {
 			return
 		}
-		feed := func() rng.Source {
-			off := 0
-			return rng.Func(func() uint64 {
-				var b [8]byte
-				for i := range b {
-					if len(data) > 0 {
-						b[i] = data[off%len(data)]
-						off++
-					}
-				}
-				return binary.LittleEndian.Uint64(b[:])
-			})
-		}
-		bm, ref := restoredPair(t, blob, feed())
-		wm, err := RestoreMonitor(feed(), blob)
+		bm, ref := restoredPair(t, blob, cycleFeed(data))
+		wm, err := RestoreMonitor(cycleFeed(data), blob)
 		if err != nil {
 			t.Fatal(err)
 		}

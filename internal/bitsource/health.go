@@ -37,14 +37,15 @@ func (e *HealthError) Error() string {
 // error) but Err reports the failure and Tripped is true — callers
 // must check Err at their consumption boundary.
 //
-// The tests are defined byte by byte, but the monitor checks a whole
-// feed word at once whenever it can prove the per-byte loop would
-// neither trip nor start or end a window inside the word; every other
-// word runs the per-byte loop. Trip points, failure text and
-// marshalled state are therefore exactly those of checking each byte
-// in turn. FillWords draws a block of words from the source and checks
-// it in one pass — a walker's whole bin at a time — and Uint64 is the
-// one-word case of the same check.
+// The tests are defined byte by byte. FillWords draws a block of words
+// from the source — a walker's whole bin at a time — and screens it up
+// to the end of each APT window in one pass: a segment in which no byte
+// can trip commits its end state directly. Any other segment, and the
+// one word Uint64 draws, takes the exact path: a whole feed word at
+// once whenever the monitor can prove the per-byte loop would neither
+// trip nor start or end a window inside the word, and the per-byte
+// loop for every other word. Trip points, failure text and marshalled
+// state are therefore exactly those of checking each byte in turn.
 //
 // Drawing (Uint64, FillWords) is single-consumer like every Source in
 // this repository, but Err, Tripped and Stats are safe to call from
@@ -205,7 +206,7 @@ func (m *Monitor) Stats() Stats {
 }
 
 // Uint64 draws a word and feeds its bytes, low byte first, through
-// both health tests: the one-word case of FillWords.
+// both health tests on the exact path.
 func (m *Monitor) Uint64() uint64 {
 	w := [1]uint64{m.src.Uint64()}
 	if m.checkWords(w[:]) == 0 {
@@ -215,24 +216,89 @@ func (m *Monitor) Uint64() uint64 {
 }
 
 // FillWords draws len(dst) words from the wrapped source in one block
-// (rng.FillWords) and then checks them in one pass, leaving the tests
-// exactly as len(dst) Uint64 calls would (rng.BlockSource).
+// (rng.FillWords) and then checks them, leaving the tests exactly as
+// len(dst) Uint64 calls would (rng.BlockSource).
 func (m *Monitor) FillWords(dst []uint64) {
 	rng.FillWords(m.src, dst)
 	m.check(dst)
 }
 
 // check feeds ws's bytes, word by word and low byte first, through
-// both health tests: runs of words through checkWords, and each word
-// checkWords refuses through checkBytes.
+// both health tests, a segment at a time: screen clears most segments
+// in one branch-free pass, and a segment it refuses takes the exact
+// path — runs of words through checkWords, and each word checkWords
+// refuses through checkBytes.
 func (m *Monitor) check(ws []uint64) {
 	for len(ws) > 0 {
-		ws = ws[m.checkWords(ws):]
-		if len(ws) > 0 {
-			m.checkBytes(ws[0])
-			ws = ws[1:]
+		n, ok := m.screen(ws)
+		seg := ws[:n]
+		ws = ws[n:]
+		for !ok && len(seg) > 0 {
+			seg = seg[m.checkWords(seg):]
+			if len(seg) > 0 {
+				m.checkBytes(seg[0])
+				seg = seg[1:]
+			}
 		}
 	}
+}
+
+// screen checks the segment at the start of ws — the words up to the
+// end of the current APT window, at most 64 — and returns its length
+// and whether it committed the segment's end state. It commits when no
+// byte of the segment can trip a test:
+//
+//   - RCT: no three equal bytes in a row, counting the run carried in,
+//     so every run stays at most 2, below a cutoff of 3 or more. A
+//     byte is flagged when it equals the one before it; two flagged
+//     bytes in a row, across word boundaries too, are a triple.
+//   - APT: the window's count at the end of the segment is below the
+//     cutoff. The count only grows within a window, so no byte reached
+//     the cutoff. The bytes equal to the sample are summed in byte
+//     lanes, at most 64 per lane, and the lanes added once at the end.
+//
+// One accumulator holds both: the sums in the low seven bits of each
+// byte lane, which they never overflow, and the triple flags ORed into
+// the top bits, so the loop keeps its state in registers.
+//
+// The end state is then that of the per-byte loop: the last byte, a run
+// of 1 or 2 from its flag, the window's sample (byte 0 when the segment
+// opens the window), count and position. A monitor without its first
+// sample, with a window or position not a multiple of 8, with a
+// position at the window's end (only restored state has one) or with
+// an RCT cutoff below 3 is not screened: screen returns all of ws,
+// unchecked.
+func (m *Monitor) screen(ws []uint64) (int, bool) {
+	if !m.haveSample || m.aptWindow%8 != 0 || m.aptSeen%8 != 0 || m.rctBound < 3 || m.aptSeen >= m.aptWindow {
+		return len(ws), false
+	}
+	n := min(len(ws), (m.aptWindow-m.aptSeen)/8, 64)
+	seg := ws[:n]
+	pat, count := uint64(m.aptSample)*bytesOf1, m.aptCount
+	if m.aptSeen == 0 {
+		pat, count = seg[0]&0xFF*bytesOf1, 0
+	}
+	last, prevRep := uint64(m.lastByte), uint64(0)
+	if m.repeats >= 2 {
+		prevRep = 1 << 63
+	}
+	var acc uint64
+	for _, v := range seg {
+		rep := zeroByteMask(v ^ (v<<8 | last))
+		acc = (acc + zeroByteMask(v^pat)>>7) | rep&(rep<<8|prevRep>>56)
+		last, prevRep = v>>56, rep
+	}
+	same := acc & bytesOf7F
+	same = same&0x00FF00FF00FF00FF + same>>8&0x00FF00FF00FF00FF
+	if count += int(same * 0x0001000100010001 >> 48); acc&bytesOf80 != 0 || count >= m.aptBound {
+		return n, false
+	}
+	m.lastByte, m.repeats = byte(last), 1+int(prevRep>>63)
+	m.aptSample, m.aptCount = byte(pat), count
+	if m.aptSeen += 8 * n; m.aptSeen == m.aptWindow {
+		m.aptSeen = 0 // start a new window on the next byte
+	}
+	return n, true
 }
 
 // checkBytes feeds v's bytes, low byte first, through checkByte.

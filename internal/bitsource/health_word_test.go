@@ -2,6 +2,7 @@ package bitsource
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -202,6 +203,76 @@ var restoredStates = []struct {
 	{"run-near-cutoff", monitorState{rct: 9, window: 512, aptBound: 400, seen: 8, count: 1, sample: 0x42, last: 0x42, repeats: 7, haveSample: true}},
 	{"run-zero", monitorState{rct: 3, window: 512, aptBound: 500, seen: 16, count: 1, last: 0x42, haveSample: true}},
 	{"opens-window", monitorState{rct: 9, window: 64, aptBound: 5, seen: 0, count: 4, sample: 0x01, last: 0x01, repeats: 1, haveSample: true}},
+}
+
+// screenEdges are monitor states and feeds at the edges of the window
+// screen (Monitor.screen). TestMonitorScreenEdges runs them as block
+// differential cases, and they seed FuzzMonitorBlockMatchesWord. The
+// feed cycles through words; bytes are written low byte first.
+var screenEdges = []struct {
+	name  string
+	st    monitorState
+	words []uint64
+}{
+	// Bytes 6-7 of one word and byte 0 of the next: the triple only the
+	// check across the word boundary sees, which trips an RCT of 3.
+	{"triple-across-words", monitorState{rct: 3, window: 512, aptBound: 400, seen: 8, count: 1, sample: 0x01, last: 0x10, repeats: 1, haveSample: true},
+		[]uint64{0x4242060504030201, 0x0D0C0B0A09080742, 0x1817161514131211, 0x2827262524232221}},
+	// A carried run of 2 whose byte is byte 0 of the segment.
+	{"carried-run-2", monitorState{rct: 3, window: 512, aptBound: 400, seen: 16, count: 1, sample: 0x01, last: 0x42, repeats: 2, haveSample: true},
+		[]uint64{0x0D0C0B0A09080742, 0x1817161514131211, 0x2827262524232221}},
+	// An APT count of 1 meeting four more samples in the window's last
+	// seven words, the fourth its last byte: it reaches the cutoff of 5
+	// there. The one-short case lacks one sample and stays at 4.
+	{"apt-cutoff-at-window-end", monitorState{rct: 5, window: 64, aptBound: 5, seen: 8, count: 1, sample: 0x11, last: 0x07, repeats: 1, haveSample: true},
+		[]uint64{0x2827261124232221, 0x3837363534333231, 0x4847461144434241, 0x5857565554535251, 0x6867661164636261, 0x7877767574737271, 0x1187868584838281}},
+	{"apt-one-short", monitorState{rct: 5, window: 64, aptBound: 5, seen: 8, count: 1, sample: 0x11, last: 0x07, repeats: 1, haveSample: true},
+		[]uint64{0x2827261124232221, 0x3837363534333231, 0x4847464544434241, 0x5857565554535251, 0x6867661164636261, 0x7877767574737271, 0x1187868584838281}},
+	// Positions not a multiple of 8, and cutoffs too small to screen:
+	// these take the exact path.
+	{"seen-not-multiple-of-8", monitorState{rct: 5, window: 512, aptBound: 13, seen: 3, count: 2, sample: 0x11, last: 0x11, repeats: 1, haveSample: true},
+		[]uint64{0x1111060504030201, 0x0D0C0B0A09081111, 0x1817161514131211}},
+	{"rct-2", monitorState{rct: 2, window: 512, aptBound: 13, seen: 8, count: 1, sample: 0x01, last: 0x10, repeats: 1, haveSample: true},
+		[]uint64{0x0807060504030201, 0x1817161514131211, 0x2827262524222221}},
+	{"apt-1", monitorState{rct: 5, window: 512, aptBound: 1, seen: 8, count: 0, sample: 0x11, last: 0x10, repeats: 1, haveSample: true},
+		[]uint64{0x0807060504030201, 0x1817161514131211, 0x2827262524232221}},
+}
+
+// wordBytes encodes words as a feed's bytes, low byte first.
+func wordBytes(vs ...uint64) []byte {
+	out := make([]byte, 8*len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(out[8*i:], v)
+	}
+	return out
+}
+
+// cycleFeed returns a source whose words are data's bytes, low byte
+// first, over and over; an empty data gives zero words.
+func cycleFeed(data []byte) rng.Source {
+	off := 0
+	return rng.Func(func() uint64 {
+		var b [8]byte
+		for i := range b {
+			if len(data) > 0 {
+				b[i] = data[off%len(data)]
+				off++
+			}
+		}
+		return binary.LittleEndian.Uint64(b[:])
+	})
+}
+
+func TestMonitorScreenEdges(t *testing.T) {
+	for _, e := range screenEdges {
+		for _, n := range []int{1, 2, 7, 8, 64, 65} {
+			t.Run(fmt.Sprintf("%s/n=%d", e.name, n), func(t *testing.T) {
+				data := wordBytes(e.words...)
+				block, ref := restoredPair(t, e.st.blob(t), cycleFeed(data))
+				requireBlockMatchesByte(t, block, ref, cycleFeed(data), n, 4*64)
+			})
+		}
+	}
 }
 
 // blockSizes are the FillWords lengths the block differential tests

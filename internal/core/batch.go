@@ -9,26 +9,29 @@ import "repro/internal/expander"
 // state out of registers/L1 without buying more ILP.
 const MaxBatchLanes = 16
 
-// vecMinLanes is the smallest group the AVX2 kernels walk in lockstep;
-// smaller groups walk lane by lane through chunk21. Against lane-by-lane
-// walks, step21x8 padded to eight lanes filled at 0.57× the MB/s with
-// two lanes, 0.76× with three, 0.93-0.94× with four and 1.09× with five
-// (BenchmarkFillBatch, medians of 8-12 alternated runs, 2-vCPU Xeon @
-// 2.1 GHz).
+// vecMinLanes is the smallest group the AVX2 round kernel walks in
+// lockstep, padded to sixteen lanes; smaller groups walk lane by lane
+// through chunk21. Against lane-by-lane walks, the padded kernel filled
+// at 0.46× the MB/s with two lanes, 0.64× with three, 0.79× with four,
+// 1.05× with five, 1.16× with six and 1.47× with eight
+// (BenchmarkFillBatch, medians of 6 alternated runs at -cpu 1, 2-vCPU
+// Xeon @ 2.1 GHz).
 const vecMinLanes = 5
 
 // FillBatch fills dst[i] with len(dst[i]) successive numbers from
 // ws[i]. On AVX2 hosts a group of vecMinLanes lanes or more advances in
-// lockstep, up to MaxBatchLanes independent walks per kernel step, so
-// the vector pipelines stay full instead of stalling on one walk's
-// serial x→y→x chain — the blocked-generation idiom MTGP uses on GPUs,
-// applied to a superscalar core. Other groups walk lane by lane
-// through the three-step table (chunk21).
+// lockstep, MaxBatchLanes independent walks per kernel step, so the
+// vector pipelines stay full instead of stalling on one walk's serial
+// x→y→x chain — the blocked-generation idiom MTGP uses on GPUs, applied
+// to a superscalar core. Other groups walk lane by lane through the
+// three-step table (chunk21).
 //
 // The sweep runs in rounds. Each round every lane draws one bin — the
 // feed bits of its next r numbers, drawn and health-checked in one
 // rng.BitReader.Bin call — and the walk then reads each lane's 63-bit
-// chunks and 3-bit tail fields out of the bins by funnel shift. Every
+// chunks and 3-bit tail fields out of the bins by funnel shift, every
+// lane at the same offsets: the AVX2 kernel reads all sixteen lanes'
+// bins itself, each lane its own bin the way a GPU thread does. Every
 // walker consumes its own feed bits in exactly the order the scalar
 // Next path consumes them (per number: the 63-bit chunks, then the
 // 3-bit tail steps) and never draws a feed word early, so per-walker
@@ -97,8 +100,8 @@ func fillBatchGroup(ws []*Walker, dst [][]uint64) {
 	}
 
 	lead := lanes[0]
-	bins := getBins(lead)
-	defer putBins(lead, bins)
+	g := getBins(lead)
+	defer putBins(lead, g)
 	per := walkLen * BitsPerStep
 	chunks := walkLen / stepsPerChunk
 	tail := walkLen % stepsPerChunk
@@ -112,14 +115,14 @@ func fillBatchGroup(ws []*Walker, dst [][]uint64) {
 			r = min(r, len(outs[j]))
 		}
 		for j := 0; j < n; j++ {
-			lanes[j].bits.Bin(bins[j][:], uint(r*per))
+			lanes[j].bits.Bin(g.bins[j][:], uint(r*per))
 		}
 		if haveAVX2 && n >= vecMinLanes {
-			walkBins(bins, &x, &y, &outs, n, r, chunks, tail)
+			walkBins(g, &x, &y, &outs, n, r, chunks, tail)
 		} else {
 			// Each lane walks its own bin with its state in registers.
 			for j := 0; j < n; j++ {
-				x[j], y[j] = walkBin(&bins[j], x[j], y[j], outs[j][:r], chunks, tail)
+				x[j], y[j] = walkBin(&g.bins[j], x[j], y[j], outs[j][:r], chunks, tail)
 			}
 		}
 		// Retire lanes whose dst is full by swapping the last active

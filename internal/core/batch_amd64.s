@@ -1,22 +1,26 @@
 //go:build amd64 && !purego
 
-// AVX2 lockstep walk kernel: eight Gabber–Galil walks advance one
-// 63-bit feed chunk (21 steps each) per call, with every lane held in
-// YMM registers for the duration. See batch.go for the dispatch and
-// the bit-stream-compatibility contract.
+// AVX2 round kernel: sixteen Gabber–Galil walks advance through up to
+// 32 numbers per call, reading their feed straight out of their bins,
+// with every lane's x and y held in YMM registers throughout. See
+// batch.go for the round loop and the bit-stream-compatibility
+// contract, and batch_amd64.go for the Go side.
 //
-// Layout: x and y hold the eight lanes' coordinates as packed dwords
-// (lane j = dword j); w holds the eight 63-bit feed chunks as packed
-// qwords, split across two YMM registers (lanes 0-3 / 4-7).
+// Layout: Y0/Y1 hold x of lanes 0-7 / 8-15 as packed dwords, Y2/Y3 y.
+// All lanes read their bins at the same bit offset, so one funnel
+// shift by a register count serves every lane: Y4/Y5 hold the 64 feed
+// bits at that offset for lanes 0,1,4,5 / 2,3,6,7 as packed qwords,
+// Y6/Y7 the same for lanes 8-15. VSHUFPS $0xDD gathers the qwords' top
+// dwords into lane order, ten 3-bit fields per lane, so the per-step
+// work on the feed is one shift right (the field) and one shift left
+// (the next field up).
 //
 // Neighbour selection is branchless via VPERMD used as an 8-entry
-// 32-bit table: the 3-bit neighbour index b of each lane, packed to
-// dwords, indexes the c / maskY / maskX tables in one instruction
-// each. The feed chunk is pre-shifted left once (Bits(63) leaves bit
-// 63 clear), so b is always the top three bits and a plain >>61
-// extracts it with no masking; the chunk then shifts left 3 per step,
-// consuming fields in the same MSB-first order as the scalar walk.
+// 32-bit table: the 3-bit neighbour index b of each lane indexes the
+// c / maskY / maskX tables in one instruction each, consuming fields in
+// the same MSB-first order as the scalar walk.
 
+#include "go_asm.h"
 #include "textflag.h"
 
 DATA tabC<>+0(SB)/4, $0
@@ -49,163 +53,134 @@ DATA tabX<>+24(SB)/4, $0xffffffff
 DATA tabX<>+28(SB)/4, $0
 GLOBL tabX<>(SB), RODATA|NOPTR, $32
 
-// Index vectors packing the qword-lane neighbour bits (dwords
-// 0,2,4,6 of each half) into dwords 0-3 / 4-7 of one register.
-DATA idxLo<>+0(SB)/4, $0
-DATA idxLo<>+4(SB)/4, $2
-DATA idxLo<>+8(SB)/4, $4
-DATA idxLo<>+12(SB)/4, $6
-DATA idxLo<>+16(SB)/4, $0
-DATA idxLo<>+20(SB)/4, $0
-DATA idxLo<>+24(SB)/4, $0
-DATA idxLo<>+28(SB)/4, $0
-GLOBL idxLo<>(SB), RODATA|NOPTR, $32
+// LANE(j) is the byte offset of lane j's bin in a binGroup.
+#define LANE(j) 8*(j)*const_binWords+8*(j)
 
-DATA idxHi<>+0(SB)/4, $0
-DATA idxHi<>+4(SB)/4, $0
-DATA idxHi<>+8(SB)/4, $0
-DATA idxHi<>+12(SB)/4, $0
-DATA idxHi<>+16(SB)/4, $0
-DATA idxHi<>+20(SB)/4, $2
-DATA idxHi<>+24(SB)/4, $4
-DATA idxHi<>+28(SB)/4, $6
-GLOBL idxHi<>(SB), RODATA|NOPTR, $32
+// FUNNEL4 sets dst to the 64 bin bits at the word DX points into and
+// the shift in X13 (64 minus it in X14) for lanes a, a+1, a+4, a+5: a
+// shift count of 64 clears the second word's share, so a shift of 0
+// needs no branch.
+#define FUNNEL4(a, dst) \
+	VMOVDQU     LANE(a)(DX), X10; \
+	VINSERTI128 $1, LANE(a+4)(DX), Y10, Y10; \
+	VMOVDQU     LANE(a+1)(DX), X11; \
+	VINSERTI128 $1, LANE(a+5)(DX), Y11, Y11; \
+	VPUNPCKLQDQ Y11, Y10, Y12; \
+	VPUNPCKHQDQ Y11, Y10, Y10; \
+	VPSLLQ      X13, Y12, Y12; \
+	VPSRLQ      X14, Y10, Y10; \
+	VPOR        Y10, Y12, dst
 
-// func step21x8(x *[8]uint32, y *[8]uint32, w *[8]uint64)
-TEXT ·step21x8(SB), NOSPLIT, $0-24
-	MOVQ x+0(FP), AX
-	MOVQ y+8(FP), BX
-	MOVQ w+16(FP), DX
+// STEP advances eight lanes (x, y) by one step, taking each lane's
+// neighbour index from the top three bits of its dword in d and
+// shifting the next field up: y += (2x + c) & maskY, then
+// x += (2y + c) & maskX.
+#define STEP(d, x, y) \
+	VPSRLD $29, d, Y10; \
+	VPSLLD $3, d, d; \
+	VPERMD tabC<>(SB), Y10, Y11; \
+	VPERMD tabY<>(SB), Y10, Y12; \
+	VPERMD tabX<>(SB), Y10, Y10; \
+	VPSLLD $1, x, Y13; \
+	VPADDD Y11, Y13, Y13; \
+	VPAND  Y12, Y13, Y13; \
+	VPADDD Y13, y, y; \
+	VPSLLD $1, y, Y13; \
+	VPADDD Y11, Y13, Y13; \
+	VPAND  Y10, Y13, Y13; \
+	VPADDD Y13, x, x
 
-	VMOVDQU (AX), Y0        // x lanes
-	VMOVDQU (BX), Y1        // y lanes
-	VMOVDQU (DX), Y2        // chunks, lanes 0-3
-	VMOVDQU 32(DX), Y3      // chunks, lanes 4-7
-	VPSLLQ  $1, Y2, Y2      // bit 63 is clear; field k now at bits 63-61
-	VPSLLQ  $1, Y3, Y3
+// func walkLanes(bg *binGroup, x *[16]uint32, y *[16]uint32, off uint, k int, chunks int, tail int)
+//
+// Per number: chunks segments of 21 steps, then one of tail steps,
+// each walked from the 64 bin bits at the current offset. The two
+// eight-lane halves run in one loop so their independent x→y→x chains
+// overlap in the out-of-order window; they share the temporaries Y10-Y13,
+// which renaming makes free.
+TEXT ·walkLanes(SB), NOSPLIT, $0-56
+	MOVQ bg+0(FP), SI
+	MOVQ x+8(FP), AX
+	MOVQ y+16(FP), BX
+	MOVQ off+24(FP), R8     // bit offset into every bin
+	MOVQ k+32(FP), R9       // numbers left
+	MOVQ chunks+40(FP), R10
+	MOVQ tail+48(FP), R11
+	LEAQ binGroup_out(SI), DI
 
-	VMOVDQU tabC<>(SB), Y4
-	VMOVDQU tabY<>(SB), Y5
-	VMOVDQU tabX<>(SB), Y6
-	VMOVDQU idxLo<>(SB), Y7
-	VMOVDQU idxHi<>(SB), Y8
+	VMOVDQU (AX), Y0
+	VMOVDQU 32(AX), Y1
+	VMOVDQU (BX), Y2
+	VMOVDQU 32(BX), Y3
 
-	MOVQ $21, CX
+number:
+	MOVQ R10, R12 // chunks left in this number
+
+segment:
+	MOVQ  $21, CX // steps in this segment
+	DECQ  R12
+	JGE   take
+	MOVQ  R11, CX // the chunks are done: the tail
+	TESTQ CX, CX
+	JZ    emit
+
+take:
+	MOVQ  R8, DX
+	SHRQ  $6, DX
+	LEAQ  (SI)(DX*8), DX
+	MOVQ  R8, R13
+	ANDQ  $63, R13
+	VMOVQ R13, X13
+	NEGQ  R13
+	ADDQ  $64, R13
+	VMOVQ R13, X14
+	LEAQ  (CX)(CX*2), R13
+	ADDQ  R13, R8
+	FUNNEL4(0, Y4)
+	FUNNEL4(2, Y5)
+	FUNNEL4(8, Y6)
+	FUNNEL4(10, Y7)
+
+fields:
+	// Up to ten fields per lane from the top dword of its bits.
+	VSHUFPS $0xDD, Y5, Y4, Y8
+	VSHUFPS $0xDD, Y7, Y6, Y9
+	MOVQ    $10, DX
+	CMPQ    CX, DX
+	CMOVQLT CX, DX
+	SUBQ    DX, CX
 
 step:
-	// b = top 3 bits of each lane's chunk, packed to dwords.
-	VPSRLQ   $61, Y2, Y9
-	VPSRLQ   $61, Y3, Y10
-	VPSLLQ   $3, Y2, Y2
-	VPSLLQ   $3, Y3, Y3
-	VPERMD   Y9, Y7, Y9
-	VPERMD   Y10, Y8, Y10
-	VPBLENDD $0xf0, Y10, Y9, Y9
-
-	// Table lookups: c, maskY, maskX — one VPERMD each.
-	VPERMD Y4, Y9, Y11
-	VPERMD Y5, Y9, Y12
-	VPERMD Y6, Y9, Y13
-
-	// y += (2x + c) & maskY; x += (2y + c) & maskX
-	VPSLLD $1, Y0, Y14
-	VPADDD Y11, Y14, Y14
-	VPAND  Y12, Y14, Y14
-	VPADDD Y14, Y1, Y1
-	VPSLLD $1, Y1, Y14
-	VPADDD Y11, Y14, Y14
-	VPAND  Y13, Y14, Y14
-	VPADDD Y14, Y0, Y0
-
-	DECQ CX
+	STEP(Y8, Y0, Y2)
+	STEP(Y9, Y1, Y3)
+	DECQ DX
 	JNZ  step
 
-	VMOVDQU Y0, (AX)
-	VMOVDQU Y1, (BX)
-	VZEROUPPER
-	RET
+	VPSLLQ $30, Y4, Y4
+	VPSLLQ $30, Y5, Y5
+	VPSLLQ $30, Y6, Y6
+	VPSLLQ $30, Y7, Y7
+	TESTQ  CX, CX
+	JNZ    fields
+	TESTQ  R12, R12
+	JGE    segment
 
-// func step21x16(x *[16]uint32, y *[16]uint32, w *[16]uint64)
-//
-// Sixteen lanes as two eight-wide halves advanced inside one loop
-// body. The point of fusing them (rather than calling step21x8
-// twice) is latency: one eight-lane step is a serial ~8-cycle
-// x→y→x chain, so a single half leaves the vector units mostly
-// idle; with both halves' independent chains in flight the
-// out-of-order core overlaps them and nearly doubles lane
-// throughput. Halves reuse the same temp registers — renaming
-// makes that free. Table lookups take their data operand straight
-// from RODATA to keep the register budget at sixteen YMMs.
-TEXT ·step21x16(SB), NOSPLIT, $0-24
-	MOVQ x+0(FP), AX
-	MOVQ y+8(FP), BX
-	MOVQ w+16(FP), DX
-
-	VMOVDQU (AX), Y0        // x lanes 0-7
-	VMOVDQU 32(AX), Y1      // x lanes 8-15
-	VMOVDQU (BX), Y2        // y lanes 0-7
-	VMOVDQU 32(BX), Y3      // y lanes 8-15
-	VMOVDQU (DX), Y4        // chunks, lanes 0-3
-	VMOVDQU 32(DX), Y5      // chunks, lanes 4-7
-	VMOVDQU 64(DX), Y6      // chunks, lanes 8-11
-	VMOVDQU 96(DX), Y7      // chunks, lanes 12-15
-	VPSLLQ  $1, Y4, Y4      // bit 63 is clear; field k now at bits 63-61
-	VPSLLQ  $1, Y5, Y5
-	VPSLLQ  $1, Y6, Y6
-	VPSLLQ  $1, Y7, Y7
-
-	VMOVDQU idxLo<>(SB), Y8
-	VMOVDQU idxHi<>(SB), Y9
-
-	MOVQ $21, CX
-
-step16:
-	// Half A (lanes 0-7): b packed to dwords, table lookups, update.
-	VPSRLQ   $61, Y4, Y10
-	VPSRLQ   $61, Y5, Y11
-	VPSLLQ   $3, Y4, Y4
-	VPSLLQ   $3, Y5, Y5
-	VPERMD   Y10, Y8, Y10
-	VPERMD   Y11, Y9, Y11
-	VPBLENDD $0xf0, Y11, Y10, Y10
-
-	VPERMD tabC<>(SB), Y10, Y11
-	VPERMD tabY<>(SB), Y10, Y12
-	VPERMD tabX<>(SB), Y10, Y10
-
-	VPSLLD $1, Y0, Y13
-	VPADDD Y11, Y13, Y13
-	VPAND  Y12, Y13, Y13
-	VPADDD Y13, Y2, Y2
-	VPSLLD $1, Y2, Y13
-	VPADDD Y11, Y13, Y13
-	VPAND  Y10, Y13, Y13
-	VPADDD Y13, Y0, Y0
-
-	// Half B (lanes 8-15): same dance, independent dependency chain.
-	VPSRLQ   $61, Y6, Y10
-	VPSRLQ   $61, Y7, Y11
-	VPSLLQ   $3, Y6, Y6
-	VPSLLQ   $3, Y7, Y7
-	VPERMD   Y10, Y8, Y10
-	VPERMD   Y11, Y9, Y11
-	VPBLENDD $0xf0, Y11, Y10, Y10
-
-	VPERMD tabC<>(SB), Y10, Y11
-	VPERMD tabY<>(SB), Y10, Y12
-	VPERMD tabX<>(SB), Y10, Y10
-
-	VPSLLD $1, Y1, Y13
-	VPADDD Y11, Y13, Y13
-	VPAND  Y12, Y13, Y13
-	VPADDD Y13, Y3, Y3
-	VPSLLD $1, Y3, Y13
-	VPADDD Y11, Y13, Y13
-	VPAND  Y10, Y13, Y13
-	VPADDD Y13, Y1, Y1
-
-	DECQ CX
-	JNZ  step16
+emit:
+	// Row i of the block: x<<32 | y for lanes 0-15 in order.
+	VPUNPCKLDQ Y0, Y2, Y10           // lanes 0,1 | 4,5
+	VPUNPCKHDQ Y0, Y2, Y11           // lanes 2,3 | 6,7
+	VPERM2I128 $0x20, Y11, Y10, Y12
+	VPERM2I128 $0x31, Y11, Y10, Y13
+	VMOVDQU    Y12, (DI)
+	VMOVDQU    Y13, 32(DI)
+	VPUNPCKLDQ Y1, Y3, Y10
+	VPUNPCKHDQ Y1, Y3, Y11
+	VPERM2I128 $0x20, Y11, Y10, Y12
+	VPERM2I128 $0x31, Y11, Y10, Y13
+	VMOVDQU    Y12, 64(DI)
+	VMOVDQU    Y13, 96(DI)
+	ADDQ       $(const_MaxBatchLanes*8), DI
+	DECQ       R9
+	JNZ        number
 
 	VMOVDQU Y0, (AX)
 	VMOVDQU Y1, 32(AX)

@@ -62,33 +62,39 @@ func TestFillBatchMatchesScalar(t *testing.T) {
 
 // TestFillBatchWalkLengths sweeps walk lengths around the 21-step
 // chunk boundary — the chunked/tail split is where a feed-order bug
-// would hide.
+// would hide — at five lanes and at the full sixteen, whose 100
+// numbers per lane take rounds of more than one kernel call at short
+// walk lengths.
 func TestFillBatchWalkLengths(t *testing.T) {
 	for _, l := range []int{1, 3, 20, 21, 22, 42, 63, 64, 65, 127} {
-		t.Run(fmt.Sprintf("l=%d", l), func(t *testing.T) {
-			const width, words = 5, 9
-			batched := make([]*Walker, width)
-			dst := make([][]uint64, width)
-			for i := range batched {
-				var err error
-				if batched[i], err = NewWalker(newBits(uint64(50+i)), Config{WalkLen: l}); err != nil {
-					t.Fatal(err)
-				}
-				dst[i] = make([]uint64, words)
-			}
-			FillBatch(batched, dst)
-			for i := 0; i < width; i++ {
-				ref, err := NewWalker(newBits(uint64(50+i)), Config{WalkLen: l})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := 0; k < words; k++ {
-					if want := ref.Next(); dst[i][k] != want {
-						t.Fatalf("lane %d word %d: %#x != %#x", i, k, dst[i][k], want)
-					}
-				}
-			}
+		t.Run(fmt.Sprintf("l=%d", l), func(t *testing.T) { testFillBatchWalkLength(t, 5, 9, l) })
+		t.Run(fmt.Sprintf("lanes=%d/l=%d", MaxBatchLanes, l), func(t *testing.T) {
+			testFillBatchWalkLength(t, MaxBatchLanes, 100, l)
 		})
+	}
+}
+
+func testFillBatchWalkLength(t *testing.T, width, words, l int) {
+	batched := make([]*Walker, width)
+	dst := make([][]uint64, width)
+	for i := range batched {
+		var err error
+		if batched[i], err = NewWalker(newBits(uint64(50+i)), Config{WalkLen: l}); err != nil {
+			t.Fatal(err)
+		}
+		dst[i] = make([]uint64, words)
+	}
+	FillBatch(batched, dst)
+	for i := 0; i < width; i++ {
+		ref, err := NewWalker(newBits(uint64(50+i)), Config{WalkLen: l})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < words; k++ {
+			if want := ref.Next(); dst[i][k] != want {
+				t.Fatalf("lane %d word %d: %#x != %#x", i, k, dst[i][k], want)
+			}
+		}
 	}
 }
 
@@ -308,9 +314,10 @@ func TestPoolFillMatchesScalarLayout(t *testing.T) {
 }
 
 // BenchmarkFillBatch sweeps 256 numbers per lane. MB/s over lanes=1,
-// which runs the scalar path, is what a bin-fed lockstep lane gains.
+// which runs the scalar path, is what a bin-fed lockstep lane gains;
+// lanes=5 and lanes=6 sit either side of vecMinLanes.
 func BenchmarkFillBatch(b *testing.B) {
-	for _, width := range []int{1, 2, 3, 4, 8, 16} {
+	for _, width := range []int{1, 2, 3, 4, 5, 6, 8, 16} {
 		b.Run(fmt.Sprintf("lanes=%d", width), func(b *testing.B) {
 			ws := make([]*Walker, width)
 			dst := make([][]uint64, width)

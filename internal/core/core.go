@@ -72,8 +72,14 @@ const (
 // the word after the one an offset falls in.
 type bin [binWords + 1]uint64
 
-// binGroup holds the bins of one lockstep group, one per lane.
-type binGroup [MaxBatchLanes]bin
+// binGroup holds the bins of one lockstep group, one per lane, and the
+// block the AVX2 round kernel writes its outputs to: one row per
+// number, one column per lane, 32 numbers (one bin at walk length 64)
+// per kernel call.
+type binGroup struct {
+	bins [MaxBatchLanes]bin
+	out  [32][MaxBatchLanes]uint64
+}
 
 // binFree keeps the bin groups of finished fills for the next ones, in
 // as many stripes as GOMAXPROCS at start-up, rounded up to a power of
@@ -81,7 +87,7 @@ type binGroup [MaxBatchLanes]bin
 // stripe, and walkers are dealt to stripes in turn as they are built,
 // so fills on different pool shards rarely share a lock. A stripe
 // keeps every group returned to it, so once fills have run no fill
-// allocates, however many run at once; it holds as many 12 KiB groups
+// allocates, however many run at once; it holds as many 16 KiB groups
 // as fills ever ran on it together.
 //
 // Bins cannot live on the stack: Bin hands them to the feed through an
@@ -316,7 +322,7 @@ var step3 = func() (t [512]affine) {
 // chunk21 advances one walk through a 63-bit feed chunk: 21 steps, the
 // chunk's top 3-bit field first, as seven step3 maps of four multiplies
 // each. It walks Next, Skip, Algorithm 1 and every lane outside an AVX2
-// lockstep group (walkBins); three calls took 74-95 ns, against 236-282
+// lockstep group (walkLanes); three calls took 74-95 ns, against 236-282
 // ns as 21 dependent stepXY calls each (2-vCPU Xeon @ 2.1 GHz).
 func chunk21(x, y uint32, word uint64) (uint32, uint32) {
 	for k := chunkBits - 3*BitsPerStep; k >= 0; k -= 3 * BitsPerStep {
