@@ -19,7 +19,7 @@ func FuzzUnmarshalBinaryNeverPanics(f *testing.F) {
 	monBlob, _ := gm.MarshalBinary()
 	f.Add(monBlob)
 	gt, _ := New(WithSeed(3), WithHealthMonitoring(4))
-	gt.health.ForceTrip("fuzz seed")
+	monitor(gt.w).ForceTrip("fuzz seed")
 	tripBlob, _ := gt.MarshalBinary()
 	f.Add(tripBlob)
 	f.Add([]byte{})

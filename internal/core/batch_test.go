@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/expander"
-	"repro/internal/rng"
 )
 
 // TestFillBatchMatchesScalar pins the batched kernel bitwise against
@@ -233,7 +232,7 @@ func TestFillBatchRestoreMidBatch(t *testing.T) {
 }
 
 // TestFillBatchConcurrentGroups stresses concurrent batched fills of
-// disjoint walker sets (the shape Pool.Fill and the serving pool's
+// disjoint walker sets (the shape FillSplit and the serving pool's
 // gang refill produce) under -race.
 func TestFillBatchConcurrentGroups(t *testing.T) {
 	const groups, width, words = 8, 6, 512
@@ -266,23 +265,20 @@ func TestFillBatchConcurrentGroups(t *testing.T) {
 	}
 }
 
-// TestPoolFillMatchesScalarLayout re-pins Pool.Fill now that it
-// routes through FillBatch: the segment layout (chunk = ⌈len/n⌉,
-// walker i owns segment i) and every word must equal what the old
-// one-goroutine-per-walker scalar path produced.
+// TestPoolFillMatchesScalarLayout pins FillSplit, which routes
+// through FillBatch: the segment layout (chunk = ⌈len/n⌉, walker i
+// owns segment i) and every word must equal what a one-goroutine-per-
+// walker scalar fill produces.
 func TestPoolFillMatchesScalarLayout(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 16, 17, 33} {
 		for _, total := range []int{1, n - 1, n, n + 1, 4*n + 3, 257} {
 			if total < 1 {
 				continue
 			}
-			mk := func(i int) *rng.BitReader { return newBits(uint64(4000 + i)) }
-			p, err := NewPool(n, Config{}, mk)
-			if err != nil {
-				t.Fatal(err)
-			}
+			seed := func(i int) uint64 { return uint64(4000 + i) }
+			ws := newWalkers(t, n, seed)
 			dst := make([]uint64, total)
-			p.Fill(dst)
+			FillSplit(ws, dst)
 
 			want := make([]uint64, total)
 			chunk := (total + n - 1) / n
@@ -295,7 +291,7 @@ func TestPoolFillMatchesScalarLayout(t *testing.T) {
 				if hi > total {
 					hi = total
 				}
-				ref, err := NewWalker(mk(i), Config{})
+				ref, err := NewWalker(newBits(seed(i)), Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -306,7 +302,7 @@ func TestPoolFillMatchesScalarLayout(t *testing.T) {
 					t.Fatalf("n=%d total=%d word %d: %#x != %#x", n, total, k, dst[k], want[k])
 				}
 			}
-			if g := p.Generated(); g != uint64(total) {
+			if g := generated(ws); g != uint64(total) {
 				t.Fatalf("n=%d total=%d Generated = %d", n, total, g)
 			}
 		}

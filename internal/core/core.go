@@ -11,8 +11,8 @@
 // reached.
 //
 // Walkers are deliberately unsynchronised: the paper's thread safety
-// comes from each GPU thread owning an independent walk. Pool
-// provides the matching many-walker construct.
+// comes from each GPU thread owning an independent walk. FillSplit
+// fills one slice from many walkers.
 package core
 
 import (
@@ -411,101 +411,42 @@ func (w *Walker) Skip(n uint64) {
 	}
 }
 
-// Pool is a set of independent walkers, one per worker — the
-// software image of the paper's "each GPU thread performs its own
-// walk". Generation across distinct walkers is embarrassingly
-// parallel and lock-free.
-type Pool struct {
-	walkers []*Walker
-}
-
-// NewPool builds n walkers. Each walker receives its own BitReader
-// from newBits (called n times with the worker index), so streams
-// are independent and the pool is race-free by construction.
-func NewPool(n int, cfg Config, newBits func(worker int) *rng.BitReader) (*Pool, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("core: pool size %d < 1", n)
-	}
-	if newBits == nil {
-		return nil, fmt.Errorf("core: nil bit-source factory")
-	}
-	p := &Pool{walkers: make([]*Walker, n)}
-	for i := range p.walkers {
-		w, err := NewWalker(newBits(i), cfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: walker %d: %w", i, err)
-		}
-		p.walkers[i] = w
-	}
-	return p, nil
-}
-
-// PoolFromWalkers wraps already-constructed walkers (typically
-// restored from a checkpoint; see hybridprng.Parallel) into a Pool
-// without running Algorithm 1 again.
-func PoolFromWalkers(ws []*Walker) (*Pool, error) {
-	if len(ws) < 1 {
-		return nil, fmt.Errorf("core: pool size %d < 1", len(ws))
-	}
-	for i, w := range ws {
-		if w == nil {
-			return nil, fmt.Errorf("core: nil walker %d", i)
-		}
-	}
-	return &Pool{walkers: ws}, nil
-}
-
-// Size returns the number of walkers.
-func (p *Pool) Size() int { return len(p.walkers) }
-
-// Walker returns the i-th walker; callers own its goroutine
-// affinity.
-func (p *Pool) Walker(i int) *Walker { return p.walkers[i] }
-
-// Fill splits dst into contiguous shards and fills each from its own
-// walker through the batched lockstep kernel (FillBatch). The
-// numbers each walker contributes are deterministic given its feed
-// stream; the shard layout is deterministic too, so Fill is
-// reproducible — and identical to what the old one-goroutine-per-
-// walker scalar path produced.
+// FillSplit splits dst into contiguous segments of ⌈len(dst)/len(ws)⌉
+// numbers, walker i filling segment i, and fills them through the
+// batched lockstep kernel (FillBatch) — the software image of the
+// paper's "each GPU thread performs its own walk". Each segment holds
+// exactly what ws[i].Fill would write there, so the fill is
+// reproducible and identical to a one-goroutine-per-walker scalar
+// fill. ws must be non-empty, its walkers distinct, and none of them
+// used elsewhere during the call.
 //
 // Scheduling: the walkers are partitioned into lockstep groups of up
 // to MaxBatchLanes lanes; groups run on their own goroutines only
 // when spare cores exist, so a single-core host gets one pipelined
 // sweep with no scheduling overhead while a many-core host still
 // saturates every core.
-func (p *Pool) Fill(dst []uint64) {
-	n := len(p.walkers)
+func FillSplit(ws []*Walker, dst []uint64) {
+	n := len(ws)
 	if len(dst) == 0 {
 		return
 	}
 	if n == 1 {
-		p.walkers[0].Fill(dst)
+		ws[0].Fill(dst)
 		return
 	}
-	// Contiguous per-walker segments, same layout as always.
 	var segArr [MaxBatchLanes][]uint64
 	segs := segArr[:0]
 	if n > MaxBatchLanes {
 		segs = make([][]uint64, 0, n)
 	}
-	chunk := (len(dst) + n - 1) / n
-	used := 0
-	for i := 0; i < n; i++ {
-		lo := i * chunk
-		if lo >= len(dst) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(dst) {
-			hi = len(dst)
-		}
-		segs = append(segs, dst[lo:hi])
-		used++
+	chunk := (len(dst) + n - 1) / n // n·chunk ≥ len(dst): at most n segments
+	for lo := 0; lo < len(dst); lo += chunk {
+		segs = append(segs, dst[lo:min(lo+chunk, len(dst))])
 	}
+	used := len(segs)
 	groups := fillGroups(used)
 	if groups == 1 {
-		FillBatch(p.walkers[:used], segs)
+		FillBatch(ws[:used], segs)
 		return
 	}
 	per := (used + groups - 1) / groups
@@ -519,7 +460,7 @@ func (p *Pool) Fill(dst []uint64) {
 		go func(ws []*Walker, ds [][]uint64) {
 			defer wg.Done()
 			FillBatch(ws, ds)
-		}(p.walkers[g:hi], segs[g:hi])
+		}(ws[g:hi], segs[g:hi])
 	}
 	wg.Wait()
 }
@@ -537,13 +478,4 @@ func fillGroups(lanes int) int {
 		g = min
 	}
 	return g
-}
-
-// Generated sums the per-walker output counts.
-func (p *Pool) Generated() uint64 {
-	var total uint64
-	for _, w := range p.walkers {
-		total += w.count
-	}
-	return total
 }

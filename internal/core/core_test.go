@@ -156,65 +156,60 @@ func TestWalkerUint64IsNext(t *testing.T) {
 	}
 }
 
-func TestPoolValidation(t *testing.T) {
-	if _, err := NewPool(0, Config{}, func(int) *rng.BitReader { return newBits(0) }); err == nil {
-		t.Error("zero-size pool should fail")
+// newWalkers builds n walkers, walker i fed by newBits(seed(i)).
+func newWalkers(t *testing.T, n int, seed func(i int) uint64) []*Walker {
+	t.Helper()
+	ws := make([]*Walker, n)
+	for i := range ws {
+		w, err := NewWalker(newBits(seed(i)), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws[i] = w
 	}
-	if _, err := NewPool(2, Config{}, nil); err == nil {
-		t.Error("nil factory should fail")
+	return ws
+}
+
+func generated(ws []*Walker) uint64 {
+	var total uint64
+	for _, w := range ws {
+		total += w.Generated()
 	}
+	return total
 }
 
 func TestPoolFillDeterministicAndParallel(t *testing.T) {
-	mk := func() (*Pool, error) {
-		return NewPool(4, Config{}, func(i int) *rng.BitReader {
-			return newBits(uint64(1000 + i))
-		})
-	}
-	p1, err := mk()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := mk()
-	if err != nil {
-		t.Fatal(err)
-	}
+	seed := func(i int) uint64 { return uint64(1000 + i) }
+	w1, w2 := newWalkers(t, 4, seed), newWalkers(t, 4, seed)
 	a := make([]uint64, 1003) // deliberately not divisible by 4
 	b := make([]uint64, 1003)
-	p1.Fill(a)
-	p2.Fill(b)
+	FillSplit(w1, a)
+	FillSplit(w2, b)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("pool fill not reproducible at %d", i)
+			t.Fatalf("split fill not reproducible at %d", i)
 		}
 	}
-	if p1.Size() != 4 {
-		t.Errorf("Size = %d", p1.Size())
-	}
-	if p1.Generated() != 1003 {
-		t.Errorf("Generated = %d, want 1003", p1.Generated())
-	}
-	if p1.Walker(0) == nil || p1.Walker(3) == nil {
-		t.Error("walker accessor broken")
+	if g := generated(w1); g != 1003 {
+		t.Errorf("Generated = %d, want 1003", g)
 	}
 }
 
 func TestPoolFillEmptyAndSingle(t *testing.T) {
-	p, _ := NewPool(1, Config{}, func(i int) *rng.BitReader { return newBits(uint64(i)) })
-	p.Fill(nil) // must not panic
+	ws := newWalkers(t, 1, func(i int) uint64 { return uint64(i) })
+	FillSplit(ws, nil) // must not panic
 	buf := make([]uint64, 3)
-	p.Fill(buf)
+	FillSplit(ws, buf)
 	if buf[0] == 0 && buf[1] == 0 && buf[2] == 0 {
 		t.Error("single-walker fill produced all zeros")
 	}
 }
 
 func TestPoolWalkersIndependent(t *testing.T) {
-	p, _ := NewPool(3, Config{}, func(i int) *rng.BitReader { return newBits(uint64(i) * 7) })
-	a := p.Walker(0).Next()
-	b := p.Walker(1).Next()
-	c := p.Walker(2).Next()
-	if a == b || b == c || a == c {
+	ws := newWalkers(t, 3, func(i int) uint64 { return uint64(i) * 7 })
+	var v [3]uint64 // one number per walker
+	FillSplit(ws, v[:])
+	if v[0] == v[1] || v[1] == v[2] || v[0] == v[2] {
 		t.Error("walkers with distinct feeds should produce distinct values")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/bitsource"
 	"repro/internal/core"
-	"repro/internal/rng"
 )
 
 // CPUReport summarises a real (wall-clock) CPU-backend run — the
@@ -61,15 +60,17 @@ func GenerateCPU(n int, workers int, cfg core.Config, seed uint64) (CPUReport, [
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pool, err := core.NewPool(workers, cfg, func(i int) *rng.BitReader {
-		return bitsource.Glibc(uint32(baselines.Mix64(seed + uint64(i))))
-	})
-	if err != nil {
-		return CPUReport{}, nil, err
+	ws := make([]*core.Walker, workers)
+	for i := range ws {
+		w, err := core.NewWalker(bitsource.Glibc(uint32(baselines.Mix64(seed+uint64(i)))), cfg)
+		if err != nil {
+			return CPUReport{}, nil, err
+		}
+		ws[i] = w
 	}
 	dst := make([]uint64, n)
 	startT := time.Now() //lint:wallclock benchmark wall-clock timing is the measurement itself
-	pool.Fill(dst)
+	core.FillSplit(ws, dst)
 	wall := time.Since(startT) //lint:wallclock benchmark wall-clock timing is the measurement itself
 	return CPUReport{
 		Generator:   "hybrid-prng (cpu)",

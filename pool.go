@@ -24,13 +24,14 @@ import (
 // may call Uint64 or Fill at any time, which is the paper's
 // "on-demand" property pushed up to a service boundary.
 //
-// Internally each shard owns one walker, one feed stream, an
-// optional SP 800-90B health monitor and a small ring buffer of
-// pre-generated words. A draw picks a shard by advancing an atomic
-// ticket and masking (shard counts are powers of two), takes the
-// shard's lock, and serves from the ring; the ring is refilled a
-// batch at a time so the lock and the health check amortise over
-// ShardBuffer draws. Distinct shards never contend with each other.
+// Internally each shard owns one walker, whose bit reader holds the
+// shard's feed stream and, with WithHealthMonitoring, its SP 800-90B
+// health monitor, plus a small ring buffer of pre-generated words. A
+// draw picks a shard by advancing an atomic ticket and masking (shard
+// counts are powers of two), takes the shard's lock, and serves from
+// the ring; the ring is refilled a batch at a time so the lock and the
+// health check amortise over ShardBuffer draws. Distinct shards never
+// contend with each other.
 //
 // # Self-healing
 //
@@ -247,8 +248,7 @@ type Pool struct {
 // would then serve different words.
 type poolShard struct {
 	mu    sync.Mutex
-	w     *core.Walker
-	mon   *bitsource.Monitor // nil unless WithHealthMonitoring
+	w     *core.Walker // its bit reader holds the health monitor, if any
 	buf   []uint64
 	idx   atomic.Int64 // next unread index in buf; len(buf) = empty
 	err   atomic.Pointer[bitsource.HealthError]
@@ -299,16 +299,12 @@ func NewPool(opts ...Option) (*Pool, error) {
 		p.now = time.Now //lint:wallclock default when WithClock was not used; the injection point IS WithClock
 	}
 	for i := range p.shards {
-		br, mon, err := c.bits(i)
-		if err != nil {
-			return nil, err
-		}
-		w, err := core.NewWalker(br, c.coreConfig())
+		w, err := c.walker(i)
 		if err != nil {
 			return nil, fmt.Errorf("hybridprng: pool shard %d: %w", i, err)
 		}
 		s := &poolShard{
-			w: w, mon: mon, buf: make([]uint64, bufWords),
+			w: w, buf: make([]uint64, bufWords),
 			pool: p, index: i,
 			reseedBase: reseedBase(c.seed, i),
 			wrap:       c.feedWrap,
@@ -383,13 +379,14 @@ func (s *poolShard) retireLocked(e *bitsource.HealthError) {
 // monTripped reports (and latches) a monitor failure after a refill.
 // Must be called with s.mu held.
 func (s *poolShard) monTripped() bool {
-	if s.mon == nil || !s.mon.Tripped() {
+	mon := monitor(s.w)
+	if mon == nil || !mon.Tripped() {
 		return false
 	}
-	if he, ok := s.mon.Err().(*bitsource.HealthError); ok {
+	if he, ok := mon.Err().(*bitsource.HealthError); ok {
 		s.tripLocked(he)
 	} else {
-		s.tripLocked(&bitsource.HealthError{Test: "monitor", Detail: s.mon.Err().Error()})
+		s.tripLocked(&bitsource.HealthError{Test: "monitor", Detail: mon.Err().Error()})
 	}
 	return true
 }
@@ -421,15 +418,16 @@ func (s *poolShard) advance() {
 }
 
 // reseedLocked rebuilds the shard's generator stack from a fresh,
-// deterministically derived feed seed — new feed, re-armed monitor
-// (same calibration, clean counters) and the full Algorithm 1
-// initialisation walk — and moves the shard to probation. Must be
-// called with s.mu held.
+// deterministically derived feed seed — new feed, the old walker's
+// monitor re-armed over it (same calibration, clean counters) and the
+// full Algorithm 1 initialisation walk — and moves the shard to
+// probation. Must be called with s.mu held.
 func (s *poolShard) reseedLocked() {
 	seed := baselines.Mix64(s.reseedBase + uint64(s.trips.Load())*0x9E3779B97F4A7C15)
+	old := monitor(s.w)
 	base := s.w.Bits().Source()
-	if s.mon != nil {
-		base = s.mon.Source()
+	if old != nil {
+		base = old.Source()
 	}
 	// Peel fault-injection wrappers (chaos) down to the typed feed.
 	for {
@@ -449,21 +447,18 @@ func (s *poolShard) reseedLocked() {
 			fresh = wrapped
 		}
 	}
-	var reader rng.Source = fresh
-	var mon *bitsource.Monitor
-	if s.mon != nil {
-		if mon, err = s.mon.Rearm(fresh); err != nil {
+	if old != nil {
+		if fresh, err = old.Rearm(fresh); err != nil {
 			s.retireLocked(&bitsource.HealthError{Test: "reseed", Detail: err.Error()})
 			return
 		}
-		reader = mon
 	}
-	w, err := core.NewWalker(rng.NewBitReader(reader), s.w.Config())
+	w, err := core.NewWalker(rng.NewBitReader(fresh), s.w.Config())
 	if err != nil {
 		s.retireLocked(&bitsource.HealthError{Test: "reseed", Detail: err.Error()})
 		return
 	}
-	s.w, s.mon = w, mon
+	s.w = w
 	s.probLeft = s.pool.policy.ProbationWords
 	s.state.Store(uint32(shardProbation))
 	// Algorithm 1's initialisation walk already pulled feed bits
@@ -1049,8 +1044,8 @@ func (p *Pool) InjectFault(i int) error {
 	}
 	s := p.shards[i]
 	s.mu.Lock()
-	if s.mon != nil { // a reseed swaps s.mon under s.mu
-		s.mon.ForceTrip("fault injection")
+	if mon := monitor(s.w); mon != nil { // a reseed swaps s.w under s.mu
+		mon.ForceTrip("fault injection")
 		s.monTripped()
 	} else {
 		s.tripLocked(&bitsource.HealthError{Test: "forced", Detail: "fault injection"})

@@ -62,7 +62,6 @@ type config struct {
 	shards      int     // 0 = auto (NewPool only)
 	shardBuffer int     // 0 = default (NewPool only)
 	recovery    RecoveryPolicy
-	recoverySet bool
 	now         func() time.Time                 // nil = time.Now (NewPool only)
 	feedWrap    func(int, rng.Source) rng.Source // nil = identity
 }
@@ -185,7 +184,6 @@ func WithRecovery(p RecoveryPolicy) Option {
 			return err
 		}
 		c.recovery = p
-		c.recoverySet = true
 		return nil
 	}
 }
@@ -246,34 +244,38 @@ func (c config) feedSource(worker int) rng.Source {
 	}
 }
 
-// bits builds the worker's feed-bit reader, optionally behind a
-// health monitor (returned non-nil only when monitoring is on).
-func (c config) bits(worker int) (*rng.BitReader, *bitsource.Monitor, error) {
+// walker builds worker's walker: its feed, the chaos wrapper if any,
+// the SP 800-90B monitor when monitoring is on, the bit reader over
+// them, then Algorithm 1. The monitor lives only inside the reader;
+// monitor finds it there.
+func (c config) walker(worker int) (*core.Walker, error) {
 	src := c.feedSource(worker)
 	if c.feedWrap != nil {
 		if src = c.feedWrap(worker, src); src == nil {
-			return nil, nil, fmt.Errorf("hybridprng: feed wrapper returned nil for worker %d", worker)
+			return nil, fmt.Errorf("hybridprng: feed wrapper returned nil for worker %d", worker)
 		}
 	}
 	if c.healthHMin > 0 {
 		mon, err := bitsource.NewMonitor(src, c.healthHMin)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return rng.NewBitReader(mon), mon, nil
+		src = mon
 	}
-	return rng.NewBitReader(src), nil, nil
+	return core.NewWalker(rng.NewBitReader(src), core.Config{WalkLen: c.walkLen, InitWalkLen: c.initWalkLen})
 }
 
-func (c config) coreConfig() core.Config {
-	return core.Config{WalkLen: c.walkLen, InitWalkLen: c.initWalkLen}
+// monitor returns the SP 800-90B monitor w's bit reader draws
+// through, or nil when w was built without WithHealthMonitoring.
+func monitor(w *core.Walker) *bitsource.Monitor {
+	mon, _ := w.Bits().Source().(*bitsource.Monitor)
+	return mon
 }
 
 // Generator is one independent expander walk. Not safe for
 // concurrent use; see Parallel or Shared.
 type Generator struct {
-	w      *core.Walker
-	health *bitsource.Monitor // nil unless WithHealthMonitoring
+	w *core.Walker
 }
 
 // New creates a Generator and runs the paper's InitializeGenerator
@@ -284,24 +286,20 @@ func New(opts ...Option) (*Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	bits, mon, err := c.bits(0)
+	w, err := c.walker(0)
 	if err != nil {
 		return nil, err
 	}
-	w, err := core.NewWalker(bits, c.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &Generator{w: w, health: mon}, nil
+	return &Generator{w: w}, nil
 }
 
 // HealthErr returns the first feed health-test failure, or nil.
 // Always nil when WithHealthMonitoring was not requested.
 func (g *Generator) HealthErr() error {
-	if g.health == nil {
-		return nil
+	if mon := monitor(g.w); mon != nil {
+		return mon.Err()
 	}
-	return g.health.Err()
+	return nil
 }
 
 // Uint64 returns the next random value — the paper's GetNextRand
@@ -429,11 +427,7 @@ func (s *Shared) Float64() float64 {
 // batches across workers; Worker hands a private generator to each
 // goroutine.
 type Parallel struct {
-	pool *core.Pool
-	// monitors is indexed by worker (nil entries when monitoring is
-	// off), so Worker(i) can hand out a generator that reports its
-	// own feed's health.
-	monitors []*bitsource.Monitor
+	walkers []*core.Walker
 }
 
 // NewParallel creates a pool of `workers` independent generators
@@ -446,37 +440,20 @@ func NewParallel(workers int, opts ...Option) (*Parallel, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("hybridprng: pool size %d < 1", workers)
 	}
-	monitors := make([]*bitsource.Monitor, workers)
-	var bitsErr error
-	pool, err := core.NewPool(workers, c.coreConfig(), func(i int) *rng.BitReader {
-		br, mon, err := c.bits(i)
-		if err != nil {
-			// Unreachable in practice (options are validated before
-			// this point); keep the pool constructor total and
-			// surface the error after it returns.
-			bitsErr = err
-			return rng.NewBitReader(c.feedSource(i))
+	p := &Parallel{walkers: make([]*core.Walker, workers)}
+	for i := range p.walkers {
+		if p.walkers[i], err = c.walker(i); err != nil {
+			return nil, err
 		}
-		monitors[i] = mon
-		return br
-	})
-	if err != nil {
-		return nil, err
 	}
-	if bitsErr != nil {
-		return nil, bitsErr
-	}
-	return &Parallel{pool: pool, monitors: monitors}, nil
+	return p, nil
 }
 
 // HealthErr returns the first health failure across the pool's
 // workers, or nil.
 func (p *Parallel) HealthErr() error {
-	for _, m := range p.monitors {
-		if m == nil {
-			continue
-		}
-		if err := m.Err(); err != nil {
+	for i := range p.walkers {
+		if err := p.Worker(i).HealthErr(); err != nil {
 			return err
 		}
 	}
@@ -484,19 +461,22 @@ func (p *Parallel) HealthErr() error {
 }
 
 // Workers returns the pool size.
-func (p *Parallel) Workers() int { return p.pool.Size() }
+func (p *Parallel) Workers() int { return len(p.walkers) }
 
 // Worker returns worker i's private generator; hand each goroutine
-// its own. The generator carries worker i's health monitor, so its
-// HealthErr reflects that worker's feed (not always nil, as it did
-// before the monitor was threaded through).
-func (p *Parallel) Worker(i int) *Generator {
-	return &Generator{w: p.pool.Walker(i), health: p.monitors[i]}
-}
+// its own. The generator's HealthErr reports worker i's own feed
+// monitor.
+func (p *Parallel) Worker(i int) *Generator { return &Generator{w: p.walkers[i]} }
 
 // Fill writes len(dst) values, sharded across the workers
 // concurrently; the result is deterministic for a fixed seed.
-func (p *Parallel) Fill(dst []uint64) { p.pool.Fill(dst) }
+func (p *Parallel) Fill(dst []uint64) { core.FillSplit(p.walkers, dst) }
 
 // Generated sums the numbers produced across all workers.
-func (p *Parallel) Generated() uint64 { return p.pool.Generated() }
+func (p *Parallel) Generated() uint64 {
+	var total uint64
+	for _, w := range p.walkers {
+		total += w.Generated()
+	}
+	return total
+}

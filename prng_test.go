@@ -304,7 +304,7 @@ func TestHealthMonitoringOption(t *testing.T) {
 	if err := restored.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	if restored.health == nil {
+	if monitor(restored.w) == nil {
 		t.Error("restored generator lost its health monitor")
 	}
 	for i := 0; i < 100; i++ {

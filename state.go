@@ -137,17 +137,16 @@ func marshalWalker(w *core.Walker) ([]byte, error) {
 }
 
 // unmarshalWalker decodes a blob written by marshalWalker (or by the
-// v1 encoder). The returned monitor is nil when the blob carries
-// none; otherwise it is already wired between the feed and the
-// returned walker's bit reader.
-func unmarshalWalker(data []byte) (*core.Walker, *bitsource.Monitor, error) {
+// v1 encoder). A monitor the blob carries is restored between the
+// feed and the walker's bit reader.
+func unmarshalWalker(data []byte) (*core.Walker, error) {
 	r := blob.NewReader(data, "hybridprng: state")
 	if !r.Magic(stateMagic) {
-		return nil, nil, fmt.Errorf("hybridprng: bad state magic")
+		return nil, fmt.Errorf("hybridprng: bad state magic")
 	}
 	version, tag := r.Byte(), r.Byte()
 	if r.Err() == nil && version != 1 && version != stateVersion {
-		return nil, nil, fmt.Errorf("hybridprng: unsupported state version %d", version)
+		return nil, fmt.Errorf("hybridprng: unsupported state version %d", version)
 	}
 	walkLen, initWalkLen := r.Uint32(), r.Uint32()
 	pos, generated, brWord := r.Uint64(), r.Uint64(), r.Uint64()
@@ -157,46 +156,39 @@ func unmarshalWalker(data []byte) (*core.Walker, *bitsource.Monitor, error) {
 		monState = r.Bytes16()
 	}
 	if err := r.Done(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if brLeft > 64 {
-		return nil, nil, fmt.Errorf("hybridprng: bit buffer count %d out of range", brLeft)
+		return nil, fmt.Errorf("hybridprng: bit buffer count %d out of range", brLeft)
 	}
 	// Bound the walk lengths: a forged blob must not be able to turn
 	// every draw into a multi-minute walk.
 	const maxWalk = 1 << 20
 	if walkLen < 1 || walkLen > maxWalk {
-		return nil, nil, fmt.Errorf("hybridprng: walk length %d outside [1, %d]", walkLen, maxWalk)
+		return nil, fmt.Errorf("hybridprng: walk length %d outside [1, %d]", walkLen, maxWalk)
 	}
 	if initWalkLen > maxWalk {
-		return nil, nil, fmt.Errorf("hybridprng: init walk length %d exceeds %d", initWalkLen, maxWalk)
+		return nil, fmt.Errorf("hybridprng: init walk length %d exceeds %d", initWalkLen, maxWalk)
 	}
 
 	src, fu, err := feedFromTag(tag)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := fu.UnmarshalBinary(feedState); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var mon *bitsource.Monitor
-	reader := src
 	if len(monState) > 0 {
-		if mon, err = bitsource.RestoreMonitor(src, monState); err != nil {
-			return nil, nil, err
+		if src, err = bitsource.RestoreMonitor(src, monState); err != nil {
+			return nil, err
 		}
-		reader = mon
 	}
-	br := rng.NewBitReader(reader)
+	br := rng.NewBitReader(src)
 	br.SetState(brWord, uint(brLeft))
-	w, err := core.RestoreWalker(br, core.Config{
+	return core.RestoreWalker(br, core.Config{
 		WalkLen:     int(walkLen),
 		InitWalkLen: int(initWalkLen),
 	}, expander.VertexFromID(pos), generated)
-	if err != nil {
-		return nil, nil, err
-	}
-	return w, mon, nil
 }
 
 // MarshalBinary checkpoints the generator, including a health
@@ -210,11 +202,11 @@ func (g *Generator) MarshalBinary() ([]byte, error) {
 // with a tripped health monitor restores with HealthErr still
 // reporting the failure.
 func (g *Generator) UnmarshalBinary(data []byte) error {
-	w, mon, err := unmarshalWalker(data)
+	w, err := unmarshalWalker(data)
 	if err != nil {
 		return err
 	}
-	g.w, g.health = w, mon
+	g.w = w
 	return nil
 }
 
@@ -224,9 +216,9 @@ func (g *Generator) UnmarshalBinary(data []byte) error {
 // goroutines draw from the workers.
 func (p *Parallel) MarshalBinary() ([]byte, error) {
 	out := append([]byte(parMagic), parVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(p.pool.Size()))
-	for i := 0; i < p.pool.Size(); i++ {
-		wBlob, err := marshalWalker(p.pool.Walker(i))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(p.walkers)))
+	for i, w := range p.walkers {
+		wBlob, err := marshalWalker(w)
 		if err != nil {
 			return nil, fmt.Errorf("hybridprng: worker %d: %w", i, err)
 		}
@@ -254,25 +246,20 @@ func (p *Parallel) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("hybridprng: worker count %d outside [1, %d]", workers, maxShards)
 	}
 	walkers := make([]*core.Walker, workers)
-	monitors := make([]*bitsource.Monitor, workers)
 	for i := range walkers {
 		wBlob := r.Bytes32()
 		if err := r.Err(); err != nil {
 			return err
 		}
 		var err error
-		if walkers[i], monitors[i], err = unmarshalWalker(wBlob); err != nil {
+		if walkers[i], err = unmarshalWalker(wBlob); err != nil {
 			return fmt.Errorf("hybridprng: worker %d: %w", i, err)
 		}
 	}
 	if err := r.Done(); err != nil {
 		return err
 	}
-	pool, err := core.PoolFromWalkers(walkers)
-	if err != nil {
-		return err
-	}
-	p.pool, p.monitors = pool, monitors
+	p.walkers = walkers
 	return nil
 }
 
@@ -367,7 +354,7 @@ func unmarshalShard(data []byte, bufWords int, version byte, now time.Time) (*po
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	w, mon, err := unmarshalWalker(wBlob)
+	w, err := unmarshalWalker(wBlob)
 	if err != nil {
 		return nil, err
 	}
@@ -380,7 +367,7 @@ func unmarshalShard(data []byte, bufWords int, version byte, now time.Time) (*po
 	for i := idx; i < bufWords; i++ {
 		buf[i] = r.Uint64()
 	}
-	s := &poolShard{w: w, mon: mon, buf: buf}
+	s := &poolShard{w: w, buf: buf}
 	s.idx.Store(int64(idx))
 	s.draws.Store(r.Uint64())
 	s.refills.Store(r.Uint64())

@@ -100,13 +100,13 @@ func TestCheckpointMonitoredGenerator(t *testing.T) {
 	if err := r.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	if r.health == nil {
+	if monitor(r.w) == nil {
 		t.Fatal("restored generator lost its monitor")
 	}
-	if got, want := r.health.RCTCutoff(), g.health.RCTCutoff(); got != want {
+	if got, want := monitor(r.w).RCTCutoff(), monitor(g.w).RCTCutoff(); got != want {
 		t.Errorf("restored RCT cutoff %d, want %d", got, want)
 	}
-	if got, want := r.health.APTCutoff(), g.health.APTCutoff(); got != want {
+	if got, want := monitor(r.w).APTCutoff(), monitor(g.w).APTCutoff(); got != want {
 		t.Errorf("restored APT cutoff %d, want %d", got, want)
 	}
 	if r.HealthErr() != nil {
@@ -125,7 +125,7 @@ func TestCheckpointTrippedGeneratorStaysTripped(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Uint64()
-	g.health.ForceTrip("drill")
+	monitor(g.w).ForceTrip("drill")
 	blob, err := g.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestParallelCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("restored %d workers, want %d", r.Workers(), p.Workers())
 	}
 	for i := 0; i < p.Workers(); i++ {
-		if r.monitors[i] == nil {
+		if monitor(r.walkers[i]) == nil {
 			t.Fatalf("worker %d lost its monitor", i)
 		}
 		a, b := p.Worker(i), r.Worker(i)
@@ -222,7 +222,7 @@ func TestParallelWorkerCarriesMonitor(t *testing.T) {
 	}
 	// Worker(i) used to build a Generator with a nil health field, so
 	// per-worker HealthErr was always nil even with monitoring on.
-	p.monitors[1].ForceTrip("drill")
+	monitor(p.walkers[1]).ForceTrip("drill")
 	if p.Worker(1).HealthErr() == nil {
 		t.Error("worker 1's generator does not see its tripped monitor")
 	}
