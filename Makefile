@@ -60,13 +60,17 @@ portable:
 	GOARCH=386 go test -short ./...
 	for arch in arm64 s390x 386; do GOARCH=$$arch go vet ./... || exit 1; done
 
-## fuzz-smoke: run each SP 800-90B monitor fuzzer for 30 s past its
-## seed corpus. The window screen and the word-at-a-time check skip the
-## per-byte tests; these fuzzers hold both to them on inputs nobody
-## wrote down.
+## fuzz-smoke: run four fuzzers for 30 s each past their seed corpora.
+## The window screen and the word-at-a-time check skip the SP 800-90B
+## monitor's per-byte tests; the two monitor fuzzers hold both to them
+## on inputs nobody wrote down. The two client fuzzers hold the block
+## read and the Retry-After parser to their bounds against whatever a
+## server sends.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzMonitorBlockMatchesWord$$' -fuzztime 30s ./internal/bitsource
 	go test -run '^$$' -fuzz '^FuzzMonitorWordMatchesByte$$' -fuzztime 30s ./internal/bitsource
+	go test -run '^$$' -fuzz '^FuzzClientResponse$$' -fuzztime 30s ./client
+	go test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 30s ./client
 
 ## battery-short: the per-PR cross-stream battery — 256 streams per
 ## source under the race detector, the same invocation CI runs.

@@ -1,6 +1,9 @@
 package client
 
 import (
+	"context"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -147,6 +150,50 @@ func TestRetryAfterFloor(t *testing.T) {
 	s.mu.Unlock()
 	if d < 5*time.Second {
 		t.Errorf("backoff %v shorter than the promised Retry-After of 5s", d)
+	}
+}
+
+// TestRetryAfterDateOnClientClock: a Retry-After given as an HTTP date
+// is timed on the client's clock. The fake clock reads November 2023;
+// timed on the wall clock the date would already have passed, and the
+// endpoint, or a substream handle's shed window, would open again
+// after one BackoffBase instead of the 60 s the server asked for.
+func TestRetryAfterDateOnClientClock(t *testing.T) {
+	fc := newFakeClock()
+	t0 := fc.Now()
+	retryAt := t0.Add(60 * time.Second).UTC().Format(http.TimeFormat)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", retryAt)
+		http.Error(w, "shed", http.StatusTooManyRequests)
+	}))
+	defer ts.Close()
+	cl := newTestClient(t, Options{
+		Endpoints:   []string{ts.URL},
+		BackoffBase: 10 * time.Millisecond,
+		BackoffMax:  20 * time.Millisecond,
+		Clock:       fc.Now,
+		after:       fc.After,
+	})
+	ep := cl.eps.eps[0]
+	if _, err := cl.fetchBytes(context.Background(), ep, 8); err == nil {
+		t.Fatal("a 429 fetch succeeded")
+	}
+	if got, _ := cl.eps.pick(t0.Add(59 * time.Second)); got != nil {
+		t.Error("endpoint eligible 59 s into a Retry-After date 60 s away")
+	}
+	if got, _ := cl.eps.pick(t0.Add(60 * time.Second)); got == nil {
+		t.Error("endpoint still backing off once its Retry-After date came")
+	}
+
+	sub, err := cl.Substream("tenant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sub.fetchBytes(context.Background(), ep, 8); err == nil {
+		t.Fatal("a keyed 429 fetch succeeded")
+	}
+	if got := time.Unix(0, sub.shedUntil.Load()).Sub(t0); got != 60*time.Second {
+		t.Errorf("substream shed for %v, want 60s", got)
 	}
 }
 

@@ -236,8 +236,9 @@ func (s *endpointSet) stats(now time.Time) ([]EndpointStats, uint64) {
 const maxRetryAfter = 100 * 365 * 24 * time.Hour
 
 // parseRetryAfter reads a Retry-After header as delay seconds or an
-// HTTP date, capped at maxRetryAfter; 0 means absent or unparseable.
-func parseRetryAfter(h http.Header) time.Duration {
+// HTTP date timed from now (the client's clock), capped at
+// maxRetryAfter; 0 means absent, unparseable or already past.
+func parseRetryAfter(h http.Header, now time.Time) time.Duration {
 	v := h.Get("Retry-After")
 	if v == "" {
 		return 0
@@ -246,7 +247,7 @@ func parseRetryAfter(h http.Header) time.Duration {
 		return time.Duration(max(0, min(secs, int64(maxRetryAfter/time.Second)))) * time.Second
 	}
 	if t, err := http.ParseTime(v); err == nil {
-		if d := time.Until(t); d > 0 {
+		if d := t.Sub(now); d > 0 {
 			return min(d, maxRetryAfter)
 		}
 	}

@@ -147,7 +147,7 @@ func (c *Client) fetchBytes(ctx context.Context, ep *endpoint, words int) ([]byt
 		// the shared failover state would stall every other tenant,
 		// so only this handle backs off, for the bucket's own
 		// Retry-After estimate.
-		ra := parseRetryAfter(resp.Header)
+		ra := parseRetryAfter(resp.Header, c.now())
 		if c.parent == nil {
 			c.eps.fail(ep, ra)
 		} else {
@@ -164,7 +164,22 @@ func (c *Client) fetchBytes(ctx context.Context, ep *endpoint, words int) ([]byt
 		return nil, fmt.Errorf("client: %s%s: %s", ep.base, c.drawPath, resp.Status)
 	}
 	want := words * 8
-	body, readErr := io.ReadAll(io.LimitReader(resp.Body, int64(want)+1))
+	// One buffer one byte past the request, read until the body or the
+	// buffer ends: a full buffer means an oversized body. Unlike
+	// io.ReadFull this keeps a transport's io.ErrUnexpectedEOF (a body
+	// cut short of its Content-Length) apart from the body's own end.
+	body := make([]byte, want+1)
+	var n int
+	var readErr error
+	for n < len(body) && readErr == nil {
+		var k int
+		k, readErr = resp.Body.Read(body[n:])
+		n += k
+	}
+	if readErr == io.EOF {
+		readErr = nil
+	}
+	body = body[:n]
 	usable := min(len(body), want)
 	usable -= usable % 8
 	if usable == 0 {

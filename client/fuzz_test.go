@@ -15,11 +15,12 @@ import (
 )
 
 // FuzzParseRetryAfter feeds arbitrary Retry-After values to the header
-// parser: a delay is never negative, and a delay-seconds value (only
-// digits) never yields less than the smaller of its value and
-// maxRetryAfter — a huge "retry much later" must not wrap into "retry
-// now".
+// parser at a fixed clock reading: a delay is never negative, and a
+// delay-seconds value (only digits) never yields less than the smaller
+// of its value and maxRetryAfter — a huge "retry much later" must not
+// wrap into "retry now".
 func FuzzParseRetryAfter(f *testing.F) {
+	now := time.Unix(1_700_000_000, 0)
 	f.Add("")
 	f.Add("0")
 	f.Add("1")
@@ -31,10 +32,11 @@ func FuzzParseRetryAfter(f *testing.F) {
 	f.Add("18446744074")
 	f.Add("99999999999999999999999")
 	f.Add("Wed, 21 Oct 2015 07:28:00 GMT")
+	f.Add("Tue, 14 Nov 2023 22:14:20 GMT") // now + 60 s
 	f.Add("Fri, 31 Dec 9999 23:59:59 GMT")
 	f.Add("soon")
 	f.Fuzz(func(t *testing.T, v string) {
-		d := parseRetryAfter(http.Header{"Retry-After": {v}})
+		d := parseRetryAfter(http.Header{"Retry-After": {v}}, now)
 		if d < 0 {
 			t.Fatalf("Retry-After %q: negative delay %v", v, d)
 		}

@@ -16,7 +16,7 @@ import (
 // is load-bearing.
 var NoClock = &Analyzer{
 	Name: "noclock",
-	Doc: "forbid time.Now/Since/After/Tick and global math/rand in library packages; " +
+	Doc: "forbid time.Now/Since/Until/After/Tick and global math/rand in library packages; " +
 		"thread the injected clock / seeded feed instead, or mark //lint:wallclock",
 	Run: runNoClock,
 }
@@ -27,6 +27,7 @@ var NoClock = &Analyzer{
 var clockFuncs = map[string]bool{
 	"Now":   true,
 	"Since": true,
+	"Until": true,
 	"After": true,
 	"Tick":  true,
 }

@@ -14,6 +14,10 @@ func stamps() (time.Time, time.Duration) {
 	return t, d
 }
 
+func remaining(deadline time.Time) time.Duration {
+	return time.Until(deadline) // want "time.Until reads the wall clock"
+}
+
 func waiter() <-chan time.Time {
 	return time.After(time.Second) // want "time.After reads the wall clock"
 }

@@ -134,7 +134,7 @@ func Simulate(t *Tissue, n int64, src rng.Source) (Result, error) {
 
 	inv := 1 / float64(n)
 	for i := int64(0); i < n; i++ {
-		simulateOne(t, src, &res, (1-rsp)*1.0)
+		simulateOne(t, src, &res, nil, 1-rsp)
 	}
 	// Normalise tallies.
 	res.Rd *= inv
@@ -145,10 +145,13 @@ func Simulate(t *Tissue, n int64, src rng.Source) (Result, error) {
 	return res, nil
 }
 
-// simulateOne transports one packet with initial weight w0. Only z
-// matters for the slab tallies; the lateral coordinates drop out.
-func simulateOne(t *Tissue, src rng.Source, res *Result, w0 float64) {
-	z := 0.0
+// simulateOne transports one packet with initial weight w0, tallying
+// into res. With a non-nil grid (whose Result is res) it also bins the
+// diffuse exit radius into grid.RdR and each deposit's depth into
+// grid.AZ. No draw depends on x or y, so the slab tallies are the same
+// with or without a grid.
+func simulateOne(t *Tissue, src rng.Source, res *Result, grid *GridResult, w0 float64) {
+	x, y, z := 0.0, 0.0, 0.0
 	ux, uy, uz := 0.0, 0.0, 1.0
 	layer := 0
 	w := w0
@@ -175,16 +178,26 @@ func simulateOne(t *Tissue, src rng.Source, res *Result, w0 float64) {
 			}
 			if db > s {
 				// Interaction inside the layer.
+				x += s * ux
+				y += s * uy
 				z += s * uz
 				s = 0
 				break
 			}
 			// Move to the boundary and resolve it.
+			x += db * ux
+			y += db * uy
 			z += db * uz
 			s = (s - db) * mut // residual, rescaled below if µt changes
 
+			wasUp := uz < 0
 			exited, newLayer := crossBoundary(t, layer, &ux, &uy, &uz, src, res, w)
 			if exited {
+				if grid != nil && wasUp {
+					// Diffuse reflectance: bin by exit radius.
+					bin := int(math.Sqrt(x*x+y*y) / grid.Cfg.DR)
+					grid.RdR[min(bin, grid.Cfg.NR-1)] += w
+				}
 				return
 			}
 			if newLayer != layer {
@@ -203,6 +216,9 @@ func simulateOne(t *Tissue, src rng.Source, res *Result, w0 float64) {
 		lcur := t.Layers[layer]
 		dw := w * lcur.Mua / lcur.Mut()
 		res.Absorbed[layer] += dw
+		if grid != nil {
+			grid.AZ[max(0, min(int(z/grid.Cfg.DZ), grid.Cfg.NZ-1))] += dw
+		}
 		w -= dw
 
 		// Roulette.

@@ -56,7 +56,7 @@ func SimulateGrid(t *Tissue, n int64, src rng.Source, cfg TallyConfig) (GridResu
 	gr.Rsp = rsp
 
 	for i := int64(0); i < n; i++ {
-		simulateOneGrid(t, src, &gr, 1-rsp)
+		simulateOne(t, src, &gr.Result, &gr, 1-rsp)
 	}
 	inv := 1 / float64(n)
 	gr.Rd *= inv
@@ -74,97 +74,6 @@ func SimulateGrid(t *Tissue, n int64, src rng.Source, cfg TallyConfig) (GridResu
 		gr.AZ[i] *= inv / cfg.DZ
 	}
 	return gr, nil
-}
-
-// simulateOneGrid is simulateOne with lateral tracking and grid
-// recording. The transport logic is kept in lockstep with
-// simulateOne (see physics.go); TestGridMatchesScalarTallies pins
-// the two together.
-func simulateOneGrid(t *Tissue, src rng.Source, gr *GridResult, w0 float64) {
-	cfg := gr.Cfg
-	x, y, z := 0.0, 0.0, 0.0
-	ux, uy, uz := 0.0, 0.0, 1.0
-	layer := 0
-	w := w0
-
-	for step := 0; step < maxSteps; step++ {
-		l := t.Layers[layer]
-		mut := l.Mut()
-		u := rng.Float64(src)
-		if u <= 0 {
-			u = 1e-12
-		}
-		s := -math.Log(u) / mut
-
-		for s > 0 {
-			var db float64
-			if uz > 0 {
-				db = (t.bounds[layer] - z) / uz
-			} else if uz < 0 {
-				db = (t.top(layer) - z) / uz
-			} else {
-				db = math.Inf(1)
-			}
-			if db > s {
-				x += s * ux
-				y += s * uy
-				z += s * uz
-				s = 0
-				break
-			}
-			x += db * ux
-			y += db * uy
-			z += db * uz
-			s = (s - db) * mut
-
-			wasUp := uz < 0
-			exited, newLayer := crossBoundary(t, layer, &ux, &uy, &uz, src, &gr.Result, w)
-			if exited {
-				if wasUp {
-					// Diffuse reflectance: bin by exit radius.
-					r := math.Sqrt(x*x + y*y)
-					bin := int(r / cfg.DR)
-					if bin >= cfg.NR {
-						bin = cfg.NR - 1
-					}
-					gr.RdR[bin] += w
-				}
-				return
-			}
-			if newLayer != layer {
-				s /= t.Layers[newLayer].Mut()
-				layer = newLayer
-			} else {
-				s /= mut
-			}
-			mut = t.Layers[layer].Mut()
-		}
-
-		gr.TotalSteps++
-		lcur := t.Layers[layer]
-		dw := w * lcur.Mua / lcur.Mut()
-		gr.Absorbed[layer] += dw
-		zbin := int(z / cfg.DZ)
-		if zbin < 0 {
-			zbin = 0
-		}
-		if zbin >= cfg.NZ {
-			zbin = cfg.NZ - 1
-		}
-		gr.AZ[zbin] += dw
-		w -= dw
-
-		if w < rouletteThreshold {
-			if rng.Float64(src) < rouletteChance {
-				w /= rouletteChance
-			} else {
-				gr.RouletteKills++
-				return
-			}
-		}
-		ux, uy, uz = scatterHG(lcur.G, ux, uy, uz, src)
-	}
-	gr.Absorbed[layer] += w
 }
 
 // BeerLambertTransmittance returns the analytic unscattered
