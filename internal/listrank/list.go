@@ -1,10 +1,10 @@
 // Package listrank implements the paper's first application: list
 // ranking on the hybrid platform (Section V). It provides the linked
-// list substrate, a sequential ranker (ground truth), Wyllie's
-// pointer jumping, the fractional-independent-set (FIS) reduction of
-// Algorithm 3 with on-demand randomness, Helman–JáJá style sublist
-// ranking, and the Figure 7 timing model over the simulated
-// platform.
+// list substrate, a sequential ranker (ground truth), one multicore
+// ranker — the fractional-independent-set (FIS) reduction of
+// Algorithm 3 with on-demand randomness, Helman–JáJá sublist ranking
+// of the reduced list, and reinsertion — and the Figure 7 timing
+// model over the simulated platform.
 package listrank
 
 import (
