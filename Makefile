@@ -3,7 +3,7 @@
 
 GOPATH_BIN := $(shell go env GOPATH)/bin
 
-.PHONY: build vet test race race-full lint lint-json lint-vet fmt portable fuzz-smoke check battery-short battery-long bench-seed bench-gate fleet-drill substream-test
+.PHONY: build vet test race race-full lint lint-json lint-vet fmt loc portable fuzz-smoke check battery-short battery-long bench-seed bench-gate fleet-drill substream-test
 
 build:
 	go build ./...
@@ -45,6 +45,15 @@ lint-vet:
 
 fmt:
 	gofmt -l .
+
+## loc: the three size counts ROADMAP's code budget is judged by —
+## non-test Go, test Go and assembly lines, outside randdbench/ (its
+## own module) and .bench_build/ (its build output).
+LOC_FILES = find . ! -path './randdbench/*' ! -path './.bench_build/*'
+loc:
+	@printf 'non-test Go %7d\n' $$($(LOC_FILES) -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+	@printf 'test Go     %7d\n' $$($(LOC_FILES) -name '*_test.go' -exec cat {} + | wc -l)
+	@printf 'assembly    %7d\n' $$($(LOC_FILES) -name '*.s' -exec cat {} + | wc -l)
 
 ## portable: execute the paths non-amd64 and big-endian hosts take —
 ## the purego tag forces the portable walk (every lane through

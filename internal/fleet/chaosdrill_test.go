@@ -15,7 +15,6 @@ import (
 
 	hybridprng "repro"
 	"repro/client"
-	"repro/internal/chaos"
 	"repro/internal/fleet"
 	"repro/internal/server"
 )
@@ -227,16 +226,16 @@ func TestFleetChaosKillAndDrainContinuity(t *testing.T) {
 	}
 
 	// The seeded schedule picks the victim — same seed, same drill.
-	sched, err := chaos.NewFleetSchedule(chaos.FleetConfig{
+	sched, err := newFleetSchedule(fleetConfig{
 		Seed: 0xD1CE, Nodes: len(nodes),
-		Kinds: []chaos.FleetEventKind{chaos.NodeKill}, MaxKills: 1,
+		Kinds: []fleetEventKind{nodeKill}, MaxKills: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	victim := -1
 	for _, ev := range sched.Events() {
-		if ev.Kind == chaos.NodeKill {
+		if ev.Kind == nodeKill {
 			victim = ev.Node
 			break
 		}

@@ -246,4 +246,24 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, Options{}); err == nil {
 		t.Error("nil pool must fail")
 	}
+	// /bytes caps at MaxWords*8 bytes; a MaxWords whose product wraps
+	// would have turned that cap into a small number.
+	pool, err := hybridprng.NewPool(hybridprng.WithSeed(1), hybridprng.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, words := range []uint64{1 << 61, 1<<61 + 1} {
+		if _, err := New(pool, Options{MaxWords: words}); err == nil {
+			t.Errorf("MaxWords %d: New must fail", words)
+		}
+	}
+	srv, err := New(pool, Options{MaxWords: 1<<61 - 1})
+	if err != nil {
+		t.Fatalf("MaxWords 2^61-1: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if code, body := get(t, ts.URL+"/bytes?n=16"); code != http.StatusOK || len(body) != 16 {
+		t.Errorf("MaxWords 2^61-1: /bytes?n=16 = %d with %d bytes, want 200 with 16", code, len(body))
+	}
 }

@@ -859,33 +859,16 @@ func (p *Pool) fillSegment(seg []uint64) error {
 	}
 }
 
-// Read fills b with random bytes (little-endian words), so a Pool
-// can stand behind io.Reader plumbing. It draws ⌈len(b)/8⌉ words.
-// On error it returns how many bytes were written; those bytes are
-// valid served randomness, and the unfilled tail b[n:] is zeroed so
-// no stale buffer contents can be mistaken for output.
+// Read fills b exactly as FillBytes(b) does, so a Pool can stand
+// behind io.Reader plumbing. It draws ⌈len(b)/8⌉ words. On error it
+// returns 0 with b zeroed, so no stale buffer contents can be
+// mistaken for output.
 func (p *Pool) Read(b []byte) (int, error) {
-	var scratch [512]uint64
-	done := 0
-	for done < len(b) {
-		want := (len(b) - done + 7) / 8
-		if want > len(scratch) {
-			want = len(scratch)
-		}
-		if err := p.Fill(scratch[:want]); err != nil {
-			for i := done; i < len(b); i++ {
-				b[i] = 0
-			}
-			return done, err
-		}
-		for _, v := range scratch[:want] {
-			for k := 0; k < 8 && done < len(b); k++ {
-				b[done] = byte(v >> (8 * k))
-				done++
-			}
-		}
+	if err := p.FillBytes(b); err != nil {
+		zeroBytes(b)
+		return 0, err
 	}
-	return done, nil
+	return len(b), nil
 }
 
 // FillBytes fills b with random bytes: one Fill of len(b)/8 words,
@@ -895,11 +878,9 @@ func (p *Pool) Read(b []byte) (int, error) {
 // On little-endian hosts an 8-byte-aligned b is filled in place with
 // no copy and no allocation — the path the server's /bytes handler
 // rides; otherwise the words go through a reused scratch block and
-// are encoded into b. Read splits its draws differently (512-word
-// pieces, tail word included), so on a multi-shard pool the two
-// streams need not agree. On a non-nil error b is zeroed in full, so
-// a reused response buffer can never leak a previous response's bytes
-// through a failed fill.
+// are encoded into b. Read serves the same bytes. On a non-nil error
+// b is zeroed in full, so a reused response buffer can never leak a
+// previous response's bytes through a failed fill.
 func (p *Pool) FillBytes(b []byte) error {
 	nw := len(b) / 8
 	words := wordbytes.Words(b[:nw*8])

@@ -163,9 +163,10 @@ func TestPoolFillBytesMatchesRead(t *testing.T) {
 
 // TestPoolFillBytesUnalignedFallback drives the copying fallback with
 // deliberately misaligned buffers. On one shard the byte stream must
-// match Read; on multi-shard pools, past one 512-word piece and with
-// ragged tails, it must match an aligned FillBytes from a twin pool —
-// the bytes depend on len(b) and the pool state, never on alignment.
+// match Read; on multi-shard pools, past 4 KiB and with ragged tails,
+// it must match an aligned FillBytes and a Read from twin pools — the
+// bytes depend on len(b) and the pool state, never on alignment or on
+// which of the two calls drew them.
 func TestPoolFillBytesUnalignedFallback(t *testing.T) {
 	a, _ := NewPool(WithSeed(17), WithShards(1))
 	b, _ := NewPool(WithSeed(17), WithShards(1))
@@ -192,17 +193,28 @@ func TestPoolFillBytesUnalignedFallback(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			c, err := NewPool(WithSeed(17), WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
 			backing := make([]byte, n+1)
 			got := backing[1:] // 8-byte-misaligned start
 			want := make([]byte, n)
+			read := make([]byte, n)
 			if err := a.FillBytes(got); err != nil {
 				t.Fatal(err)
 			}
 			if err := b.FillBytes(want); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := c.Read(read); err != nil {
+				t.Fatal(err)
+			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("%d shards, n=%d: misaligned FillBytes diverged from the aligned one", shards, n)
+			}
+			if !bytes.Equal(read, want) {
+				t.Errorf("%d shards, n=%d: Read diverged from FillBytes", shards, n)
 			}
 		}
 	}
