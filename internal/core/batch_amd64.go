@@ -2,6 +2,8 @@
 
 package core
 
+import "repro/internal/cpuid"
+
 // walkLanes advances all MaxBatchLanes lanes of bg through k numbers,
 // 1 ≤ k ≤ len(bg.out), from bit off of their bins: per number, chunks
 // 21-step chunks and then tail steps, the feed order of walk(). It
@@ -13,12 +15,8 @@ package core
 //go:noescape
 func walkLanes(bg *binGroup, x, y *[MaxBatchLanes]uint32, off uint, k, chunks, tail int)
 
-// cpuidAVX2 reports whether the CPU and OS support AVX2 (including
-// OS-saved YMM state), via raw CPUID/XGETBV in batch_amd64.s.
-func cpuidAVX2() bool
-
-// haveAVX2 gates the vector kernel at startup.
-var haveAVX2 = cpuidAVX2()
+// haveAVX2 gates the vector kernel.
+var haveAVX2 = cpuid.AVX2
 
 // walkBins advances lanes 0..n-1 (n ≤ MaxBatchLanes) through r numbers
 // each from their bins in lockstep, one walkLanes call per len(g.out)
