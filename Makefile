@@ -58,24 +58,26 @@ loc:
 ## portable: execute the paths non-amd64 and big-endian hosts take —
 ## the purego tag forces the portable walk (every lane through
 ## chunk21's three-step table, where AVX2 hosts run groups of five or
-## more lanes through the round kernel) and FillBytes'
-## encode-through-scratch branch on amd64, and the short suite runs as
-## 386 (x86-64 Linux executes it natively), so 32-bit int code runs
-## too — then vet the
-## other word sizes and byte orders. arm64 and s390x are vetted only;
-## nothing here executes them.
+## more lanes through the round kernel), the glibc feed's and the
+## health screen's Go loops (where AVX2 hosts run their vector
+## kernels) and FillBytes' encode-through-scratch branch on amd64, and
+## the short suite runs as 386 (x86-64 Linux executes it natively), so
+## 32-bit int code runs too — then vet the other word sizes and byte
+## orders. arm64 and s390x are vetted only; nothing here executes them.
 portable:
-	go test -tags purego -short ./internal/core ./internal/wordbytes ./internal/bitsource .
+	go test -tags purego -short ./internal/core ./internal/wordbytes ./internal/baselines ./internal/bitsource .
 	GOARCH=386 go test -short ./...
 	for arch in arm64 s390x 386; do GOARCH=$$arch go vet ./... || exit 1; done
 
-## fuzz-smoke: run four fuzzers for 30 s each past their seed corpora.
-## The window screen and the word-at-a-time check skip the SP 800-90B
-## monitor's per-byte tests; the two monitor fuzzers hold both to them
-## on inputs nobody wrote down. The two client fuzzers hold the block
-## read and the Retry-After parser to their bounds against whatever a
-## server sends.
+## fuzz-smoke: run five fuzzers for 30 s each past their seed corpora.
+## The glibc feed's block draw must equal its per-word stream from any
+## seed and ring position. The window screen and the word-at-a-time
+## check skip the SP 800-90B monitor's per-byte tests; the two monitor
+## fuzzers hold both to them on inputs nobody wrote down. The two
+## client fuzzers hold the block read and the Retry-After parser to
+## their bounds against whatever a server sends.
 fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzGlibcFillWords$$' -fuzztime 30s ./internal/baselines
 	go test -run '^$$' -fuzz '^FuzzMonitorBlockMatchesWord$$' -fuzztime 30s ./internal/bitsource
 	go test -run '^$$' -fuzz '^FuzzMonitorWordMatchesByte$$' -fuzztime 30s ./internal/bitsource
 	go test -run '^$$' -fuzz '^FuzzClientResponse$$' -fuzztime 30s ./client
@@ -104,7 +106,7 @@ battery-long:
 BENCH_PASSES ?= 5
 POOL_BENCH = go test -run '^$$' -bench 'BenchmarkPool|BenchmarkGetNextRand' -benchtime 0.5s .
 SERVER_BENCH = go test -run '^$$' -bench 'BenchmarkServe' -benchtime 0.5s ./internal/server
-CORE_BENCH = go test -run '^$$' -bench 'BenchmarkFillBatch|BenchmarkRegistryDraw' -benchtime 0.5s ./internal/core ./internal/substream
+CORE_BENCH = go test -run '^$$' -bench 'BenchmarkFillBatch|BenchmarkRegistryDraw|BenchmarkGlibcRandFillWords|BenchmarkMonitor' -benchtime 0.5s ./internal/core ./internal/substream ./internal/baselines ./internal/bitsource
 bench-seed:
 	go run ./cmd/crossstream -benchtext \
 		| go run ./cmd/benchseed -out BENCH_quality.json -merge
@@ -115,7 +117,8 @@ bench-seed:
 	for i in $$(seq $(BENCH_PASSES)); do $(SERVER_BENCH) || exit 1; done \
 		| go run ./cmd/benchseed -out BENCH_server.json -merge
 
-## bench-gate: run the core (walk at 1-16 lanes, keyed draws), pool
+## bench-gate: run the core (walk at 1-16 lanes, keyed draws, the
+## glibc feed's block draw and the health tests), pool
 ## and server benchmark families against the committed trajectories
 ## and fail on regression — any new
 ## steady-state alloc/op (machine-independent), or >10% ns/op of the

@@ -141,15 +141,30 @@ func (g *GlibcRand) Uint64() uint64 {
 	return uint64(a>>1)<<33 | uint64(b>>1)<<2 | uint64(c>>1)&3
 }
 
+// feedVecMin is the shortest draw FillWords hands to the AVX2 block
+// kernel; shorter draws, and the last len(dst) mod 8 words of longer
+// ones, take the Go loop. The kernel pays a fixed cost to move the ring
+// into field-major order and back. Per draw, the Go loop against the
+// kernel took 30-36 against 65-76 ns at 8 words, 57-62 against 63-81 at
+// 16, 72-117 against 71-120 at 20 and 79-140 against 68-76 at 24 (3
+// runs each at -cpu 1, 2-vCPU Xeon @ 2.0 GHz). A full bin is 96 words.
+const feedVecMin = 20
+
 // FillWords writes the next len(dst) words of the stream: exactly the
 // words len(dst) Uint64 calls return, leaving the same state
-// (rng.BlockSource). It is the FEED's block draw. The two cursors stay
-// in locals, and so do the last three values r[i-3..i-1], so each step
-// loads only r[i-31], written 31 steps earlier, instead of reading back
-// the value it stored three steps ago as Uint64 does. Uint64 keeps its
-// own unrolled body: routed through here, one word per call measured
-// slower.
+// (rng.BlockSource). It is the FEED's block draw. On AVX2 hosts a draw
+// of feedVecMin words or more computes eight words at a time in the
+// block kernel (fillBlocks). The rest go through the Go loop: the two
+// cursors stay in locals, and so do the last three values r[i-3..i-1],
+// so each step loads only r[i-31], written 31 steps earlier, instead of
+// reading back the value it stored three steps ago as Uint64 does.
+// Uint64 keeps its own unrolled body: routed through here, one word per
+// call measured slower.
 func (g *GlibcRand) FillWords(dst []uint64) {
+	if n := len(dst) &^ 7; haveAVX2 && len(dst) >= feedVecMin {
+		g.fillBlocks(dst[:n])
+		dst = dst[n:]
+	}
 	// Slot layout: g.buf holds r[i-34..i-1]; with write cursor k
 	// (= i mod 34), r[i-31] sits at (k+3) mod 34 and r[i-3..i-1] in
 	// the three slots behind k.

@@ -48,8 +48,8 @@ func (e *HealthError) Error() string {
 // state are therefore exactly those of checking each byte in turn.
 //
 // Drawing (Uint64, FillWords) is single-consumer like every Source in
-// this repository, but Err, Tripped and Stats are safe to call from
-// any goroutine concurrently with draws — the serving layer polls them
+// this repository, but Err and Tripped are safe to call from any
+// goroutine concurrently with draws — the serving layer polls them
 // from health endpoints while shards keep generating.
 type Monitor struct {
 	src rng.Source
@@ -179,32 +179,6 @@ func (m *Monitor) Tripped() bool { return m.err.Load() != nil }
 // forced trip after a real failure is a no-op).
 func (m *Monitor) ForceTrip(detail string) { m.trip("forced", detail) }
 
-// Stats is a point-in-time snapshot of a Monitor's calibration and
-// trip state.
-type Stats struct {
-	Tripped   bool
-	Failure   string // empty until tripped
-	RCTCutoff int
-	APTCutoff int
-	APTWindow int
-}
-
-// Stats returns the monitor's calibration and trip state. Unlike the
-// test counters themselves, everything here is immutable or atomic,
-// so Stats is safe to call while another goroutine draws.
-func (m *Monitor) Stats() Stats {
-	s := Stats{
-		RCTCutoff: m.rctBound,
-		APTCutoff: m.aptBound,
-		APTWindow: m.aptWindow,
-	}
-	if e := m.err.Load(); e != nil {
-		s.Tripped = true
-		s.Failure = e.Error()
-	}
-	return s
-}
-
 // Uint64 draws a word and feeds its bytes, low byte first, through
 // both health tests on the exact path.
 func (m *Monitor) Uint64() uint64 {
@@ -249,25 +223,18 @@ func (m *Monitor) check(ws []uint64) {
 // byte of the segment can trip a test:
 //
 //   - RCT: no three equal bytes in a row, counting the run carried in,
-//     so every run stays at most 2, below a cutoff of 3 or more. A
-//     byte is flagged when it equals the one before it; two flagged
-//     bytes in a row, across word boundaries too, are a triple.
+//     so every run stays at most 2, below a cutoff of 3 or more.
 //   - APT: the window's count at the end of the segment is below the
 //     cutoff. The count only grows within a window, so no byte reached
-//     the cutoff. The bytes equal to the sample are summed in byte
-//     lanes, at most 64 per lane, and the lanes added once at the end.
+//     the cutoff.
 //
-// One accumulator holds both: the sums in the low seven bits of each
-// byte lane, which they never overflow, and the triple flags ORed into
-// the top bits, so the loop keeps its state in registers.
-//
-// The end state is then that of the per-byte loop: the last byte, a run
-// of 1 or 2 from its flag, the window's sample (byte 0 when the segment
-// opens the window), count and position. A monitor without its first
-// sample, with a window or position not a multiple of 8, with a
-// position at the window's end (only restored state has one) or with
-// an RCT cutoff below 3 is not screened: screen returns all of ws,
-// unchecked.
+// scan checks both in one pass. The end state is then that of the
+// per-byte loop: the last byte, a run of 1 or 2 from its flag, the
+// window's sample (byte 0 when the segment opens the window), count and
+// position. A monitor without its first sample, with a window or
+// position not a multiple of 8, with a position at the window's end
+// (only restored state has one) or with an RCT cutoff below 3 is not
+// screened: screen returns all of ws, unchecked.
 func (m *Monitor) screen(ws []uint64) (int, bool) {
 	if !m.haveSample || m.aptWindow%8 != 0 || m.aptSeen%8 != 0 || m.rctBound < 3 || m.aptSeen >= m.aptWindow {
 		return len(ws), false
@@ -278,27 +245,59 @@ func (m *Monitor) screen(ws []uint64) (int, bool) {
 	if m.aptSeen == 0 {
 		pat, count = seg[0]&0xFF*bytesOf1, 0
 	}
-	last, prevRep := uint64(m.lastByte), uint64(0)
+	rep := uint64(0)
 	if m.repeats >= 2 {
-		prevRep = 1 << 63
+		rep = 1 << 63
 	}
-	var acc uint64
-	for _, v := range seg {
-		rep := zeroByteMask(v ^ (v<<8 | last))
-		acc = (acc + zeroByteMask(v^pat)>>7) | rep&(rep<<8|prevRep>>56)
-		last, prevRep = v>>56, rep
-	}
-	same := acc & bytesOf7F
-	same = same&0x00FF00FF00FF00FF + same>>8&0x00FF00FF00FF00FF
-	if count += int(same * 0x0001000100010001 >> 48); acc&bytesOf80 != 0 || count >= m.aptBound {
+	same, triple, last, rep := scan(seg, pat, uint64(m.lastByte), rep)
+	if count += same; triple || count >= m.aptBound {
 		return n, false
 	}
-	m.lastByte, m.repeats = byte(last), 1+int(prevRep>>63)
+	m.lastByte, m.repeats = byte(last), 1+int(rep>>63)
 	m.aptSample, m.aptCount = byte(pat), count
 	if m.aptSeen += 8 * n; m.aptSeen == m.aptWindow {
 		m.aptSeen = 0 // start a new window on the next byte
 	}
 	return n, true
+}
+
+// scan is screen's pass over seg, at most 64 words. It returns how many
+// of seg's bytes equal the sample pat holds in every byte, whether a
+// byte of seg ends three equal bytes in a row, and the last byte and
+// run flag after seg. The
+// run carried in is last, the byte before seg[0], and rep's top bit,
+// set when last equals the byte before it. On AVX2 hosts the whole
+// groups of four words take the vector loop (screenGroups), and the
+// words after them scanWords, from the run the groups leave.
+func scan(seg []uint64, pat, last, rep uint64) (int, bool, uint64, uint64) {
+	g := len(seg) &^ 3
+	if !haveAVX2 || g == 0 {
+		return scanWords(seg, pat, last, rep)
+	}
+	same, triple := screenGroups(seg[:g], pat, last<<56, rep)
+	v := seg[g-1]
+	tailSame, tailTriple, last, rep := scanWords(seg[g:], pat, v>>56, zeroByteMask(v^v<<8))
+	return same + tailSame, triple || tailTriple, last, rep
+}
+
+// scanWords is scan's word loop, with the same results. A byte is
+// flagged when it equals the one before it; two flagged bytes in a row,
+// across word boundaries too, are a triple. The bytes equal to the
+// sample are summed in byte lanes, at most 64 per lane, and the lanes
+// added once at the end. One accumulator holds both: the sums in the
+// low seven bits of each byte lane, which they never overflow, and the
+// triple flags ORed into the top bits, so the loop keeps its state in
+// registers.
+func scanWords(seg []uint64, pat, last, rep uint64) (int, bool, uint64, uint64) {
+	var acc uint64
+	for _, v := range seg {
+		r := zeroByteMask(v ^ (v<<8 | last))
+		acc = (acc + zeroByteMask(v^pat)>>7) | r&(r<<8|rep>>56)
+		last, rep = v>>56, r
+	}
+	same := acc & bytesOf7F
+	same = same&0x00FF00FF00FF00FF + same>>8&0x00FF00FF00FF00FF
+	return int(same * 0x0001000100010001 >> 48), acc&bytesOf80 != 0, last, rep
 }
 
 // checkBytes feeds v's bytes, low byte first, through checkByte.
@@ -433,11 +432,6 @@ func (m *Monitor) checkByte(b byte) {
 		m.aptSeen = 0 // start a new window on the next byte
 	}
 }
-
-// RCTCutoff and APTCutoff expose the calibrated bounds (for tests
-// and reporting).
-func (m *Monitor) RCTCutoff() int { return m.rctBound }
-func (m *Monitor) APTCutoff() int { return m.aptBound }
 
 // Source returns the wrapped raw source, so checkpointing code can
 // serialise the underlying feed separately from the monitor's own

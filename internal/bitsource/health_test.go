@@ -10,6 +10,36 @@ import (
 	"repro/internal/rng"
 )
 
+// Stats is a point-in-time snapshot of a Monitor's calibration and
+// trip state.
+type Stats struct {
+	Tripped   bool
+	Failure   string // empty until tripped
+	RCTCutoff int
+	APTCutoff int
+	APTWindow int
+}
+
+// Stats returns the monitor's calibration and trip state. Unlike the
+// test counters themselves, everything here is immutable or atomic,
+// so Stats is safe to call while another goroutine draws.
+func (m *Monitor) Stats() Stats {
+	s := Stats{
+		RCTCutoff: m.rctBound,
+		APTCutoff: m.aptBound,
+		APTWindow: m.aptWindow,
+	}
+	if e := m.err.Load(); e != nil {
+		s.Tripped = true
+		s.Failure = e.Error()
+	}
+	return s
+}
+
+// RCTCutoff and APTCutoff expose the calibrated bounds.
+func (m *Monitor) RCTCutoff() int { return m.rctBound }
+func (m *Monitor) APTCutoff() int { return m.aptBound }
+
 func TestMonitorValidation(t *testing.T) {
 	if _, err := NewMonitor(nil, 8); err == nil {
 		t.Error("nil source should fail")

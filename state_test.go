@@ -1,6 +1,7 @@
 package hybridprng
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 	"time"
@@ -103,11 +104,17 @@ func TestCheckpointMonitoredGenerator(t *testing.T) {
 	if monitor(r.w) == nil {
 		t.Fatal("restored generator lost its monitor")
 	}
-	if got, want := monitor(r.w).RCTCutoff(), monitor(g.w).RCTCutoff(); got != want {
-		t.Errorf("restored RCT cutoff %d, want %d", got, want)
+	// The monitor's blob holds its cutoffs, window and test counters.
+	got, err := monitor(r.w).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := monitor(r.w).APTCutoff(), monitor(g.w).APTCutoff(); got != want {
-		t.Errorf("restored APT cutoff %d, want %d", got, want)
+	want, err := monitor(g.w).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("restored monitor state %x, want %x", got, want)
 	}
 	if r.HealthErr() != nil {
 		t.Errorf("restored healthy generator reports %v", r.HealthErr())
