@@ -1,8 +1,11 @@
 // Command listrank regenerates the paper's Figure 7: list-ranking
 // Phase I times for pure-GPU-MT, hybrid-glibc ([3]) and the
 // on-demand hybrid PRNG, over list sizes up to 128 M nodes on the
-// simulated platform, driven by real reduction statistics measured
-// on a scaled list.
+// simulated platform. The table comes from the model's expected
+// survivor counts per iteration (RankTimeSim given no measured
+// statistics). A real reduction on a scaled list runs first: it
+// verifies the ranks and prints its iteration and draw counts, which
+// the table does not use.
 package main
 
 import (
@@ -20,8 +23,7 @@ func main() {
 	seed := flag.Uint64("seed", 20120521, "seed for the measured run")
 	flag.Parse()
 
-	// A real reduction run verifies the algorithm end to end and
-	// anchors the per-iteration survival behaviour.
+	// A real reduction run verifies the algorithm end to end.
 	l, err := listrank.NewRandomList(*measureN, baselines.NewSplitMix64(*seed))
 	if err != nil {
 		die(err)
