@@ -137,30 +137,18 @@ func figure1() {
 // miniTimeline renders a short hybrid schedule for the Figure 1/4
 // visual.
 func miniTimeline() string {
-	sim := gpu.NewSim()
-	dev, err := gpu.NewDevice(sim, gpu.TeslaC1060())
+	p, err := hybrid.NewPlatform(hybrid.DefaultCostModel())
 	if err != nil {
 		die(err)
 	}
-	host, err := gpu.NewHost(sim, "cpu")
-	if err != nil {
-		die(err)
-	}
-	model := hybrid.DefaultCostModel()
-	feedStream := dev.NewStream(0)
-	genStream := dev.NewStream(0)
-	var feedReady gpu.Time
-	threads := 50_000
-	perIter := int64(model.FeedBytesPerNumber() * float64(threads))
+	m := p.Model
+	pl := p.Pipeline()
+	const threads = 50_000
 	for i := 0; i < 6; i++ {
-		f := host.Compute("F", feedReady, model.FeedChunkOverheadNs+float64(perIter)/model.FeedBytesPerSec*1e9)
-		feedReady = f.End
-		feedStream.WaitFor(f.End)
-		tr := feedStream.CopyH2D("T", perIter)
-		genStream.WaitFor(tr.End)
-		genStream.Launch(gpu.Kernel{Name: "G", Threads: threads, CyclesPerThread: model.GenCyclesPerNumber()})
+		pl.Chunk(int64(m.FeedBytesPerNumber()*threads), m.FeedBytesPerSec,
+			gpu.Kernel{Name: "G", Threads: threads, CyclesPerThread: m.GenCyclesPerNumber()})
 	}
-	return sim.TimelineString(92)
+	return p.Sim.TimelineString(92)
 }
 
 func newGenerator(name string, seed uint64) (rng.Source, error) {

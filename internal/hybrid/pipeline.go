@@ -64,6 +64,50 @@ func NewPlatform(model CostModel) (*Platform, error) {
 	return &Platform{Sim: sim, Device: dev, Host: host, Model: model}, nil
 }
 
+// Pipeline books the paper's overlapped schedule (Figures 1 and 4) on
+// a platform: the host FEEDs chunk i+1 while the link TRANSFERs it and
+// the device GENERATEs chunk i. Copies run in order on one stream and
+// kernels on another, so a kernel waits for its own chunk's copy but
+// not for the next chunk's feed.
+type Pipeline struct {
+	p        *Platform
+	start    gpu.Time
+	hostFree gpu.Time // earliest start of the host's next feed
+	copies   *gpu.Stream
+	kernels  *gpu.Stream
+}
+
+// Pipeline starts a schedule at the platform's current horizon.
+func (p *Platform) Pipeline() *Pipeline {
+	start := p.Sim.Horizon()
+	return &Pipeline{p: p, start: start, hostFree: start,
+		copies: p.Device.NewStream(start), kernels: p.Device.NewStream(start)}
+}
+
+// Chunk books one chunk: the host feeds `bytes` at bps bytes per
+// second plus the model's per-chunk overhead, the copy stream moves
+// them to the device, and k runs on the kernel stream once they have
+// landed. It returns the kernel's interval.
+func (pl *Pipeline) Chunk(bytes int64, bps float64, k gpu.Kernel) gpu.Interval {
+	f := pl.p.Host.Compute("F", pl.hostFree, pl.p.Model.FeedChunkOverheadNs+float64(bytes)/bps*1e9)
+	pl.hostFree = f.End // the host moves straight on to the next chunk
+	pl.copies.WaitFor(f.End)
+	pl.kernels.WaitFor(pl.copies.CopyH2D("T", bytes).End)
+	return pl.kernels.Launch(k)
+}
+
+// Launch books a kernel that needs no feed on the kernel stream.
+func (pl *Pipeline) Launch(k gpu.Kernel) gpu.Interval { return pl.kernels.Launch(k) }
+
+// Usage returns the schedule's length so far and the busy fractions of
+// the host, the device's compute engine and its link over it.
+func (pl *Pipeline) Usage() (ns gpu.Time, host, device, link float64) {
+	s, end := pl.p.Sim, pl.p.Sim.Horizon()
+	return end - pl.start, s.Utilization(pl.p.Host.Resource(), pl.start, end),
+		s.Utilization(pl.p.Device.ComputeResource(), pl.start, end),
+		s.Utilization(pl.p.Device.CopyResource(), pl.start, end)
+}
+
 // GenerateHybrid simulates generating n numbers with the hybrid
 // expander-walk PRNG at block size s (each of the n/s threads
 // produces s numbers). It books the full FEED/TRANSFER/GENERATE
@@ -81,51 +125,24 @@ func (p *Platform) GenerateHybrid(n int64, s int) (Report, error) {
 	if threads < 1 {
 		threads = 1
 	}
-	iterations := int((n + int64(threads) - 1) / int64(threads))
-
-	start := p.Sim.Horizon()
-	feedStream := p.Device.NewStream(start)
-	genStream := p.Device.NewStream(start)
+	pl := p.Pipeline()
 
 	// Phase 0 — Algorithm 1: the host produces the seed bits for all
 	// threads, ships them, and the device runs the mixing-walk
 	// kernel.
-	initBytes := int64(m.FeedBytesPerInit() * float64(threads))
-	feed := p.Host.Compute("F:init", start, m.FeedChunkOverheadNs+float64(initBytes)/m.FeedBytesPerSec*1e9)
-	feedStream.WaitFor(feed.End)
-	tr := feedStream.CopyH2D("T:init", initBytes)
-	genStream.WaitFor(tr.End)
-	genStream.Launch(gpu.Kernel{
-		Name:            "G:init",
-		Threads:         threads,
-		CyclesPerThread: m.InitCyclesPerThread(),
-	})
+	pl.Chunk(int64(m.FeedBytesPerInit()*float64(threads)), m.FeedBytesPerSec,
+		gpu.Kernel{Name: "G:init", Threads: threads, CyclesPerThread: m.InitCyclesPerThread()})
 
-	// Phases 1..iterations — Algorithm 2, pipelined: while the
-	// device walks iteration i, the host produces and ships the bits
-	// for iteration i+1. Each iteration generates one number per
-	// thread.
+	// Phases 1..⌈n/threads⌉ — Algorithm 2, pipelined: while the device
+	// walks iteration i, the host produces and ships the bits for
+	// iteration i+1. Each iteration generates one number per thread.
 	perIterBytes := int64(m.FeedBytesPerNumber() * float64(threads))
-	feedReady := feed.End
-	remaining := n
-	for it := 0; it < iterations; it++ {
-		batch := int64(threads)
-		if batch > remaining {
-			batch = remaining
-		}
+	for remaining := n; remaining > 0; {
+		batch := min(int64(threads), remaining)
 		remaining -= batch
-		f := p.Host.Compute("F", feedReady, m.FeedChunkOverheadNs+float64(perIterBytes)/m.FeedBytesPerSec*1e9)
-		feedReady = f.End // host moves straight on to the next chunk
-		feedStream.WaitFor(f.End)
-		t := feedStream.CopyH2D("T", perIterBytes)
-		genStream.WaitFor(t.End)
-		genStream.Launch(gpu.Kernel{
-			Name:            "G",
-			Threads:         int(batch),
-			CyclesPerThread: m.GenCyclesPerNumber(),
-		})
+		pl.Chunk(perIterBytes, m.FeedBytesPerSec,
+			gpu.Kernel{Name: "G", Threads: int(batch), CyclesPerThread: m.GenCyclesPerNumber()})
 	}
-	end := p.Sim.Horizon()
 
 	cores := float64(p.Device.Cores())
 	clock := p.Device.Config().ClockHz
@@ -138,10 +155,6 @@ func (p *Platform) GenerateHybrid(n int64, s int) (Report, error) {
 		N:         n,
 		BlockSize: s,
 		Threads:   threads,
-		SimNs:     end - start,
-		CPUUtil:   p.Sim.Utilization(p.Host.Resource(), start, end),
-		GPUUtil:   p.Sim.Utilization(p.Device.ComputeResource(), start, end),
-		LinkUtil:  p.Sim.Utilization(p.Device.CopyResource(), start, end),
 
 		FeedNsPerNumber:     m.FeedBytesPerNumber() / m.FeedBytesPerSec * 1e9,
 		TransferNsPerNumber: m.FeedBytesPerNumber() / p.Device.Config().LinkBps * 1e9,
@@ -149,76 +162,43 @@ func (p *Platform) GenerateHybrid(n int64, s int) (Report, error) {
 		// cycles / (clock · min(threads, cores)).
 		GenNsPerNumber: m.GenCyclesPerNumber() / (effThreads * clock) * 1e9,
 	}
+	rep.SimNs, rep.CPUUtil, rep.GPUUtil, rep.LinkUtil = pl.Usage()
 	return rep, nil
 }
 
 // GenerateMTBatch simulates the SDK Mersenne Twister batch
 // generator: a one-off setup, then a single device kernel producing
 // all n numbers into device memory (the pre-generate-and-store model
-// the paper criticises). The host plays no part.
+// the paper criticises).
 func (p *Platform) GenerateMTBatch(n int64) (Report, error) {
-	if n < 1 {
-		return Report{}, fmt.Errorf("hybrid: n = %d < 1", n)
-	}
-	m := p.Model
-	start := p.Sim.Horizon()
-	st := p.Device.NewStream(start)
-	st.Launch(gpu.Kernel{Name: "mt:setup", Threads: p.Device.Cores(), CyclesPerThread: m.MTSetupNs / 1e9 * p.Device.Config().ClockHz})
-	threads := p.Device.Cores() * 128 // fully occupied batch grid
-	if int64(threads) > n {
-		threads = int(n)
-	}
-	per := float64(n) / float64(threads)
-	st.Launch(gpu.Kernel{
-		Name:            "mt:batch",
-		Threads:         threads,
-		CyclesPerThread: per * m.MTBatchCyclesPerNumber,
-	})
-	end := p.Sim.Horizon()
-	return Report{
-		Generator: "mersenne-twister",
-		N:         n,
-		BlockSize: int(per),
-		Threads:   threads,
-		SimNs:     end - start,
-		CPUUtil:   p.Sim.Utilization(p.Host.Resource(), start, end),
-		GPUUtil:   p.Sim.Utilization(p.Device.ComputeResource(), start, end),
-		LinkUtil:  p.Sim.Utilization(p.Device.CopyResource(), start, end),
-	}, nil
+	return p.deviceOnly("mersenne-twister", "mt", n, p.Model.MTSetupNs, p.Model.MTBatchCyclesPerNumber)
 }
 
 // GenerateCurandDevice simulates the CURAND device API (XORWOW) in
 // its on-demand mode: curand_init once, then one state load +
 // generate + state store per number.
 func (p *Platform) GenerateCurandDevice(n int64) (Report, error) {
+	return p.deviceOnly("curand-device", "curand", n, p.Model.CurandSetupNs, p.Model.CurandDeviceCyclesPerNumber)
+}
+
+// deviceOnly books a generator the host plays no part in: a setup
+// kernel of setupNs on every core, then one kernel that produces all n
+// numbers at cyclesPerNumber each over a fully occupied grid.
+func (p *Platform) deviceOnly(generator, kernel string, n int64, setupNs, cyclesPerNumber float64) (Report, error) {
 	if n < 1 {
 		return Report{}, fmt.Errorf("hybrid: n = %d < 1", n)
 	}
-	m := p.Model
-	start := p.Sim.Horizon()
-	st := p.Device.NewStream(start)
-	st.Launch(gpu.Kernel{Name: "curand:init", Threads: p.Device.Cores(), CyclesPerThread: m.CurandSetupNs / 1e9 * p.Device.Config().ClockHz})
-	threads := p.Device.Cores() * 128
+	pl := p.Pipeline()
+	pl.Launch(gpu.Kernel{Name: kernel + ":setup", Threads: p.Device.Cores(), CyclesPerThread: setupNs / 1e9 * p.Device.Config().ClockHz})
+	threads := p.Device.Cores() * 128 // fully occupied batch grid
 	if int64(threads) > n {
 		threads = int(n)
 	}
 	per := float64(n) / float64(threads)
-	st.Launch(gpu.Kernel{
-		Name:            "curand:gen",
-		Threads:         threads,
-		CyclesPerThread: per * m.CurandDeviceCyclesPerNumber,
-	})
-	end := p.Sim.Horizon()
-	return Report{
-		Generator: "curand-device",
-		N:         n,
-		BlockSize: int(per),
-		Threads:   threads,
-		SimNs:     end - start,
-		CPUUtil:   p.Sim.Utilization(p.Host.Resource(), start, end),
-		GPUUtil:   p.Sim.Utilization(p.Device.ComputeResource(), start, end),
-		LinkUtil:  p.Sim.Utilization(p.Device.CopyResource(), start, end),
-	}, nil
+	pl.Launch(gpu.Kernel{Name: kernel + ":gen", Threads: threads, CyclesPerThread: per * cyclesPerNumber})
+	rep := Report{Generator: generator, N: n, BlockSize: int(per), Threads: threads}
+	rep.SimNs, rep.CPUUtil, rep.GPUUtil, rep.LinkUtil = pl.Usage()
+	return rep, nil
 }
 
 // PureDeviceSerialHybrid simulates the strawman of Figure 1's left
@@ -234,30 +214,14 @@ func (p *Platform) PureDeviceSerialHybrid(n int64, s int) (Report, error) {
 		threads = 1
 	}
 	iterations := int((n + int64(threads) - 1) / int64(threads))
-	start := p.Sim.Horizon()
-	st := p.Device.NewStream(start)
-	ready := start
+	pl := p.Pipeline()
 	perIterBytes := int64(m.FeedBytesPerNumber() * float64(threads))
 	for it := 0; it < iterations; it++ {
-		f := p.Host.Compute("F", ready, m.FeedChunkOverheadNs+float64(perIterBytes)/m.FeedBytesPerSec*1e9)
-		st.WaitFor(f.End)
-		st.CopyH2D("T", perIterBytes)
-		k := st.Launch(gpu.Kernel{
-			Name:            "G",
-			Threads:         threads,
-			CyclesPerThread: m.GenCyclesPerNumber(),
-		})
-		ready = k.End // serial: host waits for the device
+		k := pl.Chunk(perIterBytes, m.FeedBytesPerSec,
+			gpu.Kernel{Name: "G", Threads: threads, CyclesPerThread: m.GenCyclesPerNumber()})
+		pl.hostFree = k.End // serial: the host waits for the device
 	}
-	end := p.Sim.Horizon()
-	return Report{
-		Generator: "hybrid-serial (no overlap)",
-		N:         n,
-		BlockSize: s,
-		Threads:   threads,
-		SimNs:     end - start,
-		CPUUtil:   p.Sim.Utilization(p.Host.Resource(), start, end),
-		GPUUtil:   p.Sim.Utilization(p.Device.ComputeResource(), start, end),
-		LinkUtil:  p.Sim.Utilization(p.Device.CopyResource(), start, end),
-	}, nil
+	rep := Report{Generator: "hybrid-serial (no overlap)", N: n, BlockSize: s, Threads: threads}
+	rep.SimNs, rep.CPUUtil, rep.GPUUtil, rep.LinkUtil = pl.Usage()
+	return rep, nil
 }

@@ -133,67 +133,43 @@ func RankTimeSim(variant string, n int64, measured *ReduceStats) (SimReport, err
 		return xs[len(xs)-1]
 	}
 
-	start := p.Sim.Horizon()
-	feedStream := p.Device.NewStream(start)
-	genStream := p.Device.NewStream(start)
+	pl := p.Pipeline()
 	var totalRandoms int64
-	feedReady := start
-
 	for i := 0; i < iters; i++ {
+		survivors := int(min64(at(active, i), 1<<30))
+		// The baselines' splice reads a stored number per survivor.
+		splice := gpu.Kernel{
+			Name:            "G",
+			Threads:         survivors,
+			CyclesPerThread: spliceCyclesPerNode + fetchCyclesPerRand,
+		}
 		switch variant {
 		case VariantHybridOurs:
 			cnt := at(active, i)
 			totalRandoms += cnt
-			bytes := int64(model.FeedBytesPerNumber() * float64(cnt))
-			f := p.Host.Compute("F", feedReady, model.FeedChunkOverheadNs+float64(bytes)/model.FeedBytesPerSec*1e9)
-			feedReady = f.End // pipelined: host rolls on
-			feedStream.WaitFor(f.End)
-			t := feedStream.CopyH2D("T", bytes)
-			genStream.WaitFor(t.End)
-			genStream.Launch(gpu.Kernel{
+			pl.Chunk(int64(model.FeedBytesPerNumber()*float64(cnt)), model.FeedBytesPerSec, gpu.Kernel{
 				Name:            "G",
-				Threads:         int(min64(cnt, 1<<30)),
+				Threads:         survivors,
 				CyclesPerThread: model.GenCyclesPerNumber() + spliceCyclesPerNode,
 			})
 		case VariantHybridGlibc:
 			cnt := at(bound, i)
 			totalRandoms += cnt
-			bytes := cnt * 4
-			f := p.Host.Compute("F", feedReady, model.FeedChunkOverheadNs+float64(bytes)/serialGlibcBps*1e9)
-			feedReady = f.End
-			feedStream.WaitFor(f.End)
-			t := feedStream.CopyH2D("T", bytes)
-			genStream.WaitFor(t.End)
-			genStream.Launch(gpu.Kernel{
-				Name:            "G",
-				Threads:         int(min64(at(active, i), 1<<30)),
-				CyclesPerThread: float64(spliceCyclesPerNode + fetchCyclesPerRand),
-			})
+			pl.Chunk(cnt*4, serialGlibcBps, splice)
 		case VariantPureGPUMT:
 			cnt := at(bound, i)
 			totalRandoms += cnt
-			genStream.Launch(gpu.Kernel{
+			pl.Launch(gpu.Kernel{
 				Name:            "M",
 				Threads:         int(min64(cnt, 1<<30)),
 				CyclesPerThread: model.MTBatchCyclesPerNumber,
 			})
-			genStream.Launch(gpu.Kernel{
-				Name:            "G",
-				Threads:         int(min64(at(active, i), 1<<30)),
-				CyclesPerThread: float64(spliceCyclesPerNode + fetchCyclesPerRand),
-			})
+			pl.Launch(splice)
 		default:
 			return SimReport{}, fmt.Errorf("listrank: unknown variant %q", variant)
 		}
 	}
-	end := p.Sim.Horizon()
-	return SimReport{
-		Variant:    variant,
-		N:          n,
-		Iterations: iters,
-		SimNs:      end - start,
-		CPUUtil:    p.Sim.Utilization(p.Host.Resource(), start, end),
-		GPUUtil:    p.Sim.Utilization(p.Device.ComputeResource(), start, end),
-		Randoms:    totalRandoms,
-	}, nil
+	rep := SimReport{Variant: variant, N: n, Iterations: iters, Randoms: totalRandoms}
+	rep.SimNs, rep.CPUUtil, rep.GPUUtil, _ = pl.Usage()
+	return rep, nil
 }
