@@ -42,10 +42,10 @@ const vecMinLanes = 5
 //
 // ws and dst must have equal length and the walkers must be
 // distinct; no walker may be used concurrently elsewhere during the
-// call. Walkers on small analysis graphs, or whose WalkLen differs
-// from the first bin-fed lane's, fall back to their scalar Fill
-// (same output, no lockstep speedup), as does a group of one lane
-// owing fewer than binMinFill numbers.
+// call. Walkers whose WalkLen differs from the first bin-fed lane's,
+// or whose one number needs more feed bits than a bin holds, fall back
+// to their scalar Fill (same output, no lockstep speedup), as does a
+// group of one lane owing fewer than binMinFill numbers.
 func FillBatch(ws []*Walker, dst [][]uint64) {
 	if len(ws) != len(dst) {
 		panic("core: FillBatch lane count mismatch")

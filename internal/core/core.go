@@ -17,7 +17,6 @@ package core
 
 import (
 	"fmt"
-	mathbits "math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -157,9 +156,6 @@ type Config struct {
 	// WalkLen is the length l of the Algorithm 2 walk performed per
 	// generated number. 0 means DefaultWalkLen.
 	WalkLen int
-	// Graph is the expander to walk on; nil means the production
-	// graph (m = 2^32).
-	Graph *expander.Graph
 }
 
 func (c Config) withDefaults() Config {
@@ -168,9 +164,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WalkLen == 0 {
 		c.WalkLen = DefaultWalkLen
-	}
-	if c.Graph == nil {
-		c.Graph = expander.Full()
 	}
 	return c
 }
@@ -190,8 +183,6 @@ func (c Config) validate() error {
 // design (see the package comment).
 type Walker struct {
 	cfg    Config
-	graph  *expander.Graph
-	full   bool
 	stripe uint8 // binFree stripe of the fills this walker leads
 	pos    expander.Vertex
 	bits   *rng.BitReader
@@ -212,52 +203,19 @@ func NewWalker(bits *rng.BitReader, cfg Config) (*Walker, error) {
 	}
 	w := &Walker{
 		cfg:    cfg,
-		graph:  cfg.Graph,
-		full:   cfg.Graph.IsFull(),
 		stripe: nextStripe(),
+		pos:    expander.VertexFromID(bits.Bits(64)),
 		bits:   bits,
-	}
-	if w.full {
-		w.pos = expander.VertexFromID(bits.Bits(64))
-	} else {
-		// Draw each coordinate uniformly from Z_m by rejection; the
-		// old `label % m` clamp over-weighted low residues whenever m
-		// was not a power of two.
-		m := uint32(cfg.Graph.M())
-		w.pos = expander.Vertex{X: uniformMod(bits, m), Y: uniformMod(bits, m)}
 	}
 	w.walk(cfg.InitWalkLen)
 	return w, nil
 }
 
-// uniformMod returns a uniform value in [0, m) by drawing ⌈log₂ m⌉
-// feed bits and rejecting values ≥ m (exact for powers of two, < 2
-// expected draws otherwise).
-func uniformMod(bits *rng.BitReader, m uint32) uint32 {
-	k := uint(mathbits.Len32(m - 1))
-	if k == 0 { // m == 1
-		return 0
-	}
-	for {
-		if v := uint32(bits.Bits(k)); v < m {
-			return v
-		}
-	}
-}
-
 // walk advances the position by l steps, consuming 3 bits per step.
-// On the full graph it pulls 63 feed bits (21 steps) at a time and
-// walks them through chunk21, the generator's hot loop.
+// It pulls 63 feed bits (21 steps) at a time and walks them through
+// chunk21, the generator's hot loop.
 func (w *Walker) walk(l int) {
-	pos := w.pos
-	if !w.full {
-		for i := 0; i < l; i++ {
-			pos = w.graph.Step(pos, w.bits.Bits(BitsPerStep))
-		}
-		w.pos = pos
-		return
-	}
-	x, y := pos.X, pos.Y
+	x, y := w.pos.X, w.pos.Y
 	i := 0
 	for l-i >= stepsPerChunk {
 		x, y = chunk21(x, y, w.bits.Bits(chunkBits)) // 21 aligned 3-bit fields
@@ -363,8 +321,6 @@ func RestoreWalker(bits *rng.BitReader, cfg Config, pos expander.Vertex, generat
 	}
 	return &Walker{
 		cfg:    cfg,
-		graph:  cfg.Graph,
-		full:   cfg.Graph.IsFull(),
 		stripe: nextStripe(),
 		pos:    pos,
 		bits:   bits,
@@ -395,10 +351,10 @@ func (w *Walker) Fill(dst []uint64) {
 	}
 }
 
-// binFed reports whether w's fills can read bins: it walks the full
-// graph and one number's feed bits fit in a bin.
+// binFed reports whether w's fills can read bins: one number's feed
+// bits fit in a bin.
 func (w *Walker) binFed() bool {
-	return w.full && w.cfg.WalkLen*BitsPerStep <= binBits
+	return w.cfg.WalkLen*BitsPerStep <= binBits
 }
 
 // Skip advances the stream by n numbers without materialising them:

@@ -42,9 +42,8 @@ func TestChunkedWalkMatchesPerStepWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Reference: small-graph path is per-step; emulate the full
-		// graph per-step with a second walker over the same feed by
-		// stepping the graph manually.
+		// Reference: step the full graph one field at a time over a
+		// second copy of the same feed.
 		bits := newBits(777)
 		g := expander.Full()
 		pos := expander.VertexFromID(bits.Bits(64))

@@ -95,13 +95,10 @@ func (g *Graph) M() uint64 { return g.m }
 // bipartition (the label space of the walk).
 func (g *Graph) NumVertices() uint64 {
 	if g.full {
-		return 0 // 2^64 does not fit; callers use IsFull
+		return 0 // 2^64 does not fit
 	}
 	return g.m * g.m
 }
-
-// IsFull reports whether this is the production-size graph.
-func (g *Graph) IsFull() bool { return g.full }
 
 // Neighbor returns the k-th neighbour (0 ≤ k < 7) of v.
 func (g *Graph) Neighbor(v Vertex, k int) Vertex {

@@ -86,12 +86,6 @@ func TestNewValidation(t *testing.T) {
 	if g.NumVertices() != 256 {
 		t.Errorf("NumVertices = %d, want 256", g.NumVertices())
 	}
-	if g.IsFull() {
-		t.Error("small graph must not report full")
-	}
-	if !Full().IsFull() {
-		t.Error("Full() must report full")
-	}
 }
 
 func TestNeighborMapsAreBijections(t *testing.T) {
