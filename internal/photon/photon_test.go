@@ -212,6 +212,14 @@ func TestCountClashes(t *testing.T) {
 	}
 }
 
+// DupRate returns the duplicate fraction.
+func (c ClashStats) DupRate() float64 {
+	if c.Photons == 0 {
+		return 0
+	}
+	return float64(c.Duplicates) / float64(c.Photons)
+}
+
 func TestClashRateMWCVersusHybrid(t *testing.T) {
 	// The paper's quality claim in miniature: CUDAMCML's 32-bit MWC
 	// initialisation collides measurably at large photon counts
