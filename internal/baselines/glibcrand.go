@@ -56,14 +56,10 @@ func (g *GlibcRand) srandom(seed uint32) {
 }
 
 // step generates the next value r[i] = r[i-31] + r[i-3] of the
-// recurrence and returns it (before the output shift).
-//
-// This is the FEED's innermost operation — the serving stack steps it
-// nine times per 64-bit feed word — so the three cursor reductions
-// are conditional subtracts (k is always < 34, so k+31 < 68 needs at
-// most one) rather than the modulo operations an earlier version
-// used, which cost a magic-number multiply each and dominated bulk
-// fill profiles.
+// recurrence and returns it (before the output shift). Only srandom's
+// discard loop and Random call it; the FEED's entry points, Uint64 and
+// FillWords, step the ring in their own bodies. k is always < 34, so
+// each cursor reduction is one conditional subtract.
 func (g *GlibcRand) step() uint32 {
 	// Slot layout: g.buf holds r[i-34..i-1]; with write cursor k
 	// (= i mod 34), r[i-31] sits at (k+3) mod 34 and r[i-3] at

@@ -22,11 +22,10 @@ func Interleave(srcs ...Source) *Interleaved {
 	if len(srcs) == 0 {
 		panic("rng: Interleave of zero sources")
 	}
-	for i, s := range srcs {
+	for _, s := range srcs {
 		if s == nil {
 			panic("rng: Interleave with nil source")
 		}
-		_ = i
 	}
 	c := make([]Source, len(srcs))
 	copy(c, srcs)
