@@ -3,7 +3,7 @@
 
 GOPATH_BIN := $(shell go env GOPATH)/bin
 
-.PHONY: build vet test race race-full lint lint-json lint-vet fmt loc portable fuzz-smoke check battery-short battery-long bench-seed bench-gate fleet-drill substream-test
+.PHONY: build vet test race race-full lint lint-json lint-vet fmt loc figures portable fuzz-smoke check battery-short battery-long bench-seed bench-gate fleet-drill substream-test
 
 build:
 	go build ./...
@@ -54,6 +54,19 @@ loc:
 	@printf 'non-test Go %7d\n' $$($(LOC_FILES) -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 	@printf 'test Go     %7d\n' $$($(LOC_FILES) -name '*_test.go' -exec cat {} + | wc -l)
 	@printf 'assembly    %7d\n' $$($(LOC_FILES) -name '*.s' -exec cat {} + | wc -l)
+
+## figures: print every deterministic simulated output — the headline,
+## Figure 1 with its timeline, Figures 3-5, Figure 7 and Figure 8, with
+## the real runs that anchor the last two. The numbers are pure
+## functions of the cost model and the booking order, so a change to
+## internal/{hybrid,gpu,listrank,photon} that means to move no figure
+## must print the same bytes here as its parent.
+figures:
+	go run ./cmd/reproduce -exp headline
+	go run ./cmd/reproduce -exp F1
+	go run ./cmd/prngbench -figure3 -figure4 -figure5
+	go run ./cmd/listrank
+	go run ./cmd/photonmc
 
 ## portable: execute the paths non-amd64 and big-endian hosts take —
 ## the purego tag forces the portable walk (every lane through
