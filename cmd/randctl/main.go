@@ -1,13 +1,13 @@
 // Command randctl is the fleet control plane for randd: nodes
 // register and heartbeat against it, it detects failures by missed
 // heartbeats (alive → suspect → dead, mirroring the pool's shard
-// health machine), places logical shard ranges onto nodes without
-// ever exceeding a node's declared capacity, and orchestrates
-// stream-preserving drains through the exact-resume snapshot path.
+// health machine), publishes the alive nodes as a versioned endpoint
+// list, and orchestrates stream-preserving drains through the
+// exact-resume snapshot path.
 //
 // Serve mode (the default) runs the controller:
 //
-//	randctl -addr :7070 -logical-shards 64 -stream-words 100000
+//	randctl -addr :7070
 //
 // The same binary doubles as the operator CLI against a running
 // controller:
@@ -17,7 +17,7 @@
 //	randctl -control http://localhost:7070 -endpoints -watch
 //	randctl -control http://localhost:7070 -drain node-1 -o node-1.state
 //
-// A drain freezes the node's shard ranges under a resume token, pulls
+// A drain opens a ticket for the node under a resume token, pulls
 // the node's pool snapshot (the node stops serving permanently — one
 // more word there would fork the streams), and writes blob plus token
 // so a successor can take over bitwise:
@@ -49,12 +49,10 @@ func main() {
 
 func run() int {
 	var (
-		addr       = flag.String("addr", ":7070", "serve mode: controller listen address")
-		logical    = flag.Uint64("logical-shards", 0, "serve mode: logical shard ranges to place across the fleet (0 = default 64)")
-		streamWrds = flag.Uint64("stream-words", 0, "serve mode: words/s of demand one logical shard represents (0 = default 100000)")
-		heartbeat  = flag.Duration("heartbeat", 0, "serve mode: heartbeat interval assigned to nodes (0 = default 2s)")
-		suspectAf  = flag.Duration("suspect-after", 0, "serve mode: silence before a node turns suspect (0 = 3x heartbeat)")
-		deadAfter  = flag.Duration("dead-after", 0, "serve mode: silence before a suspect node is declared dead (0 = 10x heartbeat)")
+		addr      = flag.String("addr", ":7070", "serve mode: controller listen address")
+		heartbeat = flag.Duration("heartbeat", 0, "serve mode: heartbeat interval assigned to nodes (0 = default 2s)")
+		suspectAf = flag.Duration("suspect-after", 0, "serve mode: silence before a node turns suspect (0 = 3x heartbeat)")
+		deadAfter = flag.Duration("dead-after", 0, "serve mode: silence before a suspect node is declared dead (0 = 10x heartbeat)")
 
 		control = flag.String("control", "", "client mode: base URL of a running randctl (enables -status/-endpoints/-drain)")
 		status  = flag.Bool("status", false, "client mode: print the fleet status JSON")
@@ -74,8 +72,6 @@ func run() int {
 	}
 
 	ctrl, err := fleet.NewController(fleet.Config{
-		LogicalShards:     *logical,
-		StreamWords:       *streamWrds,
 		HeartbeatInterval: *heartbeat,
 		SuspectAfter:      *suspectAf,
 		DeadAfter:         *deadAfter,
@@ -98,8 +94,8 @@ func run() int {
 	httpErr := make(chan error, 1)
 	go func() {
 		cfg := ctrl.Config()
-		log.Printf("randctl: controller on %s (%d logical shards, %d words/s per shard, heartbeat %v, suspect %v, dead %v)",
-			*addr, cfg.LogicalShards, cfg.StreamWords, cfg.HeartbeatInterval, cfg.SuspectAfter, cfg.DeadAfter)
+		log.Printf("randctl: controller on %s (heartbeat %v, suspect %v, dead %v)",
+			*addr, cfg.HeartbeatInterval, cfg.SuspectAfter, cfg.DeadAfter)
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			httpErr <- err
 		}

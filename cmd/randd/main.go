@@ -45,11 +45,11 @@
 // -state — fault schedules do not belong in production snapshots.
 //
 // With -control, randd joins a randctl fleet: it registers under
-// -node-id, advertises -advertise (or a URL derived from -addr),
-// declares -capacity words/s, and heartbeats its live pool health so
-// the controller can place shard ranges and detect failures. A
-// successor taking over a drained node's streams passes the drain's
-// -resume-token so the controller transfers the frozen ranges. On
+// -node-id, advertises -advertise (or a URL derived from -addr), and
+// heartbeats its live pool health so the controller can detect
+// failures and keep the endpoint list current. A successor taking
+// over a drained node's streams passes the drain's -resume-token,
+// which closes the drain ticket and retires the drained node. On
 // SIGTERM a fleet member deregisters *before* draining — clients are
 // steered away while the node can still answer — and a failed
 // deregistration makes the exit non-zero, same as a failed final
@@ -107,7 +107,6 @@ func run() int {
 		control    = flag.String("control", "", "randctl base URL: register with this fleet controller and heartbeat pool health (empty = standalone)")
 		nodeID     = flag.String("node-id", "", "fleet node ID (with -control; default: the hostname)")
 		advertise  = flag.String("advertise", "", "base URL other hosts reach this node at (with -control; default derived from -addr)")
-		capacity   = flag.Uint64("capacity", 1_000_000, "declared serving capacity in words/s for fleet placement (with -control)")
 		resumeTok  = flag.String("resume-token", "", "drain ticket token when this node is the successor resuming a drained node's streams (with -control)")
 	)
 	flag.Parse()
@@ -194,20 +193,12 @@ func run() int {
 		}
 		agent, err = fleet.NewAgent(fleet.AgentOptions{
 			Controller: *control,
-			Node: fleet.NodeInfo{
-				ID: id, URL: adv,
-				CapacityWords: *capacity,
-				ResumeToken:   *resumeTok,
-			},
+			Node:       fleet.NodeInfo{ID: id, URL: adv, ResumeToken: *resumeTok},
 			Report: func() fleet.HeartbeatReport {
 				st := pool.Stats()
 				return fleet.HeartbeatReport{
-					Shards:        st.Shards,
-					Healthy:       st.Healthy,
-					Quarantined:   st.Quarantined,
-					Probation:     st.Probation,
-					Retired:       st.Retired,
-					CapacityWords: *capacity,
+					Shards:  st.Shards,
+					Healthy: st.Healthy,
 					// The drain latch rides every heartbeat so the
 					// controller can spot a drained zombie (latched
 					// node still in rotation after a failed rollback)

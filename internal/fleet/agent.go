@@ -29,9 +29,9 @@ type Agent struct {
 type AgentOptions struct {
 	// Controller is the randctl base URL (required).
 	Controller string
-	// Node is what to register: ID, advertised URL, declared
-	// capacity, and optionally the resume token of a drain ticket
-	// this node is the successor for.
+	// Node is what to register: ID, advertised URL, and optionally
+	// the resume token of a drain ticket this node is the successor
+	// for.
 	Node NodeInfo
 	// Report snapshots the node's pool health for each heartbeat
 	// (required — wire it to hybridprng.Pool.Stats).

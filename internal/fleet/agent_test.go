@@ -16,8 +16,6 @@ import (
 func TestAgentRunHeartbeatsAndReregisters(t *testing.T) {
 	clk := newFakeClock()
 	ctrl, err := NewController(Config{
-		LogicalShards:     64,
-		StreamWords:       1000,
 		HeartbeatInterval: 10 * time.Millisecond,
 		Clock:             clk.Now,
 	})
@@ -44,7 +42,7 @@ func TestAgentRunHeartbeatsAndReregisters(t *testing.T) {
 
 	a, err := NewAgent(AgentOptions{
 		Controller: srv.URL,
-		Node:       NodeInfo{ID: "a", URL: "http://a", CapacityWords: 64_000},
+		Node:       NodeInfo{ID: "a", URL: "http://a"},
 		Report:     func() HeartbeatReport { return healthyBeat(8) },
 		RetryWait:  5 * time.Millisecond,
 	})
@@ -96,7 +94,7 @@ func TestAgentRegisterRetriesUntilControllerUp(t *testing.T) {
 
 	a, err := NewAgent(AgentOptions{
 		Controller: srv.URL,
-		Node:       NodeInfo{ID: "a", URL: "http://a", CapacityWords: 64_000},
+		Node:       NodeInfo{ID: "a", URL: "http://a"},
 		Report:     func() HeartbeatReport { return healthyBeat(8) },
 		Interval:   10 * time.Millisecond,
 		RetryWait:  5 * time.Millisecond,
@@ -137,7 +135,7 @@ func TestAgentDeregister(t *testing.T) {
 
 	a, err := NewAgent(AgentOptions{
 		Controller: srv.URL,
-		Node:       NodeInfo{ID: "a", URL: "http://a", CapacityWords: 64_000},
+		Node:       NodeInfo{ID: "a", URL: "http://a"},
 		Report:     func() HeartbeatReport { return healthyBeat(8) },
 	})
 	if err != nil {
@@ -161,7 +159,7 @@ func TestAgentDeregister(t *testing.T) {
 // could only fail later and louder.
 func TestAgentOptionsValidation(t *testing.T) {
 	report := func() HeartbeatReport { return HeartbeatReport{} }
-	node := NodeInfo{ID: "a", URL: "http://a", CapacityWords: 1}
+	node := NodeInfo{ID: "a", URL: "http://a"}
 	for _, opts := range []AgentOptions{
 		{Node: node, Report: report},
 		{Controller: "http://c", Report: report},
@@ -184,7 +182,7 @@ func TestWatchEndpointsFollowsFleet(t *testing.T) {
 	}
 	srv := httptest.NewServer(NewServer(ctrl, ServerOptions{WatchHold: 50 * time.Millisecond}).Handler())
 	defer srv.Close()
-	if _, err := ctrl.Register(NodeInfo{ID: "a", URL: "http://a", CapacityWords: 64_000}); err != nil {
+	if _, err := ctrl.Register(NodeInfo{ID: "a", URL: "http://a"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -203,7 +201,7 @@ func TestWatchEndpointsFollowsFleet(t *testing.T) {
 	if len(first.endpoints) != 1 || first.endpoints[0] != "http://a" {
 		t.Fatalf("initial watch delivered %+v", first)
 	}
-	if _, err := ctrl.Register(NodeInfo{ID: "b", URL: "http://b", CapacityWords: 64_000}); err != nil {
+	if _, err := ctrl.Register(NodeInfo{ID: "b", URL: "http://b"}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -228,10 +226,10 @@ func TestWatchEndpointsControllerRestart(t *testing.T) {
 	}
 	// Advance ctrl1 past version 1 so the restarted controller's
 	// numbering is strictly behind.
-	if _, err := ctrl1.Register(NodeInfo{ID: "a", URL: "http://a", CapacityWords: 64_000}); err != nil {
+	if _, err := ctrl1.Register(NodeInfo{ID: "a", URL: "http://a"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctrl1.Register(NodeInfo{ID: "b", URL: "http://b", CapacityWords: 64_000}); err != nil {
+	if _, err := ctrl1.Register(NodeInfo{ID: "b", URL: "http://b"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -269,7 +267,7 @@ func TestWatchEndpointsControllerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctrl2.Register(NodeInfo{ID: "c", URL: "http://c", CapacityWords: 64_000}); err != nil {
+	if _, err := ctrl2.Register(NodeInfo{ID: "c", URL: "http://c"}); err != nil {
 		t.Fatal(err)
 	}
 	handler.Store(NewServer(ctrl2, ServerOptions{WatchHold: 50 * time.Millisecond}).Handler())

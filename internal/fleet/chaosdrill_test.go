@@ -143,18 +143,10 @@ func startDrillNode(t *testing.T, controller, id string, seed uint64, blob []byt
 	ht := httptest.NewServer(rec)
 	agent, err := fleet.NewAgent(fleet.AgentOptions{
 		Controller: controller,
-		Node: fleet.NodeInfo{
-			ID: id, URL: ht.URL,
-			CapacityWords: 64_000,
-			ResumeToken:   token,
-		},
+		Node:       fleet.NodeInfo{ID: id, URL: ht.URL, ResumeToken: token},
 		Report: func() fleet.HeartbeatReport {
 			st := pool.Stats()
-			return fleet.HeartbeatReport{
-				Shards: st.Shards, Healthy: st.Healthy,
-				Quarantined: st.Quarantined, Probation: st.Probation,
-				Retired: st.Retired, CapacityWords: 64_000,
-			}
+			return fleet.HeartbeatReport{Shards: st.Shards, Healthy: st.Healthy}
 		},
 		RetryWait: 5 * time.Millisecond,
 	})
@@ -195,12 +187,9 @@ func waitEndpoints(t *testing.T, ctrl *fleet.Controller, what string, cond func(
 // its frozen streams move to a successor booted from the drain blob,
 // and the bytes the pair served — recorded request by request on the
 // wire — must be bitwise identical to one uninterrupted reference
-// pool serving the same request sizes. Placement invariants (exact
-// partition, no over-commit) are checked at every milestone.
+// pool serving the same request sizes.
 func TestFleetChaosKillAndDrainContinuity(t *testing.T) {
 	ctrl, err := fleet.NewController(fleet.Config{
-		LogicalShards:     16,
-		StreamWords:       1_000,
 		HeartbeatInterval: 20 * time.Millisecond,
 		SuspectAfter:      100 * time.Millisecond,
 		DeadAfter:         300 * time.Millisecond,
@@ -221,9 +210,6 @@ func TestFleetChaosKillAndDrainContinuity(t *testing.T) {
 		nodes[i] = startDrillNode(t, cht.URL, fmt.Sprintf("n%d", i+1), seed, nil, "")
 	}
 	waitEndpoints(t, ctrl, "all three serving", func(eps []string) bool { return len(eps) == 3 })
-	if err := ctrl.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 
 	// The seeded schedule picks the victim — same seed, same drill.
 	sched, err := newFleetSchedule(fleetConfig{
@@ -328,9 +314,6 @@ func TestFleetChaosKillAndDrainContinuity(t *testing.T) {
 		}
 		return true
 	})
-	if err := ctrl.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 	drawUntil(marker+10_000, "post-kill serving")
 
 	// Drain the lowest-numbered survivor through the controller and
@@ -361,9 +344,6 @@ func TestFleetChaosKillAndDrainContinuity(t *testing.T) {
 		}
 		return false
 	})
-	if err := ctrl.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 	marker = draws.Load()
 	drawUntil(marker+10_000, "post-drain serving")
 

@@ -27,7 +27,7 @@ const (
 	nodeKill fleetEventKind = iota
 	// heartbeatLoss suppresses a node's heartbeats for the event's
 	// duration while it keeps serving draws: the controller must
-	// suspect it (steering new placement away) without the data plane
+	// suspect it (steering clients away) without the data plane
 	// ever failing a request, and readmit it when beats resume.
 	heartbeatLoss
 	// slowNode injects per-request latency for the duration,

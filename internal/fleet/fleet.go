@@ -6,18 +6,17 @@
 // loss*: nodes register and heartbeat, a controller detects failures
 // through deterministic missed-heartbeat state machines
 // (alive → suspect → dead, the node-level mirror of the pool's
-// healthy → quarantined → retired shard machine), places logical
-// shard ranges onto nodes without ever exceeding a node's declared
-// capacity, and drains nodes through the exact-resume snapshot path
-// so a planned move never breaks a stream.
+// healthy → quarantined → retired shard machine), publishes the alive
+// nodes as a versioned endpoint list, and drains nodes through the
+// exact-resume snapshot path so a planned move never breaks a stream.
 //
 // # Roles
 //
 //   - Controller: the deterministic core. Pure bookkeeping over an
 //     injected clock — no wall-clock reads, no goroutines, no I/O —
-//     so every failure-detection and placement decision is unit
-//     testable on a fake clock (and replayable: same heartbeat
-//     history + same clock ⇒ same decisions).
+//     so every failure-detection and drain decision is unit testable
+//     on a fake clock (and replayable: same heartbeat history + same
+//     clock ⇒ same decisions).
 //   - Server: the thin HTTP skin randctl serves (register, heartbeat,
 //     endpoints watch, fleet status, drain orchestration).
 //   - Agent: the node side, embedded in randd — registers on boot,
@@ -28,47 +27,26 @@
 //     (*client.Client).SetEndpoints so SDK failover learns about new
 //     and dead nodes without restarts.
 //
-// # Capacity model
-//
-// Each node declares a sustainable throughput in words/second
-// (CapacityWords — measured, e.g. from the committed pool benchmarks,
-// not aspirational). The controller divides the fleet's keyspace into
-// Config.LogicalShards logical shard ranges and charges
-// Config.StreamWords of demand per logical shard. A node's stream
-// budget is its *derated* capacity — declared capacity scaled by the
-// healthy fraction of its pool, as reported in heartbeats — divided
-// by StreamWords. Placement never assigns more logical shards to a
-// node than its current budget: the same over-scheduling invariant a
-// GPU scheduler enforces for device memory. When heartbeats show a
-// pool degrading (shards quarantined or retired), the budget shrinks
-// and the controller sheds the excess ranges to nodes with spare
-// budget — or parks them as pending rather than over-commit anyone.
-//
-// Logical shard ranges never alias: at all times the assigned ranges,
-// the pending ranges and the ranges frozen in drain tickets form an
-// exact partition of [0, LogicalShards). CheckInvariants verifies
-// both properties and the tests run it after every mutation.
-//
 // # Stream-preserving drain
 //
 // A planned removal (deploy, hardware retirement) must not restart
 // streams — that is exactly what the exact-resume state blobs exist
-// for. BeginDrain freezes the node's ranges into a drain ticket and
-// removes the node from the endpoint list; the operator (or randctl
-// drain) then fetches the node's pool snapshot via its POST /drain
-// endpoint, boots a replacement randd from that blob, and the
-// replacement registers carrying the ticket's resume token. The
-// controller hands the frozen ranges to the claimant — capacity
-// permitting — and the replacement continues every stream bitwise
-// where the drained node stopped. A node that dies *unplanned* gets
-// no such grace: its ranges are re-placed fresh (continuity is
-// impossible without a snapshot), and the client SDK's failover is
-// what keeps draws succeeding meanwhile.
+// for. BeginDrain opens a drain ticket for the node and removes it
+// from the endpoint list; the operator (or randctl drain) then
+// fetches the node's pool snapshot via its POST /drain endpoint,
+// boots a replacement randd from that blob, and the replacement
+// registers carrying the ticket's resume token. The controller closes
+// the ticket and retires the drained node, and the replacement
+// continues every stream bitwise where the drained node stopped.
+// Each stream keeps one owner: a ticket is claimed once, and a
+// draining or drained ID re-registers only with its own ticket. A
+// node that dies *unplanned* gets no such grace: its streams end with
+// it (continuity is impossible without a snapshot), and the client
+// SDK's failover is what keeps draws succeeding meanwhile.
 package fleet
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -79,18 +57,18 @@ const (
 	// StateAlive: heartbeats arriving within SuspectAfter.
 	StateAlive NodeState = iota
 	// StateSuspect: no heartbeat for SuspectAfter; the node is pulled
-	// from the endpoint list but keeps its shard ranges — a heartbeat
-	// readmits it instantly.
+	// from the endpoint list — a heartbeat readmits it instantly.
 	StateSuspect
-	// StateDead: no heartbeat for DeadAfter; ranges are re-placed on
-	// the survivors (fresh streams — unplanned loss has no snapshot).
+	// StateDead: no heartbeat for DeadAfter; the node no longer counts
+	// toward the partition heuristic and cannot be drained (unplanned
+	// loss has no snapshot). A heartbeat still readmits it.
 	StateDead
 	// StateDraining: an operator asked for a stream-preserving drain;
-	// the node is out of the endpoint list and its ranges are frozen
-	// in a drain ticket awaiting a claimant.
+	// the node is out of the endpoint list and its drain ticket awaits
+	// a claimant.
 	StateDraining
-	// StateDrained: the drain hand-off completed; the node holds
-	// nothing and may be deregistered.
+	// StateDrained: the drain hand-off completed; the node's streams
+	// live on a successor and it may be deregistered.
 	StateDrained
 )
 
@@ -110,85 +88,27 @@ func (s NodeState) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// Range is a half-open interval [Lo, Hi) of logical shard indices.
-type Range struct {
-	Lo uint64 `json:"lo"`
-	Hi uint64 `json:"hi"`
-}
-
-// Width returns the number of logical shards in the range.
-func (r Range) Width() uint64 { return r.Hi - r.Lo }
-
-func (r Range) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }
-
-// normalize sorts ranges and merges adjacent/overlapping ones,
-// dropping empties. The result is the canonical form every
-// controller-held range list stays in.
-func normalize(rs []Range) []Range {
-	out := make([]Range, 0, len(rs))
-	for _, r := range rs {
-		if r.Hi > r.Lo {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Lo < out[j].Lo })
-	merged := out[:0]
-	for _, r := range out {
-		if n := len(merged); n > 0 && r.Lo <= merged[n-1].Hi {
-			if r.Hi > merged[n-1].Hi {
-				merged[n-1].Hi = r.Hi
-			}
-			continue
-		}
-		merged = append(merged, r)
-	}
-	return merged
-}
-
-// width sums the logical shards covered by a normalized range list.
-func width(rs []Range) uint64 {
-	var w uint64
-	for _, r := range rs {
-		w += r.Width()
-	}
-	return w
-}
-
 // NodeInfo is what a node declares at registration.
 type NodeInfo struct {
-	// ID names the node for its whole lifetime (randd derives it from
-	// the listen address by default). Re-registering an existing ID
-	// refreshes the node in place — a restarted node that resumed its
-	// own state file keeps its shard ranges.
+	// ID names the node for its whole lifetime (randd defaults it to
+	// the hostname). Re-registering an existing ID refreshes the node
+	// in place — the restart-with-state-file case.
 	ID string `json:"id"`
 	// URL is the base URL clients should draw from
 	// ("http://host:port").
 	URL string `json:"url"`
-	// CapacityWords is the sustainable throughput this node declares,
-	// in words/second. The controller never assigns the node more
-	// logical shards than this capacity (derated by pool health)
-	// covers.
-	CapacityWords uint64 `json:"capacity_words"`
 	// ResumeToken, when non-empty, claims a drain ticket: the node
-	// registers as the successor of a draining node and inherits its
-	// frozen shard ranges (capacity permitting), continuing those
+	// registers as the successor of a draining node, continuing its
 	// streams bitwise from the drained snapshot.
 	ResumeToken string `json:"resume_token,omitempty"`
 }
 
-// HeartbeatReport is the per-heartbeat health payload, lifted
-// straight from hybridprng.PoolStats so the controller sees exactly
-// what /healthz and /metrics see.
+// HeartbeatReport is the per-heartbeat health payload: the pool's
+// shard counts from hybridprng.PoolStats, as /healthz and /metrics
+// see them, and the node's drain latch.
 type HeartbeatReport struct {
-	Shards      int `json:"shards"`
-	Healthy     int `json:"healthy"`
-	Quarantined int `json:"quarantined"`
-	Probation   int `json:"probation"`
-	Retired     int `json:"retired"`
-	// CapacityWords re-declares capacity (0 keeps the registered
-	// value) — a node that re-benchmarks itself can tell the
-	// controller.
-	CapacityWords uint64 `json:"capacity_words,omitempty"`
+	Shards  int `json:"shards"`
+	Healthy int `json:"healthy"`
 	// Draining reports the node's drain latch: it committed a
 	// stream-preserving drain and refuses every draw. A node the
 	// controller itself is draining reports this expectedly; an
@@ -200,35 +120,25 @@ type HeartbeatReport struct {
 
 // NodeStatus is one node's row in a fleet snapshot.
 type NodeStatus struct {
-	ID            string    `json:"id"`
-	URL           string    `json:"url"`
-	State         string    `json:"state"`
-	CapacityWords uint64    `json:"capacity_words"`
-	DeratedWords  uint64    `json:"derated_words"`
-	BudgetStreams uint64    `json:"budget_streams"`
-	Assigned      []Range   `json:"assigned,omitempty"`
-	AssignedWidth uint64    `json:"assigned_width"`
-	Healthy       int       `json:"healthy"`
-	Shards        int       `json:"shards"`
-	Draining      bool      `json:"draining,omitempty"`
-	LastBeat      time.Time `json:"last_beat"`
+	ID       string    `json:"id"`
+	URL      string    `json:"url"`
+	State    string    `json:"state"`
+	Healthy  int       `json:"healthy"`
+	Shards   int       `json:"shards"`
+	Draining bool      `json:"draining,omitempty"`
+	LastBeat time.Time `json:"last_beat"`
 }
 
 // TicketStatus describes an open drain ticket.
 type TicketStatus struct {
-	Token  string  `json:"token"`
-	NodeID string  `json:"node_id"`
-	Ranges []Range `json:"ranges"`
+	Token  string `json:"token"`
+	NodeID string `json:"node_id"`
 }
 
 // Status is a point-in-time fleet snapshot for randctl and /v1/fleet.
 type Status struct {
-	LogicalShards    uint64         `json:"logical_shards"`
-	StreamWords      uint64         `json:"stream_words"`
 	EndpointsVersion uint64         `json:"endpoints_version"`
 	Endpoints        []string       `json:"endpoints"`
-	Pending          []Range        `json:"pending,omitempty"`
-	PendingWidth     uint64         `json:"pending_width"`
 	Partitioned      bool           `json:"partitioned,omitempty"`
 	Nodes            []NodeStatus   `json:"nodes"`
 	Tickets          []TicketStatus `json:"tickets,omitempty"`

@@ -72,7 +72,7 @@ type ServerOptions struct {
 //	GET  /v1/endpoints   versioned endpoint list; ?wait=V long-polls
 //	                     until the version exceeds V (or WatchHold)
 //	GET  /v1/fleet       full Status JSON for operators
-//	POST /v1/drain?id=N  stream-preserving drain: freezes N's ranges,
+//	POST /v1/drain?id=N  stream-preserving drain: opens N's ticket,
 //	                     fetches N's pool snapshot via its /drain
 //	                     endpoint and relays the blob; the resume
 //	                     token rides the X-Fleet-Resume-Token header
@@ -243,7 +243,7 @@ func (s *Server) serveFleet(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveDrain orchestrates a stream-preserving drain end to end:
-// freeze the node's ranges in a ticket (it leaves the endpoint list
+// open a drain ticket for the node (it leaves the endpoint list
 // here), ask the node itself to drain in-flight draws and hand over
 // its pool snapshot, and relay the blob to the caller with the
 // resume token in X-Fleet-Resume-Token. The caller boots the
@@ -285,8 +285,8 @@ func (s *Server) serveDrain(w http.ResponseWriter, r *http.Request) {
 		// endpoint list: the blob never reached a successor and the
 		// ticket dies in AbortDrain, so un-draining cannot fork a
 		// stream — but skipping it would leave a zombie that 503s
-		// every draw while the controller keeps routing clients and
-		// placement at it. If even the rollback fails, the node's own
+		// every draw while the controller keeps routing clients at
+		// it. If even the rollback fails, the node's own
 		// heartbeats report the latch and keep it out of endpoints.
 		if uerr := s.undrainNode(url); uerr != nil {
 			err = fmt.Errorf("%w (and node-side undrain failed: %v; the node reports its drain latch via heartbeats until an operator clears it)", err, uerr)

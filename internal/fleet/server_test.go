@@ -50,18 +50,21 @@ func postAs[T any](t *testing.T, url string, body any) T {
 
 // TestServerRegisterHeartbeatEndpoints drives the full wire loop:
 // register two nodes over HTTP, read the endpoint list, kill one via
-// heartbeat silence, and watch the list shrink.
+// heartbeat silence, and watch the list shrink. A third node posts
+// the bodies an older randd sends, with fields the controller no
+// longer reads; the server decodes leniently, so it joins all the
+// same.
 func TestServerRegisterHeartbeatEndpoints(t *testing.T) {
 	clk := newFakeClock()
 	ctrl, srv := newTestServer(t, clk, ServerOptions{})
 
 	res := postAs[RegisterResult](t, srv.URL+"/v1/register",
-		NodeInfo{ID: "a", URL: "http://a", CapacityWords: 64_000})
+		NodeInfo{ID: "a", URL: "http://a"})
 	if res.HeartbeatInterval != time.Second {
 		t.Fatalf("assigned interval %v, want 1s", res.HeartbeatInterval)
 	}
 	postAs[RegisterResult](t, srv.URL+"/v1/register",
-		NodeInfo{ID: "b", URL: "http://b", CapacityWords: 64_000})
+		NodeInfo{ID: "b", URL: "http://b"})
 
 	var er EndpointsResponse
 	resp, err := http.Get(srv.URL + "/v1/endpoints")
@@ -95,8 +98,21 @@ func TestServerRegisterHeartbeatEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.LogicalShards != 64 || len(st.Nodes) != 2 {
+	if len(st.Nodes) != 2 {
 		t.Fatalf("fleet status %+v", st)
+	}
+
+	postAs[RegisterResult](t, srv.URL+"/v1/register",
+		json.RawMessage(`{"id":"c","url":"http://c","capacity_words":64000}`))
+	postAs[struct {
+		OK bool `json:"ok"`
+	}](t, srv.URL+"/v1/heartbeat", json.RawMessage(
+		`{"id":"c","shards":8,"healthy":5,"quarantined":1,"probation":1,"retired":1,"capacity_words":64000}`))
+	if _, eps := ctrl.Endpoints(); len(eps) != 2 || eps[1] != "http://c" {
+		t.Fatalf("older node's bodies: endpoints = %v, want a and c", eps)
+	}
+	if n := nodeByID(t, ctrl.Status(), "c"); n.State != "alive" || n.Healthy != 5 || n.Shards != 8 {
+		t.Fatalf("older node's bodies: status %+v", n)
 	}
 }
 
@@ -122,7 +138,7 @@ func TestServerEndpointsLongPoll(t *testing.T) {
 	clk := newFakeClock()
 	ctrl, srv := newTestServer(t, clk, ServerOptions{})
 	postAs[RegisterResult](t, srv.URL+"/v1/register",
-		NodeInfo{ID: "a", URL: "http://a", CapacityWords: 64_000})
+		NodeInfo{ID: "a", URL: "http://a"})
 	v, _ := ctrl.Endpoints()
 
 	got := make(chan EndpointsResponse, 1)
@@ -141,7 +157,7 @@ func TestServerEndpointsLongPoll(t *testing.T) {
 	// Let the long-poll park, then change the fleet.
 	time.Sleep(20 * time.Millisecond)
 	postAs[RegisterResult](t, srv.URL+"/v1/register",
-		NodeInfo{ID: "b", URL: "http://b", CapacityWords: 64_000})
+		NodeInfo{ID: "b", URL: "http://b"})
 	select {
 	case er := <-got:
 		if er.Version <= v || len(er.Endpoints) != 2 {
@@ -155,7 +171,7 @@ func TestServerEndpointsLongPoll(t *testing.T) {
 // TestServerDrainOrchestration: POST /v1/drain freezes the node,
 // pulls its snapshot blob through the node's own /drain endpoint, and
 // relays blob + resume token; a successor registering with the token
-// inherits the ranges.
+// claims the ticket.
 func TestServerDrainOrchestration(t *testing.T) {
 	blob := []byte("pool-state-blob-0123456789")
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -170,7 +186,7 @@ func TestServerDrainOrchestration(t *testing.T) {
 	clk := newFakeClock()
 	ctrl, srv := newTestServer(t, clk, ServerOptions{})
 	postAs[RegisterResult](t, srv.URL+"/v1/register",
-		NodeInfo{ID: "a", URL: node.URL, CapacityWords: 64_000})
+		NodeInfo{ID: "a", URL: node.URL})
 
 	resp, err := http.Post(srv.URL+"/v1/drain?id=a", "", nil)
 	if err != nil {
@@ -197,17 +213,14 @@ func TestServerDrainOrchestration(t *testing.T) {
 	}
 
 	// The drained node left the rotation; the successor claims its
-	// ranges with the token.
+	// ticket with the token.
 	if _, eps := ctrl.Endpoints(); len(eps) != 0 {
 		t.Fatalf("drained node still serving: %v", eps)
 	}
 	res := postAs[RegisterResult](t, srv.URL+"/v1/register",
-		NodeInfo{ID: "a2", URL: "http://a2", CapacityWords: 64_000, ResumeToken: token})
-	if len(res.Claimed) == 0 {
-		t.Fatalf("successor claimed nothing: %+v", res)
-	}
-	if err := ctrl.CheckInvariants(); err != nil {
-		t.Fatal(err)
+		NodeInfo{ID: "a2", URL: "http://a2", ResumeToken: token})
+	if res.Warning != "" {
+		t.Fatalf("successor's claim warned: %+v", res)
 	}
 }
 
@@ -222,7 +235,7 @@ func TestServerDrainAbortsOnNodeFailure(t *testing.T) {
 	clk := newFakeClock()
 	ctrl, srv := newTestServer(t, clk, ServerOptions{})
 	postAs[RegisterResult](t, srv.URL+"/v1/register",
-		NodeInfo{ID: "a", URL: node.URL, CapacityWords: 64_000})
+		NodeInfo{ID: "a", URL: node.URL})
 
 	resp, err := http.Post(srv.URL+"/v1/drain?id=a", "", nil)
 	if err != nil {
@@ -238,9 +251,6 @@ func TestServerDrainAbortsOnNodeFailure(t *testing.T) {
 	}
 	if st := ctrl.Status(); len(st.Tickets) != 0 {
 		t.Fatalf("ticket leaked after abort: %+v", st.Tickets)
-	}
-	if err := ctrl.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -316,7 +326,7 @@ func (d *drainableNode) state() (draining bool, undrains int) {
 // commits its drain but the controller-side relay fails (body read
 // error after 200), the controller must clear the node's latch via
 // /undrain BEFORE re-admitting it — otherwise the fleet routes
-// clients and placement at a node that 503s every draw forever.
+// clients at a node that 503s every draw forever.
 func TestServerDrainRelayFailureRollsBackNodeLatch(t *testing.T) {
 	dn := &drainableNode{serve: func(w http.ResponseWriter) {
 		// Declare more body than we send: the handler's short write
@@ -331,7 +341,7 @@ func TestServerDrainRelayFailureRollsBackNodeLatch(t *testing.T) {
 	clk := newFakeClock()
 	ctrl, srv := newTestServer(t, clk, ServerOptions{})
 	postAs[RegisterResult](t, srv.URL+"/v1/register",
-		NodeInfo{ID: "a", URL: node.URL, CapacityWords: 64_000})
+		NodeInfo{ID: "a", URL: node.URL})
 
 	resp, err := http.Post(srv.URL+"/v1/drain?id=a", "", nil)
 	if err != nil {
@@ -350,9 +360,6 @@ func TestServerDrainRelayFailureRollsBackNodeLatch(t *testing.T) {
 	}
 	if st := ctrl.Status(); len(st.Tickets) != 0 {
 		t.Fatalf("ticket leaked: %+v", st.Tickets)
-	}
-	if err := ctrl.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -383,7 +390,7 @@ func TestServerDrainOversizeBlobFailsLoudly(t *testing.T) {
 			clk := newFakeClock()
 			ctrl, srv := newTestServer(t, clk, ServerOptions{MaxDrainBlob: 16})
 			postAs[RegisterResult](t, srv.URL+"/v1/register",
-				NodeInfo{ID: "a", URL: node.URL, CapacityWords: 64_000})
+				NodeInfo{ID: "a", URL: node.URL})
 
 			resp, err := http.Post(srv.URL+"/v1/drain?id=a", "", nil)
 			if err != nil {
@@ -399,9 +406,6 @@ func TestServerDrainOversizeBlobFailsLoudly(t *testing.T) {
 			}
 			if _, eps := ctrl.Endpoints(); len(eps) != 1 {
 				t.Fatalf("node not restored: %v", eps)
-			}
-			if err := ctrl.CheckInvariants(); err != nil {
-				t.Fatal(err)
 			}
 		})
 	}
