@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 )
 
@@ -17,10 +16,6 @@ type Config struct {
 	LaunchNs    float64 // fixed kernel launch overhead, ns
 	LinkBps     float64 // PCIe bandwidth, bytes per second
 	LinkLatency float64 // per-transfer latency, ns
-
-	// Workers bounds the goroutines used to execute kernel bodies
-	// functionally; 0 means GOMAXPROCS.
-	Workers int
 }
 
 // TeslaC1060 returns the paper's device: 30 SMs × 8 SPs (240 cores)
@@ -69,9 +64,6 @@ type Device struct {
 
 	computeRes string
 	copyRes    string
-
-	streamSeq int
-	mu        sync.Mutex
 }
 
 // NewDevice attaches a simulated device to sim.
@@ -84,9 +76,6 @@ func NewDevice(sim *Sim, cfg Config) (*Device, error) {
 	}
 	if cfg.Name == "" {
 		cfg.Name = "gpu"
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	return &Device{
 		sim:        sim,
@@ -122,12 +111,6 @@ type Kernel struct {
 	//
 	// See KernelDuration.
 	CyclesPerThread float64
-
-	// Body, if non-nil, is executed functionally over the thread
-	// range [0, Threads) — possibly split across worker goroutines —
-	// so the launch computes real results. Body must be safe to run
-	// concurrently over disjoint ranges.
-	Body func(lo, hi int)
 }
 
 // KernelDuration returns the simulated execution time of k:
@@ -167,7 +150,6 @@ func (d *Device) CopyDuration(bytes int64) Time {
 // streams.
 type Stream struct {
 	d     *Device
-	name  string
 	ready Time
 	mu    sync.Mutex //lint:lockorder before Sim.mu stream ops serialise their own issue order, then book engine time on the shared simulator; Sim never calls back into a stream
 }
@@ -175,11 +157,7 @@ type Stream struct {
 // NewStream creates a stream whose first operation may start no
 // earlier than `after`.
 func (d *Device) NewStream(after Time) *Stream {
-	d.mu.Lock()
-	d.streamSeq++
-	name := fmt.Sprintf("%s:s%d", d.cfg.Name, d.streamSeq)
-	d.mu.Unlock()
-	return &Stream{d: d, name: name, ready: after}
+	return &Stream{d: d, ready: after}
 }
 
 // Ready returns the completion time of the stream's last issued
@@ -214,12 +192,9 @@ func (st *Stream) copy(label string, bytes int64) Interval {
 	return iv
 }
 
-// Launch issues kernel k on the stream, executes its Body (if any)
-// functionally, and returns the simulated interval of the launch.
+// Launch issues kernel k on the stream and returns the simulated
+// interval of the launch.
 func (st *Stream) Launch(k Kernel) Interval {
-	if k.Body != nil {
-		st.d.runBody(k)
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	label := k.Name
@@ -229,37 +204,6 @@ func (st *Stream) Launch(k Kernel) Interval {
 	iv := st.d.sim.Schedule(st.d.computeRes, label, st.ready, st.d.KernelDuration(k))
 	st.ready = iv.End
 	return iv
-}
-
-// runBody executes the kernel body over [0, Threads) with bounded
-// parallelism.
-func (d *Device) runBody(k Kernel) {
-	n := k.Threads
-	if n <= 0 {
-		return
-	}
-	workers := d.cfg.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		k.Body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			k.Body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // Host models the CPU side as one more serial resource on the same

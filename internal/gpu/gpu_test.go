@@ -251,50 +251,6 @@ func TestStreamWaitFor(t *testing.T) {
 	}
 }
 
-func TestKernelBodyExecutesAllThreads(t *testing.T) {
-	sim := NewSim()
-	cfg := TeslaC1060()
-	cfg.Workers = 4
-	d, _ := NewDevice(sim, cfg)
-	st := d.NewStream(0)
-	const n = 10000
-	hits := make([]int32, n)
-	var mu sync.Mutex
-	st.Launch(Kernel{
-		Name:            "body",
-		Threads:         n,
-		CyclesPerThread: 1,
-		Body: func(lo, hi int) {
-			mu.Lock()
-			defer mu.Unlock()
-			for i := lo; i < hi; i++ {
-				hits[i]++
-			}
-		},
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("thread %d executed %d times", i, h)
-		}
-	}
-}
-
-func TestKernelBodySingleWorker(t *testing.T) {
-	cfg := TeslaC1060()
-	cfg.Workers = 1
-	d, _ := NewDevice(NewSim(), cfg)
-	st := d.NewStream(0)
-	sum := 0
-	st.Launch(Kernel{
-		Threads:         100,
-		CyclesPerThread: 1,
-		Body:            func(lo, hi int) { sum += hi - lo },
-	})
-	if sum != 100 {
-		t.Errorf("single worker executed %d threads", sum)
-	}
-}
-
 func TestHostCompute(t *testing.T) {
 	sim := NewSim()
 	h, err := NewHost(sim, "cpu")

@@ -12,11 +12,9 @@
 // (Fig. 5), generator timing ratios (Fig. 3/7/8) — is a consequence
 // of the cost model, not the silicon, so the simulator reports
 // simulated nanoseconds from explicit, documented cost formulas and
-// records a full interval trace for utilisation accounting.
-//
-// Functional execution is decoupled from timing: a Kernel may carry a
-// Body that is really executed (so applications compute true
-// results) while its simulated duration comes from the cycle model.
+// records a full interval trace for utilisation accounting. It only
+// books time: a kernel is a thread count and a cycle cost, and no
+// kernel code runs.
 package gpu
 
 import (
