@@ -293,8 +293,12 @@ func TestRankTimeSimValidation(t *testing.T) {
 	if _, err := RankTimeSim(VariantHybridOurs, 1, nil); err == nil {
 		t.Error("n=1 should fail")
 	}
-	if _, err := RankTimeSim("bogus", 100, nil); err == nil {
-		t.Error("unknown variant should fail")
+	// n = 2 and 3 book no iterations, so the variant must be checked
+	// before the iteration loop.
+	for _, n := range []int64{2, 3, 100} {
+		if _, err := RankTimeSim("bogus", n, nil); err == nil {
+			t.Errorf("unknown variant at n=%d should fail", n)
+		}
 	}
 	if len(Variants()) != 3 {
 		t.Error("want 3 variants")

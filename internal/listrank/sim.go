@@ -3,6 +3,7 @@ package listrank
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/gpu"
 	"repro/internal/hybrid"
@@ -103,6 +104,9 @@ func RankTimeSim(variant string, n int64, measured *ReduceStats) (SimReport, err
 	if n < 2 {
 		return SimReport{}, fmt.Errorf("listrank: n = %d < 2", n)
 	}
+	if !slices.Contains(Variants(), variant) {
+		return SimReport{}, fmt.Errorf("listrank: unknown variant %q", variant)
+	}
 	model := hybrid.DefaultCostModel()
 	p, err := hybrid.NewPlatform(model)
 	if err != nil {
@@ -165,8 +169,6 @@ func RankTimeSim(variant string, n int64, measured *ReduceStats) (SimReport, err
 				CyclesPerThread: model.MTBatchCyclesPerNumber,
 			})
 			pl.Launch(splice)
-		default:
-			return SimReport{}, fmt.Errorf("listrank: unknown variant %q", variant)
 		}
 	}
 	rep := SimReport{Variant: variant, N: n, Iterations: iters, Randoms: totalRandoms}
