@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gpu"
 )
 
 func TestDefaultCostModelValid(t *testing.T) {
@@ -172,6 +173,31 @@ func TestFigure1OverlapBeatsSerial(t *testing.T) {
 	// The serial schedule must show a visibly idle CPU.
 	if serial.CPUUtil >= overlapped.CPUUtil {
 		t.Errorf("serial CPU util %.2f should be below overlapped %.2f", serial.CPUUtil, overlapped.CPUUtil)
+	}
+}
+
+// TestSerialBooksShortLastBatch: at (2,000,007, 100) the grid has
+// 20,000 threads, more than the device's 240 cores, and the last batch
+// holds 7 numbers. Both schedules run the same generation kernels, so
+// the serial schedule keeps the device busy exactly as long as the
+// overlapped one less its init kernel.
+func TestSerialBooksShortLastBatch(t *testing.T) {
+	const n, s = 2_000_007, 100
+	busy := func(p *Platform) gpu.Time {
+		return p.Sim.BusyTime(p.Device.ComputeResource(), 0, p.Sim.Horizon())
+	}
+	ph, _ := NewPlatform(DefaultCostModel())
+	if _, err := ph.GenerateHybrid(n, s); err != nil {
+		t.Fatal(err)
+	}
+	ps, _ := NewPlatform(DefaultCostModel())
+	if _, err := ps.PureDeviceSerialHybrid(n, s); err != nil {
+		t.Fatal(err)
+	}
+	init := ph.Device.KernelDuration(gpu.Kernel{Threads: n / s, CyclesPerThread: ph.Model.InitCyclesPerThread()})
+	want := busy(ph) - init
+	if got := busy(ps); math.Abs(got-want) > 1e-9*want {
+		t.Errorf("serial device busy %v ns, want %v (overlapped %v less init %v)", got, want, busy(ph), init)
 	}
 }
 

@@ -213,12 +213,13 @@ func (p *Platform) PureDeviceSerialHybrid(n int64, s int) (Report, error) {
 	if threads < 1 {
 		threads = 1
 	}
-	iterations := int((n + int64(threads) - 1) / int64(threads))
 	pl := p.Pipeline()
 	perIterBytes := int64(m.FeedBytesPerNumber() * float64(threads))
-	for it := 0; it < iterations; it++ {
+	for remaining := n; remaining > 0; {
+		batch := min(int64(threads), remaining)
+		remaining -= batch
 		k := pl.Chunk(perIterBytes, m.FeedBytesPerSec,
-			gpu.Kernel{Name: "G", Threads: threads, CyclesPerThread: m.GenCyclesPerNumber()})
+			gpu.Kernel{Name: "G", Threads: int(batch), CyclesPerThread: m.GenCyclesPerNumber()})
 		pl.hostFree = k.End // serial: the host waits for the device
 	}
 	rep := Report{Generator: "hybrid-serial (no overlap)", N: n, BlockSize: s, Threads: threads}
