@@ -201,6 +201,74 @@ func TestSerialBooksShortLastBatch(t *testing.T) {
 	}
 }
 
+// TestPipelineOrdering checks the three booking rules of Figures 1 and
+// 4 over a mix of fed chunks and feedless launches, on a platform whose
+// clock is already past zero: the host feeds chunk after chunk without
+// a gap, a copy starts no earlier than its own feed's end and the
+// previous copy's end, and a kernel starts no earlier than its copy's
+// end and the previous kernel's end.
+func TestPipelineOrdering(t *testing.T) {
+	p, err := NewPlatform(DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.GenerateMTBatch(1000); err != nil {
+		t.Fatal(err)
+	}
+	// free reports when a resource is next free: a zero-length booking
+	// with no dependency starts there and moves nothing.
+	free := func(res string) gpu.Time { return p.Sim.Schedule(res, "probe", 0, 0).Start }
+	host, link, m := "cpu", p.Device.CopyResource(), p.Model
+	start := p.Sim.Horizon()
+	pl := p.Pipeline()
+	feedEnd, copyEnd, kernelEnd := start, start, start
+	for i, c := range []struct {
+		bytes   int64   // fed bytes; 0 launches a kernel that needs no feed
+		bps     float64 // feed rate, bytes per second
+		threads int
+	}{
+		{0, 0, 240},                          // a launch before any chunk
+		{1 << 20, m.FeedBytesPerSec, 20_000}, // the copy waits for its feed
+		{8 << 20, 1e12, 240},                 // a fast feed, then a long copy
+		{1 << 10, 1e12, 240},                 // this copy queues behind it
+		{0, 0, 100_000},                      // a long feedless kernel
+		{1 << 10, m.FeedBytesPerSec, 7},      // this kernel queues behind it
+		{4 << 20, m.FeedBytesPerSec, 50_000},
+		{0, 0, 1},
+	} {
+		k := gpu.Kernel{Name: "G", Threads: c.threads, CyclesPerThread: m.GenCyclesPerNumber()}
+		if c.bytes == 0 {
+			h, l := free(host), free(link)
+			iv := pl.Launch(k)
+			if iv.Start < kernelEnd {
+				t.Errorf("step %d: launch starts at %v, before the previous kernel's end %v", i, iv.Start, kernelEnd)
+			}
+			if free(host) != h || free(link) != l {
+				t.Errorf("step %d: a launch booked host or link time", i)
+			}
+			kernelEnd = iv.End
+			continue
+		}
+		iv := pl.Chunk(c.bytes, c.bps, k)
+		want := feedEnd + (m.FeedChunkOverheadNs + float64(c.bytes)/c.bps*1e9)
+		if got := free(host); got != want {
+			t.Errorf("step %d: feed ends at %v, want %v (right after the previous feed)", i, got, want)
+		}
+		feedEnd = free(host)
+		// Adding a duration is monotonic in float64, so a copy that
+		// starts at or after lo ends at or after lo plus its duration.
+		lo := max(feedEnd, copyEnd)
+		if got := free(link); got < lo+p.Device.CopyDuration(c.bytes) {
+			t.Errorf("step %d: copy ends at %v, so it started before max(feed end, previous copy end) = %v", i, got, lo)
+		}
+		copyEnd = free(link)
+		if lo := max(copyEnd, kernelEnd); iv.Start < lo {
+			t.Errorf("step %d: kernel starts at %v, before max(copy end, previous kernel end) = %v", i, iv.Start, lo)
+		}
+		kernelEnd = iv.End
+	}
+}
+
 func TestGenerateValidation(t *testing.T) {
 	p, _ := NewPlatform(DefaultCostModel())
 	if _, err := p.GenerateHybrid(0, 100); err == nil {
