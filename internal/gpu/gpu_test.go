@@ -17,8 +17,8 @@ func TestScheduleSerialisesOneResource(t *testing.T) {
 	if b.Start != 10 || b.End != 15 {
 		t.Errorf("b must start after a: %+v", b)
 	}
-	if s.Free("r") != 15 {
-		t.Errorf("Free = %g", s.Free("r"))
+	if s.Horizon() != 15 {
+		t.Errorf("Horizon = %g", s.Horizon())
 	}
 }
 
@@ -30,7 +30,7 @@ func TestScheduleRespectsReadiness(t *testing.T) {
 	}
 	// Negative duration clamps to zero.
 	z := s.Schedule("r", "z", 0, -5)
-	if z.Duration() != 0 {
+	if z.End != z.Start {
 		t.Errorf("negative duration not clamped: %+v", z)
 	}
 }
@@ -83,8 +83,8 @@ func TestScheduleConcurrentSafety(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := s.Free("shared"); got != 3200 {
-		t.Errorf("after 3200 unit ops, Free = %g", got)
+	if got := s.Horizon(); got != 3200 {
+		t.Errorf("after 3200 unit ops, Horizon = %g", got)
 	}
 	if got := s.BusyTime("shared", 0, 3200); got != 3200 {
 		t.Errorf("BusyTime = %g", got)
@@ -109,55 +109,40 @@ func TestTimelineString(t *testing.T) {
 }
 
 func TestTeslaC1060Geometry(t *testing.T) {
-	sim := NewSim()
-	d, err := NewDevice(sim, TeslaC1060())
-	if err != nil {
+	d := TeslaC1060()
+	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if d.Cores() != 240 {
 		t.Errorf("C1060 cores = %d, want 240", d.Cores())
 	}
-	if d.Config().WarpSize != 32 {
-		t.Errorf("warp = %d", d.Config().WarpSize)
+	// Figure 1's timeline prints these row names.
+	if d.ComputeResource() != "tesla-c1060" || d.CopyResource() != "tesla-c1060:pcie" {
+		t.Errorf("resource names: %q / %q", d.ComputeResource(), d.CopyResource())
 	}
 }
 
 func TestDeviceValidation(t *testing.T) {
-	if _, err := NewDevice(nil, TeslaC1060()); err == nil {
-		t.Error("nil sim should fail")
-	}
-	bad := TeslaC1060()
-	bad.SMs = 0
-	if _, err := NewDevice(NewSim(), bad); err == nil {
-		t.Error("zero SMs should fail")
-	}
-	bad = TeslaC1060()
-	bad.ClockHz = 0
-	if _, err := NewDevice(NewSim(), bad); err == nil {
-		t.Error("zero clock should fail")
-	}
-	bad = TeslaC1060()
-	bad.LinkBps = 0
-	if _, err := NewDevice(NewSim(), bad); err == nil {
-		t.Error("zero link bandwidth should fail")
-	}
-	bad = TeslaC1060()
-	bad.LaunchNs = -1
-	if _, err := NewDevice(NewSim(), bad); err == nil {
-		t.Error("negative overhead should fail")
-	}
-	bad = TeslaC1060()
-	bad.WarpSize = 0
-	if _, err := NewDevice(NewSim(), bad); err == nil {
-		t.Error("zero warp should fail")
-	}
-	if _, err := NewHost(nil, "cpu"); err == nil {
-		t.Error("nil sim host should fail")
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"empty name", func(c *Config) { c.Name = "" }},
+		{"zero SMs", func(c *Config) { c.SMs = 0 }},
+		{"zero clock", func(c *Config) { c.ClockHz = 0 }},
+		{"zero link bandwidth", func(c *Config) { c.LinkBps = 0 }},
+		{"negative overhead", func(c *Config) { c.LaunchNs = -1 }},
+	} {
+		bad := TeslaC1060()
+		c.edit(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("%s should fail", c.name)
+		}
 	}
 }
 
 func TestKernelDurationThroughputModel(t *testing.T) {
-	d, _ := NewDevice(NewSim(), TeslaC1060())
+	d := TeslaC1060()
 	// 240000 threads × 1300 cycles at 240 cores × 1.3 GHz
 	// = 240000·1300/(240·1.3e9) s = 1 ms; plus 5 µs launch.
 	k := Kernel{Threads: 240000, CyclesPerThread: 1300}
@@ -169,8 +154,8 @@ func TestKernelDurationThroughputModel(t *testing.T) {
 }
 
 func TestKernelDurationUnderOccupied(t *testing.T) {
-	d, _ := NewDevice(NewSim(), TeslaC1060())
-	// 32 threads (1 warp) can only use 32 lanes: duration is the
+	d := TeslaC1060()
+	// 32 threads can only use 32 lanes: duration is the
 	// per-thread time, not total/(240).
 	k := Kernel{Threads: 32, CyclesPerThread: 1.3e6} // 1 ms per thread
 	got := d.KernelDuration(k)
@@ -191,7 +176,7 @@ func TestKernelDurationUnderOccupied(t *testing.T) {
 }
 
 func TestCopyDurationModel(t *testing.T) {
-	d, _ := NewDevice(NewSim(), TeslaC1060())
+	d := TeslaC1060()
 	// 8 MB over 8 GB/s = 1 ms, plus 1 µs latency.
 	got := d.CopyDuration(8 << 20)
 	want := 1000 + float64(8<<20)/8e9*1e9
@@ -200,127 +185,5 @@ func TestCopyDurationModel(t *testing.T) {
 	}
 	if got := d.CopyDuration(0); got != 1000 {
 		t.Errorf("zero-byte copy = %g, want latency", got)
-	}
-}
-
-func TestStreamOrdersOperations(t *testing.T) {
-	sim := NewSim()
-	d, _ := NewDevice(sim, TeslaC1060())
-	st := d.NewStream(0)
-	c := st.CopyH2D("h2d", 8e6) // 1000 + 1e6 ns
-	k := st.Launch(Kernel{Name: "k", Threads: 240, CyclesPerThread: 1.3e6})
-	if k.Start < c.End {
-		t.Errorf("kernel started at %g before its copy finished at %g", k.Start, c.End)
-	}
-	if st.Ready() != k.End {
-		t.Errorf("stream ready %g != kernel end %g", st.Ready(), k.End)
-	}
-}
-
-func TestTwoStreamsOverlapComputeAndCopy(t *testing.T) {
-	// The asynchronous concurrent execution model: stream B's copy
-	// runs while stream A's kernel computes.
-	sim := NewSim()
-	d, _ := NewDevice(sim, TeslaC1060())
-	a := d.NewStream(0)
-	b := d.NewStream(0)
-	ka := a.Launch(Kernel{Name: "k", Threads: 240, CyclesPerThread: 13e6}) // 10 ms
-	cb := b.CopyH2D("h2d", 8e6)                                            // ~1 ms
-	if cb.Start >= ka.End {
-		t.Errorf("copy %g..%g failed to overlap kernel %g..%g", cb.Start, cb.End, ka.Start, ka.End)
-	}
-	// But two kernels serialise on the compute engine.
-	kb := b.Launch(Kernel{Name: "k2", Threads: 240, CyclesPerThread: 13e6})
-	if kb.Start < ka.End {
-		t.Errorf("kernels overlapped on one device: %g < %g", kb.Start, ka.End)
-	}
-}
-
-func TestStreamWaitFor(t *testing.T) {
-	sim := NewSim()
-	d, _ := NewDevice(sim, TeslaC1060())
-	st := d.NewStream(0)
-	st.WaitFor(5000)
-	iv := st.Launch(Kernel{Name: "k", Threads: 32, CyclesPerThread: 1})
-	if iv.Start < 5000 {
-		t.Errorf("kernel ignored WaitFor: start %g", iv.Start)
-	}
-	st.WaitFor(0) // must not move ready backwards
-	if st.Ready() < iv.End {
-		t.Error("WaitFor moved readiness backwards")
-	}
-}
-
-func TestHostCompute(t *testing.T) {
-	sim := NewSim()
-	h, err := NewHost(sim, "cpu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Resource() != "cpu" {
-		t.Errorf("resource = %q", h.Resource())
-	}
-	a := h.Compute("feed", 0, 100)
-	b := h.Compute("feed", 0, 100)
-	if b.Start != a.End {
-		t.Error("host work must serialise")
-	}
-	h2, _ := NewHost(sim, "")
-	if h2.Resource() != "cpu" {
-		t.Error("default host name should be cpu")
-	}
-}
-
-func TestPureDeviceVsHybridScheduleShape(t *testing.T) {
-	// Figure 1 in miniature: interleaving host feed with kernel
-	// compute must beat the serial schedule.
-	mkRun := func(overlap bool) Time {
-		sim := NewSim()
-		d, _ := NewDevice(sim, TeslaC1060())
-		h, _ := NewHost(sim, "cpu")
-		ts := d.NewStream(0) // transfer stream
-		ks := d.NewStream(0) // kernel stream
-		var ready Time
-		for i := 0; i < 8; i++ {
-			feed := h.Compute("F", ready, 1000)
-			ts.WaitFor(feed.End)
-			tr := ts.CopyH2D("T", 4096)
-			ks.WaitFor(tr.End)
-			k := ks.Launch(Kernel{Name: "G", Threads: 240, CyclesPerThread: 1300})
-			if overlap {
-				// Pipelined: the next feed starts as soon as this
-				// one is done, overlapping the kernel.
-				ready = feed.End
-			} else {
-				// Serial: host waits for the kernel.
-				ready = k.End
-			}
-		}
-		return sim.Horizon()
-	}
-	serial := mkRun(false)
-	pipelined := mkRun(true)
-	if pipelined >= serial {
-		t.Errorf("pipelined %g ns not faster than serial %g ns", pipelined, serial)
-	}
-}
-
-func TestDeviceAccessors(t *testing.T) {
-	sim := NewSim()
-	d, _ := NewDevice(sim, TeslaC1060())
-	if d.Sim() != sim {
-		t.Error("Sim accessor broken")
-	}
-	if d.ComputeResource() != "tesla-c1060" || d.CopyResource() != "tesla-c1060:pcie" {
-		t.Errorf("resource names: %q / %q", d.ComputeResource(), d.CopyResource())
-	}
-	st := d.NewStream(0)
-	iv := st.CopyH2D("h2d", 1000)
-	if iv.Resource != d.CopyResource() {
-		t.Error("H2D must use the copy engine")
-	}
-	tr := sim.Trace()
-	if len(tr) != 1 || tr[0].Label != "h2d" {
-		t.Errorf("trace = %+v", tr)
 	}
 }

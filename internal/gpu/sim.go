@@ -1,8 +1,7 @@
-// Package gpu is a deterministic discrete-event simulator of a
-// CUDA-era GPU platform: a compute device with SMs executing kernels,
-// a PCI-Express link with bandwidth and latency, asynchronous streams
-// that order operations, and a host CPU modelled as one more timed
-// resource.
+// Package gpu is a deterministic booking engine for a CUDA-era GPU
+// platform: a Sim keeps named serial resources (the host CPU, the
+// device's compute engine and its PCI-Express link) on one simulated
+// clock, and a device Config prices kernels and copies for them.
 //
 // The paper evaluates on an Nvidia Tesla C1060 attached to an Intel
 // i7 over PCIe 2.0; no such hardware (nor CUDA) exists in this
@@ -14,7 +13,8 @@
 // simulated nanoseconds from explicit, documented cost formulas and
 // records a full interval trace for utilisation accounting. It only
 // books time: a kernel is a thread count and a cycle cost, and no
-// kernel code runs.
+// kernel code runs. Which booking waits for which is the caller's
+// schedule: internal/hybrid's Pipeline.
 package gpu
 
 import (
@@ -34,9 +34,6 @@ type Interval struct {
 	Start    Time
 	End      Time
 }
-
-// Duration returns the interval length in simulated ns.
-func (iv Interval) Duration() Time { return iv.End - iv.Start }
 
 // Sim is the event engine: a set of named serial resources, each of
 // which executes one operation at a time, plus a trace of everything
@@ -77,13 +74,6 @@ func (s *Sim) Schedule(resource, label string, ready Time, dur Time) Interval {
 	return iv
 }
 
-// Free returns the time at which the resource next becomes free.
-func (s *Sim) Free(resource string) Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.free[resource]
-}
-
 // Horizon returns the completion time of the entire simulation so
 // far (the max over all resources).
 func (s *Sim) Horizon() Time {
@@ -96,13 +86,6 @@ func (s *Sim) Horizon() Time {
 		}
 	}
 	return h
-}
-
-// Trace returns a copy of all booked intervals in booking order.
-func (s *Sim) Trace() []Interval {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Interval(nil), s.trace...)
 }
 
 // BusyTime returns the total booked time on a resource within

@@ -4,10 +4,12 @@
 // of internal/gpu, plus the pure-CPU goroutine backend that the
 // paper's Figure 6 measures for real.
 //
-// Pipeline books one chunk of FEED → TRANSFER → GENERATE at a time.
-// Every simulated figure that feeds the device goes through it: this
-// package's generators (Figures 1 and 3–5), listrank's Figure 7 and
-// photon's Figure 8.
+// Pipeline is the schedule: it books one chunk of FEED → TRANSFER →
+// GENERATE at a time on internal/gpu's Sim, and keeps the ready times
+// of the host, the link and the compute engine itself. Every simulated
+// figure that feeds the device goes through it: this package's
+// generators (Figures 1 and 3–5), listrank's Figure 7 and photon's
+// Figure 8.
 //
 // # Cost model calibration
 //

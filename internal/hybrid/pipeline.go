@@ -41,10 +41,12 @@ func (r Report) String() string {
 // Platform bundles the simulated machine for one experiment run.
 type Platform struct {
 	Sim    *gpu.Sim
-	Device *gpu.Device
-	Host   *gpu.Host
+	Device gpu.Config
 	Model  CostModel
 }
+
+// hostResource names the host CPU's row in the simulation.
+const hostResource = "cpu"
 
 // NewPlatform builds a fresh simulated paper platform (i7 + Tesla
 // C1060) with the given cost model.
@@ -52,58 +54,58 @@ func NewPlatform(model CostModel) (*Platform, error) {
 	if err := model.validate(); err != nil {
 		return nil, err
 	}
-	sim := gpu.NewSim()
-	dev, err := gpu.NewDevice(sim, gpu.TeslaC1060())
-	if err != nil {
+	dev := gpu.TeslaC1060()
+	if err := dev.Validate(); err != nil {
 		return nil, err
 	}
-	host, err := gpu.NewHost(sim, "cpu")
-	if err != nil {
-		return nil, err
-	}
-	return &Platform{Sim: sim, Device: dev, Host: host, Model: model}, nil
+	return &Platform{Sim: gpu.NewSim(), Device: dev, Model: model}, nil
 }
 
 // Pipeline books the paper's overlapped schedule (Figures 1 and 4) on
 // a platform: the host FEEDs chunk i+1 while the link TRANSFERs it and
-// the device GENERATEs chunk i. Copies run in order on one stream and
-// kernels on another, so a kernel waits for its own chunk's copy but
-// not for the next chunk's feed.
+// the device GENERATEs chunk i. Copies run in order after their own
+// feeds, and kernels in order after their own copies, so a kernel
+// waits for its own chunk's copy but not for the next chunk's feed.
 type Pipeline struct {
-	p        *Platform
-	start    gpu.Time
-	hostFree gpu.Time // earliest start of the host's next feed
-	copies   *gpu.Stream
-	kernels  *gpu.Stream
+	p         *Platform
+	start     gpu.Time
+	hostFree  gpu.Time // earliest start of the host's next feed
+	copyEnd   gpu.Time // end of the last copy
+	kernelEnd gpu.Time // end of the last kernel
 }
 
 // Pipeline starts a schedule at the platform's current horizon.
 func (p *Platform) Pipeline() *Pipeline {
 	start := p.Sim.Horizon()
-	return &Pipeline{p: p, start: start, hostFree: start,
-		copies: p.Device.NewStream(start), kernels: p.Device.NewStream(start)}
+	return &Pipeline{p: p, start: start, hostFree: start, copyEnd: start, kernelEnd: start}
 }
 
 // Chunk books one chunk: the host feeds `bytes` at bps bytes per
-// second plus the model's per-chunk overhead, the copy stream moves
-// them to the device, and k runs on the kernel stream once they have
-// landed. It returns the kernel's interval.
+// second plus the model's per-chunk overhead, the link moves them to
+// the device after the previous copy, and k runs once they have landed
+// and the previous kernel is done. It returns the kernel's interval.
 func (pl *Pipeline) Chunk(bytes int64, bps float64, k gpu.Kernel) gpu.Interval {
-	f := pl.p.Host.Compute("F", pl.hostFree, pl.p.Model.FeedChunkOverheadNs+float64(bytes)/bps*1e9)
+	s, dev := pl.p.Sim, pl.p.Device
+	f := s.Schedule(hostResource, "F", pl.hostFree, pl.p.Model.FeedChunkOverheadNs+float64(bytes)/bps*1e9)
 	pl.hostFree = f.End // the host moves straight on to the next chunk
-	pl.copies.WaitFor(f.End)
-	pl.kernels.WaitFor(pl.copies.CopyH2D("T", bytes).End)
-	return pl.kernels.Launch(k)
+	pl.copyEnd = s.Schedule(dev.CopyResource(), "T", max(pl.copyEnd, f.End), dev.CopyDuration(bytes)).End
+	pl.kernelEnd = max(pl.kernelEnd, pl.copyEnd)
+	return pl.Launch(k)
 }
 
-// Launch books a kernel that needs no feed on the kernel stream.
-func (pl *Pipeline) Launch(k gpu.Kernel) gpu.Interval { return pl.kernels.Launch(k) }
+// Launch books kernel k after the previous kernel; it needs no feed.
+func (pl *Pipeline) Launch(k gpu.Kernel) gpu.Interval {
+	dev := pl.p.Device
+	iv := pl.p.Sim.Schedule(dev.ComputeResource(), k.Name, pl.kernelEnd, dev.KernelDuration(k))
+	pl.kernelEnd = iv.End
+	return iv
+}
 
 // Usage returns the schedule's length so far and the busy fractions of
 // the host, the device's compute engine and its link over it.
 func (pl *Pipeline) Usage() (ns gpu.Time, host, device, link float64) {
 	s, end := pl.p.Sim, pl.p.Sim.Horizon()
-	return end - pl.start, s.Utilization(pl.p.Host.Resource(), pl.start, end),
+	return end - pl.start, s.Utilization(hostResource, pl.start, end),
 		s.Utilization(pl.p.Device.ComputeResource(), pl.start, end),
 		s.Utilization(pl.p.Device.CopyResource(), pl.start, end)
 }
@@ -145,7 +147,7 @@ func (p *Platform) GenerateHybrid(n int64, s int) (Report, error) {
 	}
 
 	cores := float64(p.Device.Cores())
-	clock := p.Device.Config().ClockHz
+	clock := p.Device.ClockHz
 	effThreads := float64(threads)
 	if effThreads > cores {
 		effThreads = cores
@@ -157,7 +159,7 @@ func (p *Platform) GenerateHybrid(n int64, s int) (Report, error) {
 		Threads:   threads,
 
 		FeedNsPerNumber:     m.FeedBytesPerNumber() / m.FeedBytesPerSec * 1e9,
-		TransferNsPerNumber: m.FeedBytesPerNumber() / p.Device.Config().LinkBps * 1e9,
+		TransferNsPerNumber: m.FeedBytesPerNumber() / p.Device.LinkBps * 1e9,
 		// Device-wide per-number generation time:
 		// cycles / (clock · min(threads, cores)).
 		GenNsPerNumber: m.GenCyclesPerNumber() / (effThreads * clock) * 1e9,
@@ -189,7 +191,7 @@ func (p *Platform) deviceOnly(generator, kernel string, n int64, setupNs, cycles
 		return Report{}, fmt.Errorf("hybrid: n = %d < 1", n)
 	}
 	pl := p.Pipeline()
-	pl.Launch(gpu.Kernel{Name: kernel + ":setup", Threads: p.Device.Cores(), CyclesPerThread: setupNs / 1e9 * p.Device.Config().ClockHz})
+	pl.Launch(gpu.Kernel{Name: kernel + ":setup", Threads: p.Device.Cores(), CyclesPerThread: setupNs / 1e9 * p.Device.ClockHz})
 	threads := p.Device.Cores() * 128 // fully occupied batch grid
 	if int64(threads) > n {
 		threads = int(n)
