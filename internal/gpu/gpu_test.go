@@ -95,12 +95,23 @@ func TestTimelineString(t *testing.T) {
 	s := NewSim()
 	s.Schedule("cpu", "FEED", 0, 50)
 	s.Schedule("gpu", "GEN", 50, 50)
+	s.Schedule("gpu:pcie-link", "TRANSFER", 25, 25)
 	tl := s.TimelineString(40)
 	if !strings.Contains(tl, "cpu") || !strings.Contains(tl, "gpu") {
 		t.Errorf("timeline missing rows:\n%s", tl)
 	}
-	if !strings.Contains(tl, "F") || !strings.Contains(tl, "G") {
+	if !strings.Contains(tl, "F") || !strings.Contains(tl, "G") || !strings.Contains(tl, "T") {
 		t.Errorf("timeline missing interval glyphs:\n%s", tl)
+	}
+	// Every row's bar starts in the same column, whatever the length
+	// of its resource name.
+	rows := strings.Split(strings.TrimSuffix(tl, "\n"), "\n")
+	rows = rows[:len(rows)-1] // the horizon line
+	for _, row := range rows[1:] {
+		if strings.Index(row, "|") != strings.Index(rows[0], "|") {
+			t.Errorf("bars start in different columns:\n%s", tl)
+			break
+		}
 	}
 	empty := NewSim().TimelineString(40)
 	if !strings.Contains(empty, "empty") {

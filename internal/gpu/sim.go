@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"unicode/utf8"
 )
 
 // Time is a point in simulated time, in nanoseconds since the
@@ -150,6 +151,10 @@ func (s *Sim) TimelineString(width int) string {
 		return "(empty timeline)\n"
 	}
 	names := s.ResourceNames()
+	pad := 0 // every row's bar starts in the same column
+	for _, name := range names {
+		pad = max(pad, utf8.RuneCountInString(name))
+	}
 	s.mu.Lock()
 	trace := append([]Interval(nil), s.trace...)
 	s.mu.Unlock()
@@ -180,7 +185,7 @@ func (s *Sim) TimelineString(width int) string {
 				row[i] = c
 			}
 		}
-		out += fmt.Sprintf("%-8s |%s|\n", name, row)
+		out += fmt.Sprintf("%-*s |%s|\n", pad, name, row)
 	}
 	out += fmt.Sprintf("horizon: %.1f ns\n", horizon)
 	return out
