@@ -3,7 +3,7 @@
 
 GOPATH_BIN := $(shell go env GOPATH)/bin
 
-.PHONY: build vet test race race-full lint lint-json lint-vet fmt loc figures portable fuzz-smoke check battery-short battery-long bench-seed bench-gate fleet-drill substream-test
+.PHONY: build vet test race race-full lint lint-json lint-vet fmt loc figures figures-check portable fuzz-smoke check battery-short battery-long bench-seed bench-gate fleet-drill substream-test
 
 build:
 	go build ./...
@@ -67,6 +67,14 @@ figures:
 	go run ./cmd/prngbench -figure3 -figure4 -figure5
 	go run ./cmd/listrank
 	go run ./cmd/photonmc
+
+## figures-check: diff a fresh `make -s figures` against the committed
+## testdata/figures.txt; CI runs it. A change that means to move a
+## figure regenerates the file in the same commit
+## (`make -s figures > testdata/figures.txt`) and says so in CHANGES.md.
+figures-check:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+		$(MAKE) -s figures > "$$tmp" && diff -u testdata/figures.txt "$$tmp"
 
 ## portable: execute the paths non-amd64 and big-endian hosts take —
 ## the purego tag forces the portable walk (every lane through
