@@ -69,13 +69,20 @@ type config struct {
 // Option configures New and NewParallel.
 type Option func(*config) error
 
+// maxWalkLen bounds both walk lengths, in the options and in the
+// checkpoint decoder alike, so every generator the options accept can
+// be restored from its own checkpoint, and a forged blob cannot turn
+// every draw into an arbitrarily long walk.
+const maxWalkLen = 1 << 20
+
 // WithWalkLength sets l, the number of expander steps per generated
-// number (default 64, the paper's choice). Shorter walks are faster
-// and weaker; the ablation benches quantify the trade.
+// number (default 64, the paper's choice; at most 1<<20). Shorter
+// walks are faster and weaker; the ablation benches quantify the
+// trade.
 func WithWalkLength(l int) Option {
 	return func(c *config) error {
-		if l < 1 {
-			return fmt.Errorf("hybridprng: walk length %d < 1", l)
+		if l < 1 || l > maxWalkLen {
+			return fmt.Errorf("hybridprng: walk length %d outside [1, %d]", l, maxWalkLen)
 		}
 		c.walkLen = l
 		return nil
@@ -83,11 +90,11 @@ func WithWalkLength(l int) Option {
 }
 
 // WithInitWalkLength sets the length of the Algorithm 1 mixing walk
-// run at construction (default 64).
+// run at construction (default 64; at most 1<<20).
 func WithInitWalkLength(l int) Option {
 	return func(c *config) error {
-		if l < 0 {
-			return fmt.Errorf("hybridprng: init walk length %d < 0", l)
+		if l < 0 || l > maxWalkLen {
+			return fmt.Errorf("hybridprng: init walk length %d outside [0, %d]", l, maxWalkLen)
 		}
 		c.initWalkLen = l
 		return nil

@@ -29,6 +29,14 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := New(WithInitWalkLength(-1)); err == nil {
 		t.Error("negative init walk should fail")
 	}
+	// A checkpoint cannot restore a walk longer than maxWalkLen, so no
+	// option may build one.
+	if _, err := New(WithWalkLength(maxWalkLen + 1)); err == nil {
+		t.Error("walk length above the checkpoint bound should fail")
+	}
+	if _, err := New(WithInitWalkLength(maxWalkLen + 1)); err == nil {
+		t.Error("init walk length above the checkpoint bound should fail")
+	}
 	if _, err := New(WithFeed("bogus")); err == nil {
 		t.Error("unknown feed should fail")
 	}

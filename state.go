@@ -161,14 +161,11 @@ func unmarshalWalker(data []byte) (*core.Walker, error) {
 	if brLeft > 64 {
 		return nil, fmt.Errorf("hybridprng: bit buffer count %d out of range", brLeft)
 	}
-	// Bound the walk lengths: a forged blob must not be able to turn
-	// every draw into a multi-minute walk.
-	const maxWalk = 1 << 20
-	if walkLen < 1 || walkLen > maxWalk {
-		return nil, fmt.Errorf("hybridprng: walk length %d outside [1, %d]", walkLen, maxWalk)
+	if walkLen < 1 || walkLen > maxWalkLen {
+		return nil, fmt.Errorf("hybridprng: walk length %d outside [1, %d]", walkLen, maxWalkLen)
 	}
-	if initWalkLen > maxWalk {
-		return nil, fmt.Errorf("hybridprng: init walk length %d exceeds %d", initWalkLen, maxWalk)
+	if initWalkLen > maxWalkLen {
+		return nil, fmt.Errorf("hybridprng: init walk length %d outside [0, %d]", initWalkLen, maxWalkLen)
 	}
 
 	src, fu, err := feedFromTag(tag)

@@ -55,6 +55,23 @@ func TestCheckpointPreservesOptions(t *testing.T) {
 			t.Fatal("non-default walk length not preserved")
 		}
 	}
+	// The longest walks the options accept restore too.
+	g, err = New(WithSeed(5), WithWalkLength(maxWalkLen), WithInitWalkLength(maxWalkLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Uint64()
+	if blob, err = g.MarshalBinary(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.UnmarshalBinary(blob); err != nil {
+		t.Fatalf("walk lengths at the bound: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if g.Uint64() != r.Uint64() {
+			t.Fatal("walk lengths at the bound not preserved")
+		}
+	}
 }
 
 func TestUnmarshalRejectsGarbage(t *testing.T) {
