@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/baselines"
 )
 
 // endpoint is one randd server as the client sees it. All mutable
@@ -197,7 +199,7 @@ func (s *endpointSet) fail(ep *endpoint, retryAfter time.Duration) {
 		d = float64(s.max)
 	}
 	if s.jitter > 0 {
-		u := float64(mix64(s.seed^(uint64(ep.index)+1)*0x9E3779B97F4A7C15^uint64(ep.fails))) / (1 << 64)
+		u := float64(baselines.Finalize64(s.seed^(uint64(ep.index)+1)*0x9E3779B97F4A7C15^uint64(ep.fails))) / (1 << 64)
 		d *= 1 + s.jitter*(2*u-1)
 	}
 	backoff := time.Duration(d)
@@ -252,14 +254,4 @@ func parseRetryAfter(h http.Header, now time.Time) time.Duration {
 		}
 	}
 	return 0
-}
-
-// mix64 is the SplitMix64 finalizer — the same bijection the pool
-// uses for its deterministic jitter.
-func mix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	return z ^ z>>31
 }

@@ -20,10 +20,7 @@ func NewSplitMix64(seed uint64) *SplitMix64 { return &SplitMix64{state: seed} }
 // Uint64 returns the next output.
 func (g *SplitMix64) Uint64() uint64 {
 	g.state += 0x9E3779B97F4A7C15
-	z := g.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return Finalize64(g.state)
 }
 
 // Seed implements rng.Seeder.
@@ -32,13 +29,17 @@ func (g *SplitMix64) Seed(seed uint64) { g.state = seed }
 // Name implements rng.Named.
 func (g *SplitMix64) Name() string { return "splitmix64" }
 
-// Mix64 applies the SplitMix64 output function once to v; a cheap
-// high-quality scrambler for deriving per-worker seeds.
-func Mix64(v uint64) uint64 {
-	v += 0x9E3779B97F4A7C15
-	v = (v ^ (v >> 30)) * 0xBF58476D1CE4E5B9
-	v = (v ^ (v >> 27)) * 0x94D049BB133111EB
-	return v ^ (v >> 31)
+// Mix64 returns the first output of a SplitMix64 seeded with v: the
+// golden gamma added, then Finalize64. A cheap high-quality scrambler
+// for deriving per-worker seeds.
+func Mix64(v uint64) uint64 { return Finalize64(v + 0x9E3779B97F4A7C15) }
+
+// Finalize64 is SplitMix64's output function: a bijection on uint64
+// in which every output bit depends on every input bit.
+func Finalize64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
 }
 
 // constructors maps registry names to seedable constructors.

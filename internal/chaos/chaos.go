@@ -24,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/rng"
 )
 
@@ -158,7 +159,7 @@ func New(cfg Config, src rng.Source) *Source {
 func Wrapper(cfg Config) func(worker int, src rng.Source) rng.Source {
 	return func(worker int, src rng.Source) rng.Source {
 		c := cfg
-		c.Seed = mix(cfg.Seed ^ (uint64(worker)+1)*0x9E3779B97F4A7C15)
+		c.Seed = baselines.Finalize64(cfg.Seed ^ (uint64(worker)+1)*0x9E3779B97F4A7C15)
 		return New(c, src)
 	}
 }
@@ -176,17 +177,9 @@ func (s *Source) Name() string {
 	return "chaos"
 }
 
-func mix(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	return z ^ z>>31
-}
-
 func (s *Source) rnd() uint64 {
 	s.sm += 0x9E3779B97F4A7C15
-	return mix(s.sm)
+	return baselines.Finalize64(s.sm)
 }
 
 // schedule plans the next fault strictly after word offset from.

@@ -3,6 +3,8 @@ package crossstream
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/baselines"
 )
 
 // window identifies one fingerprinted prefix window.
@@ -120,7 +122,7 @@ func occupancy(prefixes [][]uint64, cfg Config) Check {
 func fingerprint(ws []uint64) uint64 {
 	h := uint64(0x9E3779B97F4A7C15)
 	for _, w := range ws {
-		h = mix64(h ^ w)
+		h = baselines.Finalize64(h ^ w)
 	}
 	return h
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/baselines"
 	"repro/internal/stats"
 )
 
@@ -146,7 +147,7 @@ func selectPairs(n, maxPairs int, seed uint64) [][2]int {
 	sm := seed
 	rnd := func() uint64 {
 		sm += 0x9E3779B97F4A7C15
-		return mix64(sm)
+		return baselines.Finalize64(sm)
 	}
 	for len(out) < maxPairs {
 		push(int(rnd()%uint64(n)), int(rnd()%uint64(n)))

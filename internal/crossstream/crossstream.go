@@ -302,13 +302,3 @@ func Run(set StreamSet, cfg Config) (*Report, error) {
 	r.add(Interleaved(set, cfg)...)
 	return r, nil
 }
-
-// mix64 is the SplitMix64 finalizer: the deterministic scrambler
-// behind pair sampling and window fingerprints.
-func mix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	return z ^ z>>31
-}

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/baselines"
 )
 
 // Fleet-level chaos: while internal/chaos corrupts one feed's words, a
@@ -143,10 +145,10 @@ func newFleetSchedule(cfg fleetConfig) (*fleetSchedule, error) {
 		return nil, err
 	}
 	s := &fleetSchedule{cfg: cfg}
-	sm := mix(cfg.Seed ^ 0xf1ee7c8a05)
+	sm := baselines.Finalize64(cfg.Seed ^ 0xf1ee7c8a05)
 	rnd := func() uint64 {
 		sm += 0x9E3779B97F4A7C15
-		return mix(sm)
+		return baselines.Finalize64(sm)
 	}
 	// Uniform on [m/2, 3m/2] keeps the mean at m without degenerate
 	// zero gaps.
@@ -207,13 +209,4 @@ func (s *fleetSchedule) String() string {
 		fmt.Fprintf(&b, "  %s\n", ev)
 	}
 	return b.String()
-}
-
-// mix is the SplitMix64 finaliser the schedule draws through.
-func mix(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	return z ^ z>>31
 }

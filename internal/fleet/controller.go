@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -394,25 +395,13 @@ func (c *Controller) refreshEndpointsLocked() {
 	for i, id := range ids {
 		eps[i] = c.nodes[id].url
 	}
-	if slicesEqual(eps, c.endpoints) {
+	if slices.Equal(eps, c.endpoints) {
 		return
 	}
 	c.endpoints = eps
 	c.version++
 	close(c.wake)
 	c.wake = make(chan struct{})
-}
-
-func slicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Status snapshots the whole fleet for /v1/fleet and randctl.

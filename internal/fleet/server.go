@@ -139,7 +139,7 @@ func (s *Server) Run(ctx context.Context) {
 	}
 }
 
-func postJSON[T any](s *Server, w http.ResponseWriter, r *http.Request) (T, bool) {
+func postJSON[T any](w http.ResponseWriter, r *http.Request) (T, bool) {
 	var req T
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -159,7 +159,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 func (s *Server) serveRegister(w http.ResponseWriter, r *http.Request) {
-	info, ok := postJSON[NodeInfo](s, w, r)
+	info, ok := postJSON[NodeInfo](w, r)
 	if !ok {
 		return
 	}
@@ -172,7 +172,7 @@ func (s *Server) serveRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serveHeartbeat(w http.ResponseWriter, r *http.Request) {
-	req, ok := postJSON[HeartbeatRequest](s, w, r)
+	req, ok := postJSON[HeartbeatRequest](w, r)
 	if !ok {
 		return
 	}
@@ -190,7 +190,7 @@ func (s *Server) serveHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serveDeregister(w http.ResponseWriter, r *http.Request) {
-	req, ok := postJSON[DeregisterRequest](s, w, r)
+	req, ok := postJSON[DeregisterRequest](w, r)
 	if !ok {
 		return
 	}
