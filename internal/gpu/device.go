@@ -32,9 +32,6 @@ func TeslaC1060() Config {
 // Validate reports a configuration that cannot price a kernel or a
 // copy.
 func (c Config) Validate() error {
-	if c.Name == "" {
-		return fmt.Errorf("gpu: unnamed device")
-	}
 	if c.SMs < 1 || c.CoresPerSM < 1 {
 		return fmt.Errorf("gpu: need at least one SM and one core, got %d×%d", c.SMs, c.CoresPerSM)
 	}

@@ -138,7 +138,6 @@ func TestDeviceValidation(t *testing.T) {
 		name string
 		edit func(*Config)
 	}{
-		{"empty name", func(c *Config) { c.Name = "" }},
 		{"zero SMs", func(c *Config) { c.SMs = 0 }},
 		{"zero clock", func(c *Config) { c.ClockHz = 0 }},
 		{"zero link bandwidth", func(c *Config) { c.LinkBps = 0 }},

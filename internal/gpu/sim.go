@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"unicode/utf8"
 )
 
 // Time is a point in simulated time, in nanoseconds since the
@@ -153,7 +152,7 @@ func (s *Sim) TimelineString(width int) string {
 	names := s.ResourceNames()
 	pad := 0 // every row's bar starts in the same column
 	for _, name := range names {
-		pad = max(pad, utf8.RuneCountInString(name))
+		pad = max(pad, len(name))
 	}
 	s.mu.Lock()
 	trace := append([]Interval(nil), s.trace...)
