@@ -136,8 +136,8 @@ type Source struct {
 	src rng.Source
 	cfg Config
 
-	sm    uint64 // private SplitMix64 schedule stream
-	count uint64 // words served so far
+	sm    *baselines.SplitMix64 // private schedule stream
+	count uint64                // words served so far
 
 	faultAt  uint64 // count at which the current/next fault begins
 	faultEnd uint64 // count at which it ends (exclusive)
@@ -147,7 +147,7 @@ type Source struct {
 
 // New wraps src with the fault schedule described by cfg.
 func New(cfg Config, src rng.Source) *Source {
-	s := &Source{src: src, cfg: cfg.withDefaults(), sm: cfg.Seed}
+	s := &Source{src: src, cfg: cfg.withDefaults(), sm: baselines.NewSplitMix64(cfg.Seed)}
 	s.schedule(0)
 	return s
 }
@@ -177,16 +177,11 @@ func (s *Source) Name() string {
 	return "chaos"
 }
 
-func (s *Source) rnd() uint64 {
-	s.sm += 0x9E3779B97F4A7C15
-	return baselines.Finalize64(s.sm)
-}
-
 // schedule plans the next fault strictly after word offset from.
 func (s *Source) schedule(from uint64) {
-	s.faultAt = from + 1 + s.rnd()%(2*s.cfg.MeanPeriod)
-	s.faultEnd = s.faultAt + 1 + s.rnd()%(2*s.cfg.MeanLen)
-	s.kind = s.cfg.Kinds[s.rnd()%uint64(len(s.cfg.Kinds))]
+	s.faultAt = from + 1 + s.sm.Uint64()%(2*s.cfg.MeanPeriod)
+	s.faultEnd = s.faultAt + 1 + s.sm.Uint64()%(2*s.cfg.MeanLen)
+	s.kind = s.cfg.Kinds[s.sm.Uint64()%uint64(len(s.cfg.Kinds))]
 }
 
 // Uint64 serves the next word, corrupted when the schedule says so.

@@ -144,11 +144,7 @@ func selectPairs(n, maxPairs int, seed uint64) [][2]int {
 	for i := 0; i+2 < n && len(out) < maxPairs; i++ {
 		push(i, i+2)
 	}
-	sm := seed
-	rnd := func() uint64 {
-		sm += 0x9E3779B97F4A7C15
-		return baselines.Finalize64(sm)
-	}
+	rnd := baselines.NewSplitMix64(seed).Uint64
 	for len(out) < maxPairs {
 		push(int(rnd()%uint64(n)), int(rnd()%uint64(n)))
 	}

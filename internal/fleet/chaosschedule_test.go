@@ -145,11 +145,7 @@ func newFleetSchedule(cfg fleetConfig) (*fleetSchedule, error) {
 		return nil, err
 	}
 	s := &fleetSchedule{cfg: cfg}
-	sm := baselines.Finalize64(cfg.Seed ^ 0xf1ee7c8a05)
-	rnd := func() uint64 {
-		sm += 0x9E3779B97F4A7C15
-		return baselines.Finalize64(sm)
-	}
+	rnd := baselines.NewSplitMix64(baselines.Finalize64(cfg.Seed ^ 0xf1ee7c8a05)).Uint64
 	// Uniform on [m/2, 3m/2] keeps the mean at m without degenerate
 	// zero gaps.
 	spread := func(m time.Duration) time.Duration {
