@@ -56,6 +56,39 @@ func TestRegistryStateRejectsHugeLengths(t *testing.T) {
 	}
 }
 
+// TestRegistryRefusesLongWalks: the generator refuses a walk length or
+// init walk length above 2^20, so a registry that took one would start
+// and then fail every tenant's first draw. New and Restore must refuse
+// it up front, and still take the bound itself.
+func TestRegistryRefusesLongWalks(t *testing.T) {
+	const bound = 1 << 20
+	walkLenAt := len(regMagic) + 2 + 8 + 4 + len(hybridprng.FeedGlibc)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		at   int // offset of the length in a registry blob
+	}{
+		{"walk", Config{WalkLen: bound + 1}, walkLenAt},
+		{"init walk", Config{InitWalkLen: bound + 1}, walkLenAt + 4},
+	} {
+		if _, err := New(c.cfg); err == nil {
+			t.Errorf("New accepted %s length %d", c.name, bound+1)
+		}
+		data := regBlob(0)
+		binary.LittleEndian.PutUint32(data[c.at:], bound+1)
+		if _, err := Restore(data, Config{}); err == nil {
+			t.Errorf("Restore accepted a blob whose %s length is %d", c.name, bound+1)
+		}
+		binary.LittleEndian.PutUint32(data[c.at:], bound)
+		if _, err := Restore(data, Config{}); err != nil {
+			t.Errorf("Restore refused a blob whose %s length is the bound: %v", c.name, err)
+		}
+	}
+	if _, err := New(Config{WalkLen: bound, InitWalkLen: bound}); err != nil {
+		t.Errorf("New refused walk lengths at the bound: %v", err)
+	}
+}
+
 // TestRegistryStateHugeTenantCountAllocatesLittle: a 46-byte blob
 // claiming 2^32−1 tenants must fail on its first missing tenant, not
 // size the tenant maps from the forged count first.
