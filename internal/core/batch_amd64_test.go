@@ -15,6 +15,9 @@ import (
 // more span two kernel calls), each live lane's outputs and end
 // position must equal walkBin's on the same bin. Dead slots hold
 // random bins and positions, which must not leak into the live lanes.
+// The kernel walks a segment ten fields at a time: walk lengths 10, 31
+// and 52 end on a tail of exactly ten fields, and 11, 32 and 2048 on
+// ten plus one.
 func TestWalkBinsMatchesWalkBin(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("no AVX2")
@@ -36,7 +39,7 @@ func TestWalkBinsMatchesWalkBin(t *testing.T) {
 	for _, p := range patterns {
 		for s := range starts {
 			for _, n := range []int{5, 8, 9, 15, 16} {
-				for _, l := range []int{1, 3, 20, 21, 22, 42, 63, 64, 65, 127, 2048} {
+				for _, l := range []int{1, 3, 10, 11, 20, 21, 22, 31, 32, 42, 52, 63, 64, 65, 127, 2048} {
 					chunks, tail := l/stepsPerChunk, l%stepsPerChunk
 					most := binBits / (l * BitsPerStep)
 					for _, r := range []int{1, 31, 32, 33, most} {
