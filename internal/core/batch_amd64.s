@@ -11,14 +11,19 @@
 // shift by a register count serves every lane: Y4/Y5 hold the 64 feed
 // bits at that offset for lanes 0,1,4,5 / 2,3,6,7 as packed qwords,
 // Y6/Y7 the same for lanes 8-15. VSHUFPS $0xDD gathers the qwords' top
-// dwords into lane order, ten 3-bit fields per lane, so the per-step
-// work on the feed is one shift right (the field) and one shift left
-// (the next field up).
+// dwords into lane order, ten 3-bit fields per lane, and a run of ten
+// steps is unrolled so each step reads its field in place.
 //
 // Neighbour selection is branchless via VPERMD used as an 8-entry
 // 32-bit table: the 3-bit neighbour index b of each lane indexes the
 // c / maskY / maskX tables in one instruction each, consuming fields in
-// the same MSB-first order as the scalar walk.
+// the same MSB-first order as the scalar walk. VPERMD reads only bits
+// 2:0 of an index, so field k of a dword d is d shifted right by 29−3k,
+// with no mask and no change to d.
+//
+// The output block is lane-major: number i of lane j goes to
+// binGroup.out[j][i], so the Go side copies each lane's numbers out in
+// one run.
 
 #include "go_asm.h"
 #include "textflag.h"
@@ -71,31 +76,56 @@ GLOBL tabX<>(SB), RODATA|NOPTR, $32
 	VPSRLQ      X14, Y10, Y10; \
 	VPOR        Y10, Y12, dst
 
-// STEP advances eight lanes (x, y) by one step, taking each lane's
-// neighbour index from the top three bits of its dword in d and
-// shifting the next field up: y += (2x + c) & maskY, then
-// x += (2y + c) & maskX.
-#define STEP(d, x, y) \
-	VPSRLD $29, d, Y10; \
-	VPSLLD $3, d, d; \
+// FIELD advances eight lanes (x, y) by one step, taking each lane's
+// neighbour index from field k of its dword in d. A step sets at most
+// one of its two masks (tabY and tabX are disjoint), so both updates
+// read the step's old x and y, y += (2x + c) & maskY and
+// x += (2y + c) & maskX, and neither waits on the other.
+#define FIELD(k, d, x, y) \
+	VPSRLD $(29-3*(k)), d, Y10; \
 	VPERMD tabC<>(SB), Y10, Y11; \
 	VPERMD tabY<>(SB), Y10, Y12; \
 	VPERMD tabX<>(SB), Y10, Y10; \
 	VPSLLD $1, x, Y13; \
 	VPADDD Y11, Y13, Y13; \
 	VPAND  Y12, Y13, Y13; \
+	VPSLLD $1, y, Y14; \
+	VPADDD Y11, Y14, Y14; \
+	VPAND  Y10, Y14, Y14; \
 	VPADDD Y13, y, y; \
-	VPSLLD $1, y, Y13; \
-	VPADDD Y11, Y13, Y13; \
-	VPAND  Y10, Y13, Y13; \
-	VPADDD Y13, x, x
+	VPADDD Y14, x, x
+
+// FIELDS advances all sixteen lanes by field k: lanes 0-7 from Y8,
+// lanes 8-15 from Y9.
+#define FIELDS(k) FIELD(k, Y8, Y0, Y2); FIELD(k, Y9, Y1, Y3)
+
+// ROW(j) is the byte offset of row j (lane j) of binGroup.out: 32
+// numbers of 8 bytes.
+#define ROW(j) 256*(j)
+
+// EMIT8 stores the current number of lanes a to a+7, x in x and y in
+// y, as x<<32 | y in each lane's row at the column DI points to:
+// Y10 holds lanes a, a+1 | a+4, a+5 and Y11 lanes a+2, a+3 | a+6, a+7.
+#define EMIT8(x, y, a) \
+	VPUNPCKLDQ   x, y, Y10; \
+	VPUNPCKHDQ   x, y, Y11; \
+	VEXTRACTI128 $1, Y10, X12; \
+	VEXTRACTI128 $1, Y11, X13; \
+	VMOVQ        X10, ROW(a)(DI); \
+	VMOVHPS      X10, ROW(a+1)(DI); \
+	VMOVQ        X11, ROW(a+2)(DI); \
+	VMOVHPS      X11, ROW(a+3)(DI); \
+	VMOVQ        X12, ROW(a+4)(DI); \
+	VMOVHPS      X12, ROW(a+5)(DI); \
+	VMOVQ        X13, ROW(a+6)(DI); \
+	VMOVHPS      X13, ROW(a+7)(DI)
 
 // func walkLanes(bg *binGroup, x *[16]uint32, y *[16]uint32, off uint, k int, chunks int, tail int)
 //
 // Per number: chunks segments of 21 steps, then one of tail steps,
 // each walked from the 64 bin bits at the current offset. The two
-// eight-lane halves run in one loop so their independent x→y→x chains
-// overlap in the out-of-order window; they share the temporaries Y10-Y13,
+// eight-lane halves run in one loop so their independent steps overlap
+// in the out-of-order window; they share the temporaries Y10-Y14,
 // which renaming makes free.
 TEXT ·walkLanes(SB), NOSPLIT, $0-56
 	MOVQ bg+0(FP), SI
@@ -141,46 +171,51 @@ take:
 	FUNNEL4(10, Y7)
 
 fields:
-	// Up to ten fields per lane from the top dword of its bits.
+	// Ten fields per lane from the top dword of its bits, or the fewer
+	// left in the segment.
 	VSHUFPS $0xDD, Y5, Y4, Y8
 	VSHUFPS $0xDD, Y7, Y6, Y9
-	MOVQ    $10, DX
-	CMPQ    CX, DX
-	CMOVQLT CX, DX
-	SUBQ    DX, CX
+	CMPQ    CX, $10
+	JGE     ten
 
-step:
-	STEP(Y8, Y0, Y2)
-	STEP(Y9, Y1, Y3)
-	DECQ DX
-	JNZ  step
+short:
+	// One field at a time from the top of d, shifting the next one up.
+	FIELDS(0)
+	VPSLLD $3, Y8, Y8
+	VPSLLD $3, Y9, Y9
+	DECQ   CX
+	JNZ    short
+	JMP    next
 
+ten:
+	FIELDS(0)
+	FIELDS(1)
+	FIELDS(2)
+	FIELDS(3)
+	FIELDS(4)
+	FIELDS(5)
+	FIELDS(6)
+	FIELDS(7)
+	FIELDS(8)
+	FIELDS(9)
 	VPSLLQ $30, Y4, Y4
 	VPSLLQ $30, Y5, Y5
 	VPSLLQ $30, Y6, Y6
 	VPSLLQ $30, Y7, Y7
-	TESTQ  CX, CX
+	SUBQ   $10, CX
 	JNZ    fields
-	TESTQ  R12, R12
-	JGE    segment
+
+next:
+	TESTQ R12, R12
+	JGE   segment
 
 emit:
-	// Row i of the block: x<<32 | y for lanes 0-15 in order.
-	VPUNPCKLDQ Y0, Y2, Y10           // lanes 0,1 | 4,5
-	VPUNPCKHDQ Y0, Y2, Y11           // lanes 2,3 | 6,7
-	VPERM2I128 $0x20, Y11, Y10, Y12
-	VPERM2I128 $0x31, Y11, Y10, Y13
-	VMOVDQU    Y12, (DI)
-	VMOVDQU    Y13, 32(DI)
-	VPUNPCKLDQ Y1, Y3, Y10
-	VPUNPCKHDQ Y1, Y3, Y11
-	VPERM2I128 $0x20, Y11, Y10, Y12
-	VPERM2I128 $0x31, Y11, Y10, Y13
-	VMOVDQU    Y12, 64(DI)
-	VMOVDQU    Y13, 96(DI)
-	ADDQ       $(const_MaxBatchLanes*8), DI
-	DECQ       R9
-	JNZ        number
+	// Column i of the block: x<<32 | y in every lane's row.
+	EMIT8(Y0, Y2, 0)
+	EMIT8(Y1, Y3, 8)
+	ADDQ $8, DI
+	DECQ R9
+	JNZ  number
 
 	VMOVDQU Y0, (AX)
 	VMOVDQU Y1, 32(AX)

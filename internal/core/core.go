@@ -72,12 +72,12 @@ const (
 type bin [binWords + 1]uint64
 
 // binGroup holds the bins of one lockstep group, one per lane, and the
-// block the AVX2 round kernel writes its outputs to: one row per
-// number, one column per lane, 32 numbers (one bin at walk length 64)
-// per kernel call.
+// block the AVX2 round kernel writes its outputs to: one row per lane,
+// one column per number, 32 numbers (one bin at walk length 64) per
+// kernel call.
 type binGroup struct {
 	bins [MaxBatchLanes]bin
-	out  [32][MaxBatchLanes]uint64
+	out  [MaxBatchLanes][32]uint64
 }
 
 // binFree keeps the bin groups of finished fills for the next ones, in
