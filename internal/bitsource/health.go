@@ -38,14 +38,15 @@ func (e *HealthError) Error() string {
 // must check Err at their consumption boundary.
 //
 // The tests are defined byte by byte. FillWords draws a block of words
-// from the source — a walker's whole bin at a time — and screens it up
-// to the end of each APT window in one pass: a segment in which no byte
-// can trip commits its end state directly. Any other segment, and the
-// one word Uint64 draws, takes the exact path: a whole feed word at
-// once whenever the monitor can prove the per-byte loop would neither
-// trip nor start or end a window inside the word, and the per-byte
-// loop for every other word. Trip points, failure text and marshalled
-// state are therefore exactly those of checking each byte in turn.
+// from the source — a walker's whole bin at a time — and screens the
+// whole block in one pass across its APT window edges: a block in which
+// no byte can trip commits its end state directly. Any other block, and
+// the one word Uint64 draws, takes the exact path from the state before
+// it: a whole feed word at once whenever the monitor can prove the
+// per-byte loop would neither trip nor start or end a window inside the
+// word, and the per-byte loop for every other word. Trip points,
+// failure text and marshalled state are therefore exactly those of
+// checking each byte in turn.
 //
 // Drawing (Uint64, FillWords) is single-consumer like every Source in
 // this repository, but Err and Tripped are safe to call from any
@@ -198,83 +199,105 @@ func (m *Monitor) FillWords(dst []uint64) {
 }
 
 // check feeds ws's bytes, word by word and low byte first, through
-// both health tests, a segment at a time: screen clears most segments
-// in one branch-free pass, and a segment it refuses takes the exact
-// path — runs of words through checkWords, and each word checkWords
-// refuses through checkBytes.
+// both health tests: screen clears most blocks in one branch-free pass,
+// and a block it refuses takes the exact path from the state before it
+// — runs of words through checkWords, and each word checkWords refuses
+// through checkBytes.
 func (m *Monitor) check(ws []uint64) {
+	if m.screen(ws) {
+		return
+	}
 	for len(ws) > 0 {
-		n, ok := m.screen(ws)
-		seg := ws[:n]
-		ws = ws[n:]
-		for !ok && len(seg) > 0 {
-			seg = seg[m.checkWords(seg):]
-			if len(seg) > 0 {
-				m.checkBytes(seg[0])
-				seg = seg[1:]
-			}
+		if ws = ws[m.checkWords(ws):]; len(ws) > 0 {
+			m.checkBytes(ws[0])
+			ws = ws[1:]
 		}
 	}
 }
 
-// screen checks the segment at the start of ws — the words up to the
-// end of the current APT window, at most 64 — and returns its length
-// and whether it committed the segment's end state. It commits when no
-// byte of the segment can trip a test:
+// screen checks all of ws in one pass and commits its end state, that
+// of the per-byte loop, when no byte of ws can trip a test:
 //
 //   - RCT: no three equal bytes in a row, counting the run carried in,
 //     so every run stays at most 2, below a cutoff of 3 or more.
-//   - APT: the window's count at the end of the segment is below the
-//     cutoff. The count only grows within a window, so no byte reached
-//     the cutoff.
+//   - APT: each window's count, at its end or ws's, is below the
+//     cutoff. The count only grows within a window, so no byte
+//     reached the cutoff.
 //
-// scan checks both in one pass. The end state is then that of the
-// per-byte loop: the last byte, a run of 1 or 2 from its flag, the
-// window's sample (byte 0 when the segment opens the window), count and
-// position. A monitor without its first sample, with a window or
-// position not a multiple of 8, with a position at the window's end
-// (only restored state has one) or with an RCT cutoff below 3 is not
-// screened: screen returns all of ws, unchecked.
-func (m *Monitor) screen(ws []uint64) (int, bool) {
-	if !m.haveSample || m.aptWindow%8 != 0 || m.aptSeen%8 != 0 || m.rctBound < 3 || m.aptSeen >= m.aptWindow {
-		return len(ws), false
+// The state is carried through ws in locals: at each window edge the
+// opening word's byte 0 becomes the sample and the count restarts, and
+// the RCT run carries straight across. When the edges fall on four-word
+// group boundaries, the whole groups take one screenGroups pass, which
+// walks the edges itself and bounds the windows it closes by their sum
+// with the count carried in; other words take one scan per window part
+// of at most 64 words. A refused block commits nothing. An empty block,
+// a monitor without its first sample, with a window or position not a
+// multiple of 8, with a position at the window's end (only restored
+// state has one) or with an RCT cutoff below 3 is not screened.
+func (m *Monitor) screen(ws []uint64) bool {
+	if len(ws) == 0 || !m.haveSample || m.aptWindow%8 != 0 || m.aptSeen%8 != 0 || m.rctBound < 3 || m.aptSeen >= m.aptWindow {
+		return false
 	}
-	n := min(len(ws), (m.aptWindow-m.aptSeen)/8, 64)
-	seg := ws[:n]
-	pat, count := uint64(m.aptSample)*bytesOf1, m.aptCount
-	if m.aptSeen == 0 {
-		pat, count = seg[0]&0xFF*bytesOf1, 0
-	}
-	rep := uint64(0)
+	last, rep := uint64(m.lastByte), uint64(0)
 	if m.repeats >= 2 {
 		rep = 1 << 63
 	}
-	same, triple, last, rep := scan(seg, pat, uint64(m.lastByte), rep)
-	if count += same; triple || count >= m.aptBound {
-		return n, false
+	pat, count, seen := uint64(m.aptSample)*bytesOf1, m.aptCount, m.aptSeen
+	if seen == 0 { // ws[0] opens a window
+		pat, count = ws[0]&0xFF*bytesOf1, 0
+	}
+	i := 0
+	if g, w, e := len(ws)/4, m.aptWindow/32, (m.aptWindow-seen)/32; haveAVX2 && m.aptWindow%32 == 0 && seen%32 == 0 && g > 0 && g <= 255 {
+		i = 4 * g
+		same, before, triple := screenGroups(ws[:i], pat, last<<56, rep, e, w)
+		if seen += 32 * g; e < g { // the last window opened at group e
+			for e+w < g {
+				e += w
+			}
+			pat, count, before, seen = ws[4*e]&0xFF*bytesOf1, 0, before+count, 32*(g-e)
+		}
+		if count += same; triple || before >= m.aptBound || count >= m.aptBound {
+			return false
+		}
+		v := ws[i-1]
+		last, rep = v>>56, zeroByteMask(v^v<<8)
+		if seen == m.aptWindow {
+			seen = 0 // start a new window on the next byte
+		}
+	}
+	for i < len(ws) {
+		if seen == 0 { // ws[i] opens a window
+			pat, count = ws[i]&0xFF*bytesOf1, 0
+		}
+		n := min(len(ws)-i, (m.aptWindow-seen)/8, 64)
+		same, triple, l, r := scan(ws[i:i+n], pat, last, rep)
+		if count += same; triple || count >= m.aptBound {
+			return false
+		}
+		last, rep, i = l, r, i+n
+		if seen += 8 * n; seen == m.aptWindow {
+			seen = 0 // start a new window on the next byte
+		}
 	}
 	m.lastByte, m.repeats = byte(last), 1+int(rep>>63)
-	m.aptSample, m.aptCount = byte(pat), count
-	if m.aptSeen += 8 * n; m.aptSeen == m.aptWindow {
-		m.aptSeen = 0 // start a new window on the next byte
-	}
-	return n, true
+	m.aptSample, m.aptCount, m.aptSeen = byte(pat), count, seen
+	return true
 }
 
-// scan is screen's pass over seg, at most 64 words. It returns how many
-// of seg's bytes equal the sample pat holds in every byte, whether a
-// byte of seg ends three equal bytes in a row, and the last byte and
-// run flag after seg. The
-// run carried in is last, the byte before seg[0], and rep's top bit,
-// set when last equals the byte before it. On AVX2 hosts the whole
-// groups of four words take the vector loop (screenGroups), and the
-// words after them scanWords, from the run the groups leave.
+// scan is screen's pass over seg, at most 64 words, within one window.
+// It returns how many of seg's bytes equal the sample pat holds in
+// every byte, whether a byte of seg ends three equal bytes in a row,
+// and the last byte and run flag after seg. The run carried in is
+// last, the byte before seg[0], and rep's top bit, set when last equals
+// the byte before it. On AVX2 hosts the whole groups of four words take
+// the vector loop (screenGroups), and the words after them scanWords,
+// from the run the groups leave.
 func scan(seg []uint64, pat, last, rep uint64) (int, bool, uint64, uint64) {
 	g := len(seg) &^ 3
 	if !haveAVX2 || g == 0 {
 		return scanWords(seg, pat, last, rep)
 	}
-	same, triple := screenGroups(seg[:g], pat, last<<56, rep)
+	same, _, triple := screenGroups(seg[:g], pat, last<<56, rep, g, g)
 	v := seg[g-1]
 	tailSame, tailTriple, last, rep := scanWords(seg[g:], pat, v>>56, zeroByteMask(v^v<<8))
 	return same + tailSame, triple || tailTriple, last, rep

@@ -6,6 +6,6 @@ package bitsource
 // through scanWords; the AVX2 loop is never selected.
 const haveAVX2 = false
 
-func screenGroups([]uint64, uint64, uint64, uint64) (int, bool) {
+func screenGroups([]uint64, uint64, uint64, uint64, int, int) (int, int, bool) {
 	panic("bitsource: screenGroups without AVX2")
 }
