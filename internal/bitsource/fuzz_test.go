@@ -44,10 +44,12 @@ func FuzzMonitorWordMatchesByte(f *testing.F) {
 
 // FuzzMonitorBlockMatchesWord restores two monitors from arbitrary
 // test state and feeds both the same arbitrary words: one through
-// FillWords blocks of an arbitrary size, one a word at a time through
+// FillWords blocks of 1 to 256 words, one a word at a time through
 // Uint64. After every block both must marshal identically to each
 // other and to the per-byte reference. Blobs RestoreMonitor rejects
-// are skipped.
+// are skipped. The 96-word seeds are the bins a pool shard draws,
+// from words 4 and 36 of a window: one block crosses one window edge,
+// the other two.
 func FuzzMonitorBlockMatchesWord(f *testing.F) {
 	// rct, window, aptBound, seen, count, sample, last, repeats, have, tripped, block, words
 	f.Add(uint8(9), uint16(512), uint16(13), uint16(0), uint16(1), byte(0x11), byte(0x22), uint8(1), true, false, uint8(3),
@@ -59,6 +61,13 @@ func FuzzMonitorBlockMatchesWord(f *testing.F) {
 	f.Add(uint8(5), uint16(512), uint16(13), uint16(0), uint16(0), byte(0), byte(0), uint8(0), false, false, uint8(1),
 		wordBytes(0x4242424242424242, 0x4242424242424242))
 	f.Add(uint8(1), uint16(8), uint16(1), uint16(0), uint16(5), byte(0), byte(0), uint8(7), true, true, uint8(64), wordBytes(0, 1, 2))
+	bin := make([]uint64, 96)
+	for i := range bin {
+		bin[i] = baselines.Finalize64(uint64(i))
+	}
+	for _, seen := range []uint16{32, 288} {
+		f.Add(uint8(5), uint16(512), uint16(13), seen, uint16(1), byte(0x11), byte(0x22), uint8(1), true, false, uint8(95), wordBytes(bin...))
+	}
 	for _, e := range screenEdges { // eight-word blocks
 		st := e.st
 		f.Add(uint8(st.rct), uint16(st.window), uint16(st.aptBound), uint16(st.seen), uint16(st.count), st.sample, st.last, uint8(st.repeats),
@@ -78,7 +87,7 @@ func FuzzMonitorBlockMatchesWord(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := int(block)%64 + 1
+		n := int(block) + 1
 		dst := make([]uint64, n)
 		for drawn := 0; drawn < max(len(data)/8, 4*n); drawn += n {
 			bm.FillWords(dst)

@@ -236,6 +236,23 @@ var screenEdges = []struct {
 		[]uint64{0x0807060504030201, 0x1817161514131211, 0x2827262524222221}},
 	{"apt-1", monitorState{rct: 5, window: 512, aptBound: 1, seen: 8, count: 0, sample: 0x11, last: 0x10, repeats: 1, haveSample: true},
 		[]uint64{0x0807060504030201, 0x1817161514131211, 0x2827262524232221}},
+	// A 96-word block from word 36 of a window crosses two edges, at
+	// words 28 and 92. The second window takes byte 0x01 as its sample
+	// and meets it in every other word: 32 times, below a cutoff of 100,
+	// or reaching a cutoff of 20 at its 39th word. With 10 samples
+	// carried in and 14 more before the first edge, each window stays
+	// below a cutoff of 40 but their sum does not, so the block is
+	// refused and checked exactly.
+	{"two-edges", monitorState{rct: 5, window: 512, aptBound: 100, seen: 288, count: 1, sample: 0x11, last: 0x10, repeats: 1, haveSample: true},
+		[]uint64{0x0807060504030201, 0x100F0E0D0C0B0A09}},
+	{"second-window-trips", monitorState{rct: 5, window: 512, aptBound: 20, seen: 288, count: 1, sample: 0x11, last: 0x10, repeats: 1, haveSample: true},
+		[]uint64{0x0807060504030201, 0x100F0E0D0C0B0A09}},
+	{"windows-sum-past-cutoff", monitorState{rct: 5, window: 512, aptBound: 40, seen: 288, count: 10, sample: 0x01, last: 0x10, repeats: 1, haveSample: true},
+		[]uint64{0x0807060504030201, 0x100F0E0D0C0B0A09}},
+	// From word 34 of a window the edges fall at words 30 and 94, inside
+	// four-word groups: the block takes one scan per window part.
+	{"edge-inside-group", monitorState{rct: 5, window: 512, aptBound: 100, seen: 272, count: 1, sample: 0x11, last: 0x10, repeats: 1, haveSample: true},
+		[]uint64{0x0807060504030201, 0x100F0E0D0C0B0A09}},
 }
 
 // wordBytes encodes words as a feed's bytes, low byte first.
@@ -265,7 +282,7 @@ func cycleFeed(data []byte) rng.Source {
 
 func TestMonitorScreenEdges(t *testing.T) {
 	for _, e := range screenEdges {
-		for _, n := range []int{1, 2, 7, 8, 64, 65} {
+		for _, n := range []int{1, 2, 7, 8, 64, 65, 96} {
 			t.Run(fmt.Sprintf("%s/n=%d", e.name, n), func(t *testing.T) {
 				data := wordBytes(e.words...)
 				block, ref := restoredPair(t, e.st.blob(t), cycleFeed(data))
