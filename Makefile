@@ -90,17 +90,21 @@ portable:
 	GOARCH=386 go test -short ./...
 	for arch in arm64 s390x 386; do GOARCH=$$arch go vet ./... || exit 1; done
 
-## fuzz-smoke: run six fuzzers for 30 s each past their seed corpora.
+## fuzz-smoke: run seven fuzzers for 30 s each past their seed corpora.
 ## The glibc feed's block draw must equal its per-word stream from any
-## seed and ring position. The window screen and the word-at-a-time
-## check skip the SP 800-90B monitor's per-byte tests; the two monitor
-## fuzzers hold both to them on inputs nobody wrote down. The two
+## seed and ring position. The AVX2 round kernel must walk every live
+## lane of any bins, lane count, walk length, round length and start
+## point to walkBin's outputs and end position. The block screen and
+## the word-at-a-time check skip the SP 800-90B monitor's per-byte
+## tests; the two monitor fuzzers hold both to them on inputs nobody
+## wrote down. The two
 ## client fuzzers hold the block read and the Retry-After parser to
 ## their bounds against whatever a server sends. The fleet fuzzer
 ## holds the controller to a non-5xx answer, without a panic, for any
 ## register body, heartbeat body or ?wait= value a node or curl sends.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzGlibcFillWords$$' -fuzztime 30s ./internal/baselines
+	go test -run '^$$' -fuzz '^FuzzWalkBinsMatchesWalkBin$$' -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzMonitorBlockMatchesWord$$' -fuzztime 30s ./internal/bitsource
 	go test -run '^$$' -fuzz '^FuzzMonitorWordMatchesByte$$' -fuzztime 30s ./internal/bitsource
 	go test -run '^$$' -fuzz '^FuzzClientResponse$$' -fuzztime 30s ./client

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/baselines"
 )
 
 // TestWalkBinsMatchesWalkBin runs the AVX2 round kernel (walkBins and
@@ -82,4 +84,54 @@ func TestWalkBinsMatchesWalkBin(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzWalkBinsMatchesWalkBin runs the AVX2 round kernel on bins cut
+// from the fuzz bytes, cycled to fill all sixteen slots, with 5 to 16
+// live lanes, walk lengths of 1 to 400, round lengths of 1 to a bin's
+// worth and start points drawn from start: every live lane's outputs
+// and end position must equal walkBin's on the same bin.
+func FuzzWalkBinsMatchesWalkBin(f *testing.F) {
+	if !haveAVX2 {
+		f.Skip("no AVX2")
+	}
+	f.Add(uint8(11), uint16(63), uint8(31), uint64(1), []byte{0x5a, 0x0f, 0xf0, 0x33, 0xcc, 0x96, 0x69, 0x01})
+	f.Add(uint8(0), uint16(9), uint8(0), uint64(0), []byte{0xff})
+	f.Add(uint8(3), uint16(10), uint8(200), uint64(1<<63), []byte{})
+	f.Add(uint8(7), uint16(31), uint8(65), uint64(12345), []byte("expander walk"))
+	f.Fuzz(func(t *testing.T, lanes uint8, walkLen uint16, round uint8, start uint64, data []byte) {
+		n := 5 + int(lanes)%(MaxBatchLanes-4)
+		l := 1 + int(walkLen)%400
+		chunks, tail := l/stepsPerChunk, l%stepsPerChunk
+		r := 1 + int(round)%(binBits/(l*BitsPerStep))
+		g := new(binGroup)
+		var x, y [MaxBatchLanes]uint32
+		var outs [MaxBatchLanes][]uint64
+		k := 0
+		for j := range g.bins {
+			for w := range g.bins[j] {
+				for b := 0; b < 8 && len(data) > 0; b++ {
+					g.bins[j][w] = g.bins[j][w]<<8 | uint64(data[k%len(data)])
+					k++
+				}
+			}
+			v := baselines.Finalize64(start + uint64(j))
+			x[j], y[j] = uint32(v>>32), uint32(v)
+			outs[j] = make([]uint64, r)
+		}
+		x0, y0 := x, y
+		walkBins(g, &x, &y, &outs, n, r, chunks, tail)
+		for j := 0; j < n; j++ {
+			want := make([]uint64, r)
+			wx, wy := walkBin(&g.bins[j], x0[j], y0[j], want, chunks, tail)
+			for i := range want {
+				if outs[j][i] != want[i] {
+					t.Fatalf("%d lanes, l=%d, %d numbers, lane %d, number %d: kernel %#x, walkBin %#x", n, l, r, j, i, outs[j][i], want[i])
+				}
+			}
+			if x[j] != wx || y[j] != wy {
+				t.Fatalf("%d lanes, l=%d, %d numbers, lane %d: kernel ends at (%#x, %#x), walkBin at (%#x, %#x)", n, l, r, j, x[j], y[j], wx, wy)
+			}
+		}
+	})
 }
