@@ -25,8 +25,8 @@ const DefaultMaxResident = 1024
 type Config struct {
 	RootSeed    uint64  // root of the per-key derivation
 	Feed        string  // feed generator name; "" means hybridprng.FeedGlibc
-	WalkLen     int     // per-draw walk length; 0 means the package default
-	InitWalkLen int     // Algorithm 1 init walk length; 0 means the package default
+	WalkLen     int     // per-draw walk length, at most hybridprng.MaxWalkLen; 0 means the package default
+	InitWalkLen int     // Algorithm 1 init walk length, at most hybridprng.MaxWalkLen; 0 means the package default
 	HealthHMin  float64 // SP 800-90B floor per tenant stream; 0 disables
 
 	MaxResident int     // LRU cap on resident streams; 0 means DefaultMaxResident
@@ -112,6 +112,9 @@ func New(cfg Config) (*Registry, error) {
 	}
 	if cfg.Feed == "" {
 		cfg.Feed = hybridprng.FeedGlibc
+	}
+	if cfg.WalkLen > hybridprng.MaxWalkLen || cfg.InitWalkLen > hybridprng.MaxWalkLen {
+		return nil, fmt.Errorf("substream: walk length %d or init walk length %d above %d", cfg.WalkLen, cfg.InitWalkLen, hybridprng.MaxWalkLen)
 	}
 	if cfg.MaxResident <= 0 {
 		cfg.MaxResident = DefaultMaxResident

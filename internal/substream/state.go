@@ -100,6 +100,9 @@ func (r *Registry) UnmarshalBinary(data []byte) error {
 	default:
 		return fmt.Errorf("substream: state blob names unknown feed %q", feed)
 	}
+	if walkLen > hybridprng.MaxWalkLen || initWalkLen > hybridprng.MaxWalkLen {
+		return fmt.Errorf("substream: state blob walk length %d or init walk length %d above %d", walkLen, initWalkLen, hybridprng.MaxWalkLen)
+	}
 	// The maps grow as tenants decode: n comes from the blob, and a
 	// forged count must not size an allocation.
 	parkedSet := make(map[string]*parked)

@@ -69,11 +69,11 @@ type config struct {
 // Option configures New and NewParallel.
 type Option func(*config) error
 
-// maxWalkLen bounds both walk lengths, in the options and in the
+// MaxWalkLen bounds both walk lengths, in the options and in the
 // checkpoint decoder alike, so every generator the options accept can
 // be restored from its own checkpoint, and a forged blob cannot turn
 // every draw into an arbitrarily long walk.
-const maxWalkLen = 1 << 20
+const MaxWalkLen = 1 << 20
 
 // WithWalkLength sets l, the number of expander steps per generated
 // number (default 64, the paper's choice; at most 1<<20). Shorter
@@ -81,8 +81,8 @@ const maxWalkLen = 1 << 20
 // trade.
 func WithWalkLength(l int) Option {
 	return func(c *config) error {
-		if l < 1 || l > maxWalkLen {
-			return fmt.Errorf("hybridprng: walk length %d outside [1, %d]", l, maxWalkLen)
+		if l < 1 || l > MaxWalkLen {
+			return fmt.Errorf("hybridprng: walk length %d outside [1, %d]", l, MaxWalkLen)
 		}
 		c.walkLen = l
 		return nil
@@ -93,8 +93,8 @@ func WithWalkLength(l int) Option {
 // run at construction (default 64; at most 1<<20).
 func WithInitWalkLength(l int) Option {
 	return func(c *config) error {
-		if l < 0 || l > maxWalkLen {
-			return fmt.Errorf("hybridprng: init walk length %d outside [0, %d]", l, maxWalkLen)
+		if l < 0 || l > MaxWalkLen {
+			return fmt.Errorf("hybridprng: init walk length %d outside [0, %d]", l, MaxWalkLen)
 		}
 		c.initWalkLen = l
 		return nil

@@ -29,12 +29,12 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := New(WithInitWalkLength(-1)); err == nil {
 		t.Error("negative init walk should fail")
 	}
-	// A checkpoint cannot restore a walk longer than maxWalkLen, so no
+	// A checkpoint cannot restore a walk longer than MaxWalkLen, so no
 	// option may build one.
-	if _, err := New(WithWalkLength(maxWalkLen + 1)); err == nil {
+	if _, err := New(WithWalkLength(MaxWalkLen + 1)); err == nil {
 		t.Error("walk length above the checkpoint bound should fail")
 	}
-	if _, err := New(WithInitWalkLength(maxWalkLen + 1)); err == nil {
+	if _, err := New(WithInitWalkLength(MaxWalkLen + 1)); err == nil {
 		t.Error("init walk length above the checkpoint bound should fail")
 	}
 	if _, err := New(WithFeed("bogus")); err == nil {

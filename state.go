@@ -161,11 +161,11 @@ func unmarshalWalker(data []byte) (*core.Walker, error) {
 	if brLeft > 64 {
 		return nil, fmt.Errorf("hybridprng: bit buffer count %d out of range", brLeft)
 	}
-	if walkLen < 1 || walkLen > maxWalkLen {
-		return nil, fmt.Errorf("hybridprng: walk length %d outside [1, %d]", walkLen, maxWalkLen)
+	if walkLen < 1 || walkLen > MaxWalkLen {
+		return nil, fmt.Errorf("hybridprng: walk length %d outside [1, %d]", walkLen, MaxWalkLen)
 	}
-	if initWalkLen > maxWalkLen {
-		return nil, fmt.Errorf("hybridprng: init walk length %d outside [0, %d]", initWalkLen, maxWalkLen)
+	if initWalkLen > MaxWalkLen {
+		return nil, fmt.Errorf("hybridprng: init walk length %d outside [0, %d]", initWalkLen, MaxWalkLen)
 	}
 
 	src, fu, err := feedFromTag(tag)

@@ -56,7 +56,7 @@ func TestCheckpointPreservesOptions(t *testing.T) {
 		}
 	}
 	// The longest walks the options accept restore too.
-	g, err = New(WithSeed(5), WithWalkLength(maxWalkLen), WithInitWalkLength(maxWalkLen))
+	g, err = New(WithSeed(5), WithWalkLength(MaxWalkLen), WithInitWalkLength(MaxWalkLen))
 	if err != nil {
 		t.Fatal(err)
 	}
