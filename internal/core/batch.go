@@ -3,27 +3,27 @@ package core
 import "repro/internal/expander"
 
 // MaxBatchLanes is the widest lockstep batch the batched kernel
-// advances per loop iteration. Sixteen independent walks are enough
-// to hide the ~8-cycle serial dependency of one Gabber–Galil step
-// behind the CPU's out-of-order window; wider batches spill the lane
-// state out of registers/L1 without buying more ILP.
+// advances per loop iteration: two AVX2 registers of eight lanes each
+// for x and for y, whose independent steps keep the vector ports busy;
+// wider batches spill the lane state out of registers without buying
+// more ILP.
 const MaxBatchLanes = 16
 
 // vecMinLanes is the smallest group the AVX2 round kernel walks in
 // lockstep, padded to sixteen lanes; smaller groups walk lane by lane
 // through chunk21. Against lane-by-lane walks, the padded kernel filled
-// at 0.46× the MB/s with two lanes, 0.64× with three, 0.79× with four,
-// 1.05× with five, 1.16× with six and 1.47× with eight
+// at 0.66× the MB/s with two lanes, 0.83× with three, 1.06× with four,
+// 1.25× with five, 1.44× with six and 1.87× with eight
 // (BenchmarkFillBatch, medians of 6 alternated runs at -cpu 1, 2-vCPU
-// Xeon @ 2.1 GHz).
-const vecMinLanes = 5
+// Xeon @ 2.1 GHz); 10 more runs read 0.94× at three and 1.12× at four.
+const vecMinLanes = 4
 
 // FillBatch fills dst[i] with len(dst[i]) successive numbers from
 // ws[i]. On AVX2 hosts a group of vecMinLanes lanes or more advances in
 // lockstep, MaxBatchLanes independent walks per kernel step, so the
-// vector pipelines stay full instead of stalling on one walk's serial
-// x→y→x chain — the blocked-generation idiom MTGP uses on GPUs, applied
-// to a superscalar core. Other groups walk lane by lane through the
+// vector pipelines stay full instead of waiting on one walk's steps —
+// the blocked-generation idiom MTGP uses on GPUs, applied to a
+// superscalar core. Other groups walk lane by lane through the
 // three-step table (chunk21).
 //
 // The sweep runs in rounds. Each round every lane draws one bin — the

@@ -87,10 +87,10 @@ func TestWalkBinsMatchesWalkBin(t *testing.T) {
 }
 
 // FuzzWalkBinsMatchesWalkBin runs the AVX2 round kernel on bins cut
-// from the fuzz bytes, cycled to fill all sixteen slots, with 5 to 16
-// live lanes, walk lengths of 1 to 400, round lengths of 1 to a bin's
-// worth and start points drawn from start: every live lane's outputs
-// and end position must equal walkBin's on the same bin.
+// from the fuzz bytes, cycled to fill all sixteen slots, with
+// vecMinLanes to 16 live lanes, walk lengths of 1 to 400, round lengths
+// of 1 to a bin's worth and start points drawn from start: every live
+// lane's outputs and end position must equal walkBin's on the same bin.
 func FuzzWalkBinsMatchesWalkBin(f *testing.F) {
 	if !haveAVX2 {
 		f.Skip("no AVX2")
@@ -100,7 +100,7 @@ func FuzzWalkBinsMatchesWalkBin(f *testing.F) {
 	f.Add(uint8(3), uint16(10), uint8(200), uint64(1<<63), []byte{})
 	f.Add(uint8(7), uint16(31), uint8(65), uint64(12345), []byte("expander walk"))
 	f.Fuzz(func(t *testing.T, lanes uint8, walkLen uint16, round uint8, start uint64, data []byte) {
-		n := 5 + int(lanes)%(MaxBatchLanes-4)
+		n := vecMinLanes + int(lanes)%(MaxBatchLanes-vecMinLanes+1)
 		l := 1 + int(walkLen)%400
 		chunks, tail := l/stepsPerChunk, l%stepsPerChunk
 		r := 1 + int(round)%(binBits/(l*BitsPerStep))

@@ -305,7 +305,7 @@ func TestPoolFillMatchesScalarLayout(t *testing.T) {
 
 // BenchmarkFillBatch sweeps 256 numbers per lane. MB/s over lanes=1,
 // which runs the scalar path, is what a bin-fed lockstep lane gains;
-// lanes=5 and lanes=6 sit either side of vecMinLanes.
+// lanes=3 and lanes=4 sit either side of vecMinLanes.
 func BenchmarkFillBatch(b *testing.B) {
 	for _, width := range []int{1, 2, 3, 4, 5, 6, 8, 16} {
 		b.Run(fmt.Sprintf("lanes=%d", width), func(b *testing.B) {
