@@ -250,11 +250,13 @@ func (m *Monitor) screen(ws []uint64) bool {
 	if g, w, e := len(ws)/4, m.aptWindow/32, (m.aptWindow-seen)/32; haveAVX2 && m.aptWindow%32 == 0 && seen%32 == 0 && g > 0 && g <= 255 {
 		i = 4 * g
 		same, before, triple := screenGroups(ws[:i], pat, last<<56, rep, e, w)
-		if seen += 32 * g; e < g { // the last window opened at group e
+		seen += 32 * g
+		if e < g { // windows opened in the groups: e becomes the last edge
 			for e+w < g {
 				e += w
 			}
-			pat, count, before, seen = ws[4*e]&0xFF*bytesOf1, 0, before+count, 32*(g-e)
+			pat, count, before = ws[4*e]&0xFF*bytesOf1, 0, before+count
+			seen = 32 * (g - e)
 		}
 		if count += same; triple || before >= m.aptBound || count >= m.aptBound {
 			return false
