@@ -241,8 +241,8 @@ var screenEdges = []struct {
 	// and meets it in every other word: 32 times, below a cutoff of 100,
 	// or reaching a cutoff of 20 at its 39th word. With 10 samples
 	// carried in and 14 more before the first edge, each window stays
-	// below a cutoff of 40 but their sum does not, so the block is
-	// refused and checked exactly.
+	// below a cutoff of 40 but their sum does not, so the vector pass
+	// refuses the block and it is checked exactly.
 	{"two-edges", monitorState{rct: 5, window: 512, aptBound: 100, seen: 288, count: 1, sample: 0x11, last: 0x10, repeats: 1, haveSample: true},
 		[]uint64{0x0807060504030201, 0x100F0E0D0C0B0A09}},
 	{"second-window-trips", monitorState{rct: 5, window: 512, aptBound: 20, seen: 288, count: 1, sample: 0x11, last: 0x10, repeats: 1, haveSample: true},
