@@ -40,13 +40,14 @@ func (e *HealthError) Error() string {
 // The tests are defined byte by byte. FillWords draws a block of words
 // from the source — a walker's whole bin at a time — and screens the
 // whole block in one pass across its APT window edges: a block in which
-// no byte can trip commits its end state directly. Any other block, and
-// the one word Uint64 draws, takes the exact path from the state before
-// it: a whole feed word at once whenever the monitor can prove the
-// per-byte loop would neither trip nor start or end a window inside the
-// word, and the per-byte loop for every other word. Trip points,
-// failure text and marshalled state are therefore exactly those of
-// checking each byte in turn.
+// no byte can trip commits its end state directly. Any other block is
+// halved, and each half screened, down to pieces under 32 words; a
+// piece still refused, and the one word Uint64 draws, takes the exact
+// path from the state before it: a whole feed word at once whenever the
+// monitor can prove the per-byte loop would neither trip nor start or
+// end a window inside the word, and the per-byte loop for every other
+// word. Trip points, failure text and marshalled state are therefore
+// exactly those of checking each byte in turn.
 //
 // Drawing (Uint64, FillWords) is single-consumer like every Source in
 // this repository, but Err and Tripped are safe to call from any
@@ -200,19 +201,59 @@ func (m *Monitor) FillWords(dst []uint64) {
 
 // check feeds ws's bytes, word by word and low byte first, through
 // both health tests: screen clears most blocks in one branch-free pass,
-// and a block it refuses takes the exact path from the state before it
-// — runs of words through checkWords, and each word checkWords refuses
-// through checkBytes.
+// and a block it refuses is bisected (bisect) until the pieces it still
+// refuses are short, which take the exact path.
 func (m *Monitor) check(ws []uint64) {
+	if m.screenable() {
+		m.bisect(ws)
+		return
+	}
+	m.exact(ws)
+}
+
+// bisectMin is the shortest block bisect halves; a refused block under
+// it takes the exact path whole.
+const bisectMin = 32
+
+// bisect screens ws and, when screen refuses it, halves it and checks
+// each half from the state the one before it left. The first half is a
+// multiple of four words, so the second starts on a four-word group
+// boundary when ws does, and checking whole words keeps the monitor
+// screenable. Only the pieces under bisectMin words that screen still
+// refuses — those holding a triple, a count near the cutoff, or closed
+// windows whose sum passes it — take the exact path.
+func (m *Monitor) bisect(ws []uint64) {
 	if m.screen(ws) {
 		return
 	}
+	if len(ws) < bisectMin {
+		m.exact(ws)
+		return
+	}
+	h := len(ws) / 2 &^ 3
+	m.bisect(ws[:h])
+	m.bisect(ws[h:])
+}
+
+// exact feeds ws through the tests from the monitor's state: runs of
+// words through checkWords, and each word checkWords refuses through
+// checkBytes.
+func (m *Monitor) exact(ws []uint64) {
 	for len(ws) > 0 {
 		if ws = ws[m.checkWords(ws):]; len(ws) > 0 {
 			m.checkBytes(ws[0])
 			ws = ws[1:]
 		}
 	}
+}
+
+// screenable reports whether screen can take blocks from the monitor's
+// state: it has its first sample, its window and position are multiples
+// of 8, the position is inside the window (only restored state has one
+// at the window's end) and the RCT cutoff is 3 or more. Checking whole
+// words keeps it so.
+func (m *Monitor) screenable() bool {
+	return m.haveSample && m.aptWindow%8 == 0 && m.aptSeen%8 == 0 && m.rctBound >= 3 && m.aptSeen < m.aptWindow
 }
 
 // screen checks all of ws in one pass and commits its end state, that
@@ -230,13 +271,11 @@ func (m *Monitor) check(ws []uint64) {
 // group boundaries, the whole groups take one screenGroups pass, which
 // walks the edges itself and bounds the windows it closes by their sum
 // with the count carried in; other words take one scan per window part
-// of at most 64 words. A refused block commits nothing. An empty block,
-// a monitor without its first sample, with a window or position not a
-// multiple of 8, with a position at the window's end (only restored
-// state has one) or with an RCT cutoff below 3 is not screened.
+// of at most 64 words. A refused block commits nothing. The monitor
+// must be screenable.
 func (m *Monitor) screen(ws []uint64) bool {
-	if len(ws) == 0 || !m.haveSample || m.aptWindow%8 != 0 || m.aptSeen%8 != 0 || m.rctBound < 3 || m.aptSeen >= m.aptWindow {
-		return false
+	if len(ws) == 0 {
+		return true
 	}
 	last, rep := uint64(m.lastByte), uint64(0)
 	if m.repeats >= 2 {
@@ -418,11 +457,14 @@ func flagged(mask uint64) int {
 	return int((mask >> 7) * bytesOf1 >> 56)
 }
 
+// checkByte feeds one byte through both tests. A trip keeps the first
+// failure, so a monitor that has tripped builds no failure text: every
+// byte of a stuck feed reaches a cutoff.
 func (m *Monitor) checkByte(b byte) {
 	// Repetition count test.
 	if m.haveSample && b == m.lastByte {
 		m.repeats++
-		if m.repeats >= m.rctBound {
+		if m.repeats >= m.rctBound && !m.Tripped() {
 			m.trip("repetition-count",
 				fmt.Sprintf("byte %#02x repeated %d times (cutoff %d)", b, m.repeats, m.rctBound))
 		}
@@ -447,7 +489,7 @@ func (m *Monitor) checkByte(b byte) {
 	m.aptSeen++
 	if b == m.aptSample {
 		m.aptCount++
-		if m.aptCount >= m.aptBound {
+		if m.aptCount >= m.aptBound && !m.Tripped() {
 			m.trip("adaptive-proportion",
 				fmt.Sprintf("byte %#02x appeared %d times in a %d-byte window (cutoff %d)",
 					b, m.aptCount, m.aptWindow, m.aptBound))

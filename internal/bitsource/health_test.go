@@ -1,6 +1,7 @@
 package bitsource
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"sync"
@@ -264,6 +265,46 @@ func TestMonitorStaysTrippedAndUsable(t *testing.T) {
 	m.Uint64()
 	if m.Err() != first {
 		t.Error("first failure must be sticky")
+	}
+}
+
+// TestMonitorTrippedBuildsNoText drives a stuck feed past its first
+// trip at hMin 4. From there every byte reaches the RCT cutoff, and
+// the APT cutoff too once a window has met it, but a tripped monitor
+// keeps its first failure: neither a word nor a 384-word bin, which
+// bisects down to the exact path, may allocate failure text. The first
+// trip's text and the per-byte reference's state must hold after the
+// draws.
+func TestMonitorTrippedBuildsNoText(t *testing.T) {
+	const stuck = 0x4242424242424242
+	drawn := 0
+	m, err := NewMonitor(rng.Func(func() uint64 { drawn++; return stuck }), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := RestoreMonitor(baselines.NewSplitMix64(0), marshalMonitor(t, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !m.Tripped() {
+		m.Uint64()
+	}
+	first := m.Err().Error()
+	bin := make([]uint64, 384)
+	if allocs := testing.AllocsPerRun(100, func() { m.Uint64() }); allocs != 0 {
+		t.Errorf("Uint64 after the trip: %v allocations per word, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { m.FillWords(bin) }); allocs != 0 {
+		t.Errorf("FillWords after the trip: %v allocations per 384-word bin, want 0", allocs)
+	}
+	if got := m.Err().Error(); got != first {
+		t.Errorf("failure text moved from %q to %q", first, got)
+	}
+	for range drawn {
+		checkWordByBytes(ref, stuck)
+	}
+	if got, want := marshalMonitor(t, m), marshalMonitor(t, ref); !bytes.Equal(got, want) {
+		t.Fatalf("after %d words: state\n%x\nper-byte state\n%x", drawn, got, want)
 	}
 }
 

@@ -253,6 +253,48 @@ var screenEdges = []struct {
 	// four-word groups: the block takes one scan per window part.
 	{"edge-inside-group", monitorState{rct: 5, window: 512, aptBound: 100, seen: 272, count: 1, sample: 0x11, last: 0x10, repeats: 1, haveSample: true},
 		[]uint64{0x0807060504030201, 0x100F0E0D0C0B0A09}},
+	// A 384-word bin from word 4 of a window, as every bin of a pool
+	// shard, over a ramp with one triple. In word 300, the fourth quarter,
+	// the triple trips an RCT of 3; the quarters before it screen whole
+	// once the block is bisected.
+	{"triple-in-quarter", monitorState{rct: 3, window: 512, aptBound: 100, seen: 32, count: 1, sample: 0x11, last: 0x10, repeats: 1, haveSample: true},
+		withTriple(rampWords(384, 256), 300, 1)},
+	// Bytes 6-7 of word 191 and byte 0 of word 192: the first half ends
+	// on a run of two, which the second half's screen must carry in.
+	{"triple-across-split", monitorState{rct: 3, window: 512, aptBound: 100, seen: 32, count: 1, sample: 0x11, last: 0x10, repeats: 1, haveSample: true},
+		withTriple(rampWords(384, 256), 191, 6)},
+	// hMin 8's cutoffs (RCT 5, APT 16) over a ramp of period 128, so every
+	// full window counts its sample 4 times: the six windows the bin
+	// closes each stay below 16 but their sum does not, so the screen
+	// refuses the bin and screens its halves.
+	{"six-windows-sum-past-cutoff", monitorState{rct: 5, window: 512, aptBound: 16, seen: 32, count: 1, sample: 0x11, last: 0x10, repeats: 1, haveSample: true},
+		rampWords(384, 128)},
+}
+
+// rampWords returns n words whose bytes, low byte first, run 1, 2, …,
+// period and over again (period ≤ 256), so no two bytes in a row are
+// equal and each window of 512 bytes meets its first byte 512/period
+// times.
+func rampWords(n, period int) []uint64 {
+	ws := make([]uint64, n)
+	for i := range ws {
+		for k := 0; k < 8; k++ {
+			ws[i] |= uint64(byte(1+(8*i+k)%period)) << (8 * k)
+		}
+	}
+	return ws
+}
+
+// withTriple sets bytes k+1 and k+2 of the run from word i's byte k on
+// to byte k's value: three equal bytes in a row, which cross into word
+// i+1 when k > 5.
+func withTriple(ws []uint64, i, k int) []uint64 {
+	b := wordBytes(ws...)
+	b[8*i+k+1], b[8*i+k+2] = b[8*i+k], b[8*i+k]
+	for j := range ws {
+		ws[j] = binary.LittleEndian.Uint64(b[8*j:])
+	}
+	return ws
 }
 
 // wordBytes encodes words as a feed's bytes, low byte first.
@@ -280,13 +322,16 @@ func cycleFeed(data []byte) rng.Source {
 	})
 }
 
+// TestMonitorScreenEdges draws each screenEdges feed in blocks of 1 to
+// 384 words, at least twice through the feed's cycle and twice the
+// block, and holds the monitor to the per-byte loop after every block.
 func TestMonitorScreenEdges(t *testing.T) {
 	for _, e := range screenEdges {
-		for _, n := range []int{1, 2, 7, 8, 64, 65, 96} {
+		for _, n := range []int{1, 2, 7, 8, 64, 65, 96, 384} {
 			t.Run(fmt.Sprintf("%s/n=%d", e.name, n), func(t *testing.T) {
 				data := wordBytes(e.words...)
 				block, ref := restoredPair(t, e.st.blob(t), cycleFeed(data))
-				requireBlockMatchesByte(t, block, ref, cycleFeed(data), n, 4*64)
+				requireBlockMatchesByte(t, block, ref, cycleFeed(data), n, max(4*64, 2*n, 2*len(e.words)))
 			})
 		}
 	}
@@ -376,7 +421,8 @@ func TestMonitorBlockMatchesByteRestored(t *testing.T) {
 
 // BenchmarkMonitor measures the health tests on the paper's glibc
 // feed at randd's default claim (-hmin 4), per feed word: one word per
-// Uint64 call, and 96-word blocks — one lane's bin — per FillWords.
+// Uint64 call, and 384-word blocks — one lane's bin — per FillWords.
+// The 96-word row is the bin before it grew, kept for its history.
 func BenchmarkMonitor(b *testing.B) {
 	b.Run("uint64", func(b *testing.B) {
 		m, err := NewMonitor(baselines.NewGlibcRand(1), 4)
@@ -388,15 +434,17 @@ func BenchmarkMonitor(b *testing.B) {
 			m.Uint64()
 		}
 	})
-	b.Run("fill-words-96", func(b *testing.B) {
-		m, err := NewMonitor(baselines.NewGlibcRand(1), 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst := make([]uint64, 96)
-		b.SetBytes(8)
-		for i := 0; i < b.N; i += len(dst) {
-			m.FillWords(dst)
-		}
-	})
+	for _, n := range []int{96, 384} {
+		b.Run(fmt.Sprintf("fill-words-%d", n), func(b *testing.B) {
+			m, err := NewMonitor(baselines.NewGlibcRand(1), 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst := make([]uint64, n)
+			b.SetBytes(8)
+			for i := 0; i < b.N; i += len(dst) {
+				m.FillWords(dst)
+			}
+		})
+	}
 }
