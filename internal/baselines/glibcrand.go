@@ -143,7 +143,7 @@ func (g *GlibcRand) Uint64() uint64 {
 // into field-major order and back. Per draw, the Go loop against the
 // kernel took 30-36 against 65-76 ns at 8 words, 57-62 against 63-81 at
 // 16, 72-117 against 71-120 at 20 and 79-140 against 68-76 at 24 (3
-// runs each at -cpu 1, 2-vCPU Xeon @ 2.0 GHz). A full bin is 96 words.
+// runs each at -cpu 1, 2-vCPU Xeon @ 2.0 GHz). A full bin is 384 words.
 const feedVecMin = 20
 
 // FillWords writes the next len(dst) words of the stream: exactly the

@@ -19,7 +19,8 @@ import (
 // random bins and positions, which must not leak into the live lanes.
 // The kernel walks a segment ten fields at a time: walk lengths 10, 31
 // and 52 end on a tail of exactly ten fields, and 11, 32 and 2048 on
-// ten plus one.
+// ten plus one; 8192 steps, the longest walk a bin holds, fill it with
+// one number.
 func TestWalkBinsMatchesWalkBin(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("no AVX2")
@@ -41,7 +42,7 @@ func TestWalkBinsMatchesWalkBin(t *testing.T) {
 	for _, p := range patterns {
 		for s := range starts {
 			for _, n := range []int{5, 8, 9, 15, 16} {
-				for _, l := range []int{1, 3, 10, 11, 20, 21, 22, 31, 32, 42, 52, 63, 64, 65, 127, 2048} {
+				for _, l := range []int{1, 3, 10, 11, 20, 21, 22, 31, 32, 42, 52, 63, 64, 65, 127, 2048, 8192} {
 					chunks, tail := l/stepsPerChunk, l%stepsPerChunk
 					most := binBits / (l * BitsPerStep)
 					for _, r := range []int{1, 31, 32, 33, most} {

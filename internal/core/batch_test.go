@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/baselines"
+	"repro/internal/rng"
 )
 
 // TestFillBatchMatchesScalar pins the batched kernel bitwise against
@@ -305,14 +308,16 @@ func TestPoolFillMatchesScalarLayout(t *testing.T) {
 
 // BenchmarkFillBatch sweeps 256 numbers per lane. MB/s over lanes=1,
 // which runs the scalar path, is what a bin-fed lockstep lane gains;
-// lanes=3 and lanes=4 sit either side of vecMinLanes.
+// lanes=3 and lanes=4 sit either side of vecMinLanes. The lanes read
+// the paper's glibc feed, whose block draw fills their bins as a pool
+// shard's are filled.
 func BenchmarkFillBatch(b *testing.B) {
 	for _, width := range []int{1, 2, 3, 4, 5, 6, 8, 16} {
 		b.Run(fmt.Sprintf("lanes=%d", width), func(b *testing.B) {
 			ws := make([]*Walker, width)
 			dst := make([][]uint64, width)
 			for i := range ws {
-				ws[i], _ = NewWalker(newBits(uint64(i)+1), Config{})
+				ws[i], _ = NewWalker(rng.NewBitReader(baselines.NewGlibcRand(uint32(i)+1)), Config{})
 				dst[i] = make([]uint64, 256)
 			}
 			b.SetBytes(int64(8 * 256 * width))

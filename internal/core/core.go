@@ -54,8 +54,17 @@ const (
 // takes its 63-bit chunks and 3-bit tail fields out of the bin by
 // funnel shift instead of one reader call per chunk. A fill borrows
 // its bins (getBins) for its own length; no walker keeps one.
+//
+// A bin is the paper's block (Fig. 5): each round pays a feed draw, a
+// health screen, the feed kernel's ring transposition and the round
+// loop once per lane, however many numbers the bin holds. Against
+// 384-word bins, the health-on 64 KiB pool fill ran 1.11× as long with
+// 192-word bins (slower in 10 of 10 alternated runs) and 0.98× with
+// 768-word ones (faster in 10 of 20, within the runs' spread), whose
+// groups take twice the memory (BenchmarkPool/fill-bytes-64KiB-health,
+// medians at -cpu 1, 2-vCPU Xeon @ 2.1 GHz).
 const (
-	binWords = 96 // feed words per lane per bin: 32 numbers at WalkLen 64
+	binWords = 384 // feed words per lane per bin: 128 numbers at WalkLen 64
 	binBits  = 64 * binWords
 
 	// binMinFill is the shortest lone-lane fill that takes a bin;
@@ -63,7 +72,9 @@ const (
 	// numbers through a bin took 1.34× as long at k = 1, 1.05-1.08× at
 	// 2 and 3, 0.96-1.05× at 4 and 0.83-0.85× from 5 to 16
 	// (BenchmarkRegistryDraw, health monitor on, medians of 10-12
-	// alternated runs, 2-vCPU Xeon @ 2.1 GHz).
+	// alternated runs, 2-vCPU Xeon @ 2.1 GHz). It was measured on
+	// 96-word bins and holds for larger ones: a short fill's bin holds
+	// only its own numbers' bits, whatever the bin's capacity.
 	binMinFill = 5
 )
 
@@ -73,8 +84,8 @@ type bin [binWords + 1]uint64
 
 // binGroup holds the bins of one lockstep group, one per lane, and the
 // block the AVX2 round kernel writes its outputs to: one row per lane,
-// one column per number, 32 numbers (one bin at walk length 64) per
-// kernel call.
+// one column per number, 32 numbers (a quarter bin at walk length 64)
+// per kernel call.
 type binGroup struct {
 	bins [MaxBatchLanes]bin
 	out  [MaxBatchLanes][32]uint64
@@ -86,8 +97,10 @@ type binGroup struct {
 // stripe, and walkers are dealt to stripes in turn as they are built,
 // so fills on different pool shards rarely share a lock. A stripe
 // keeps every group returned to it, so once fills have run no fill
-// allocates, however many run at once; it holds as many 16 KiB groups
-// as fills ever ran on it together.
+// allocates, however many run at once; it holds as many groups as
+// fills ever ran on it together. A group is about 52 KiB, so at
+// randd's in-flight cap of 256 requests, one group each, the stripes
+// hold about 13 MiB.
 //
 // Bins cannot live on the stack: Bin hands them to the feed through an
 // interface call, so they would escape and cost a heap allocation per
