@@ -3,7 +3,7 @@
 
 GOPATH_BIN := $(shell go env GOPATH)/bin
 
-.PHONY: build vet test race race-full lint lint-json lint-vet fmt loc figures figures-check portable fuzz-smoke check battery-short battery-long bench-seed bench-gate fleet-drill substream-test
+.PHONY: build vet test race race-full lint lint-json lint-vet fmt loc figures figures-check portable fuzz-smoke check battery-short battery-long bench-seed bench-gate bench-smoke fleet-drill substream-test
 
 build:
 	go build ./...
@@ -78,7 +78,7 @@ figures-check:
 
 ## portable: execute the paths non-amd64 and big-endian hosts take —
 ## the purego tag forces the portable walk (every lane through
-## chunk21's three-step table, where AVX2 hosts run groups of five or
+## chunk21's three-step table, where AVX2 hosts run groups of four or
 ## more lanes through the round kernel), the glibc feed's and the
 ## health screen's Go loops (where AVX2 hosts run their vector
 ## kernels) and FillBytes' encode-through-scratch branch on amd64, and
@@ -132,9 +132,10 @@ battery-long:
 ## The quality battery (parallel + pool + derived substreams) rides
 ## the same machinery via crossstream -benchtext.
 BENCH_PASSES ?= 5
-POOL_BENCH = go test -run '^$$' -bench 'BenchmarkPool|BenchmarkGetNextRand' -benchtime 0.5s .
-SERVER_BENCH = go test -run '^$$' -bench 'BenchmarkServe' -benchtime 0.5s ./internal/server
-CORE_BENCH = go test -run '^$$' -bench 'BenchmarkFillBatch|BenchmarkRegistryDraw|BenchmarkGlibcRandFillWords|BenchmarkMonitor' -benchtime 0.5s ./internal/core ./internal/substream ./internal/baselines ./internal/bitsource
+BENCHTIME = 0.5s
+POOL_BENCH = go test -run '^$$' -bench 'BenchmarkPool|BenchmarkGetNextRand' -benchtime $(BENCHTIME) .
+SERVER_BENCH = go test -run '^$$' -bench 'BenchmarkServe' -benchtime $(BENCHTIME) ./internal/server
+CORE_BENCH = go test -run '^$$' -bench 'BenchmarkFillBatch|BenchmarkRegistryDraw|BenchmarkGlibcRandFillWords|BenchmarkMonitor' -benchtime $(BENCHTIME) ./internal/core ./internal/substream ./internal/baselines ./internal/bitsource
 bench-seed:
 	go run ./cmd/crossstream -benchtext \
 		| go run ./cmd/benchseed -out BENCH_quality.json -merge
@@ -144,6 +145,16 @@ bench-seed:
 		| go run ./cmd/benchseed -out BENCH_pool.json -merge
 	for i in $$(seq $(BENCH_PASSES)); do $(SERVER_BENCH) || exit 1; done \
 		| go run ./cmd/benchseed -out BENCH_server.json -merge
+
+## bench-smoke: run every benchmark of the core, pool and server
+## families once (-benchtime 1x), so a change that breaks one fails
+## here and not at the next bench-seed. It times nothing; CI runs it
+## after the build.
+bench-smoke: BENCHTIME = 1x
+bench-smoke:
+	$(CORE_BENCH)
+	$(POOL_BENCH)
+	$(SERVER_BENCH)
 
 ## bench-gate: run the core (walk at 1-16 lanes, keyed draws, the
 ## glibc feed's block draw and the health tests), pool
