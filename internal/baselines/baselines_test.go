@@ -154,9 +154,7 @@ func TestMD5RandDeterministicAndSeedSensitive(t *testing.T) {
 			t.Fatal("md5 generator must be deterministic")
 		}
 	}
-	c := NewMD5Rand(8)
-	a.Seed(7)
-	if a.Uint64() == c.Uint64() {
+	if NewMD5Rand(7).Uint64() == NewMD5Rand(8).Uint64() {
 		t.Fatal("different seeds should give different first words")
 	}
 }
@@ -173,16 +171,6 @@ func TestRegistryConstructsEverything(t *testing.T) {
 			t.Fatalf("New(%q) returned nil", name)
 		}
 		g.Uint64() // must not panic
-		if named, ok := g.(rng.Named); ok {
-			if named.Name() != name {
-				t.Errorf("generator %q reports name %q", name, named.Name())
-			}
-		} else {
-			t.Errorf("generator %q does not implement rng.Named", name)
-		}
-		if _, ok := g.(rng.Seeder); !ok {
-			t.Errorf("generator %q does not implement rng.Seeder", name)
-		}
 	}
 	if _, err := New("no-such-generator", 0); err == nil {
 		t.Error("unknown generator name should fail")
@@ -197,15 +185,6 @@ func TestSeedReproducibility(t *testing.T) {
 			a, b := g1.Uint64(), g2.Uint64()
 			if a != b {
 				t.Fatalf("%s: same seed diverged at word %d: %d vs %d", name, i, a, b)
-			}
-		}
-		// Re-seed in place must rewind the stream.
-		s := g1.(rng.Seeder)
-		s.Seed(99)
-		g3, _ := New(name, 99)
-		for i := 0; i < 8; i++ {
-			if g1.Uint64() != g3.Uint64() {
-				t.Fatalf("%s: Seed() did not rewind the stream", name)
 			}
 		}
 	}
@@ -318,13 +297,6 @@ func TestFloat64Range(t *testing.T) {
 		v := rng.Float64(g)
 		if v < 0 || v >= 1 {
 			t.Fatalf("Float64 = %g out of [0,1)", v)
-		}
-	}
-	h := NewMT19937_64(1)
-	for i := 0; i < 1000; i++ {
-		v := rng.Float32(h)
-		if v < 0 || v >= 1 {
-			t.Fatalf("Float32 = %g out of [0,1)", v)
 		}
 	}
 }

@@ -208,15 +208,6 @@ func (g *GlibcRand) FillWords(dst []uint64) {
 	g.k = k
 }
 
-// Seed implements rng.Seeder.
-func (g *GlibcRand) Seed(seed uint64) {
-	*g = GlibcRand{}
-	g.srandom(uint32(seed))
-}
-
-// Name implements rng.Named.
-func (g *GlibcRand) Name() string { return "glibc-rand" }
-
 // GlibcRand32 is glibc random() used the way applications naively
 // use it: each 32-bit lane is one random() return value, whose top
 // bit is always zero (random() yields 31 bits). This is the honest
@@ -250,6 +241,3 @@ func (g *GlibcRand32) FillWords(dst []uint64) {
 		dst[i] = g.Uint64()
 	}
 }
-
-// Name implements rng.Named.
-func (g *GlibcRand32) Name() string { return "glibc-rand32" }

@@ -56,12 +56,6 @@ func (g *KISS99) Uint64() uint64 {
 	return hi<<32 | lo
 }
 
-// Seed implements rng.Seeder.
-func (g *KISS99) Seed(seed uint64) { *g = *NewKISS99(seed) }
-
-// Name implements rng.Named.
-func (g *KISS99) Name() string { return "kiss99" }
-
 // XorShift64Star is Marsaglia's xorshift64 with Vigna's
 // multiplicative scramble — the minimal modern 64-bit generator,
 // included as the lightweight comparison point between the raw LCG
@@ -88,9 +82,3 @@ func (g *XorShift64Star) Uint64() uint64 {
 	g.state = x
 	return x * 0x2545F4914F6CDD1D
 }
-
-// Seed implements rng.Seeder.
-func (g *XorShift64Star) Seed(seed uint64) { *g = *NewXorShift64Star(seed) }
-
-// Name implements rng.Named.
-func (g *XorShift64Star) Name() string { return "xorshift64star" }

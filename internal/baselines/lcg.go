@@ -36,12 +36,6 @@ func (g *LCG) Uint64() uint64 {
 	return g.state
 }
 
-// Seed resets the state.
-func (g *LCG) Seed(seed uint64) { g.state = seed }
-
-// Name implements rng.Named.
-func (g *LCG) Name() string { return "lcg64" }
-
 // ANSIC is the reference implementation of the C standard's example
 // rand(): 31-bit state, returning 15-bit values, exactly as printed
 // in K&R and the C89 rationale. It exists to reproduce the "glibc
@@ -77,12 +71,6 @@ func (g *ANSIC) Uint64() uint64 {
 	return a<<49 | b<<34 | c<<19 | d<<4 | e>>11
 }
 
-// Seed implements rng.Seeder.
-func (g *ANSIC) Seed(seed uint64) { g.next = uint64(uint32(seed)) }
-
-// Name implements rng.Named.
-func (g *ANSIC) Name() string { return "ansic" }
-
 // MINSTD is the Lehmer generator x' = 16807·x mod (2^31 - 1), the
 // "minimal standard" of Park and Miller. glibc uses it to seed the
 // additive TYPE_3 tables, and the paper's initialisation does the
@@ -117,12 +105,3 @@ func (g *MINSTD) Uint64() uint64 {
 	c := uint64(g.Next31())
 	return a<<33 | b<<2 | c&3
 }
-
-// Seed implements rng.Seeder.
-func (g *MINSTD) Seed(seed uint64) {
-	n := NewMINSTD(int32(seed))
-	g.state = n.state
-}
-
-// Name implements rng.Named.
-func (g *MINSTD) Name() string { return "minstd" }

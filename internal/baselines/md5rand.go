@@ -40,13 +40,3 @@ func (g *MD5Rand) Uint64() uint64 {
 	g.have--
 	return g.buf[g.have]
 }
-
-// Seed implements rng.Seeder; it also rewinds the counter.
-func (g *MD5Rand) Seed(seed uint64) {
-	g.seed = seed
-	g.counter = 0
-	g.have = 0
-}
-
-// Name implements rng.Named.
-func (g *MD5Rand) Name() string { return "md5-cudpp" }

@@ -24,17 +24,12 @@ const (
 
 // NewMT19937 returns a Mersenne Twister seeded with init_genrand(seed).
 func NewMT19937(seed uint32) *MT19937 {
-	g := &MT19937{}
-	g.seed32(seed)
-	return g
-}
-
-func (g *MT19937) seed32(seed uint32) {
+	g := &MT19937{idx: mtN}
 	g.mt[0] = seed
 	for i := 1; i < mtN; i++ {
 		g.mt[i] = 1812433253*(g.mt[i-1]^(g.mt[i-1]>>30)) + uint32(i)
 	}
-	g.idx = mtN
+	return g
 }
 
 func (g *MT19937) generate() {
@@ -70,12 +65,6 @@ func (g *MT19937) Uint64() uint64 {
 	return hi<<32 | lo
 }
 
-// Seed implements rng.Seeder.
-func (g *MT19937) Seed(seed uint64) { g.seed32(uint32(seed)) }
-
-// Name implements rng.Named.
-func (g *MT19937) Name() string { return "mt19937" }
-
 // MT19937_64 is the 64-bit Mersenne Twister (Nishimura 2000),
 // bit-exact against the reference: seeding with 5489 yields
 // 14514284786278117030, 4620546740167642908, ...
@@ -95,18 +84,12 @@ const (
 // NewMT19937_64 returns a 64-bit Mersenne Twister seeded with
 // init_genrand64(seed).
 func NewMT19937_64(seed uint64) *MT19937_64 {
-	g := &MT19937_64{}
-	g.Seed(seed)
-	return g
-}
-
-// Seed implements rng.Seeder (init_genrand64).
-func (g *MT19937_64) Seed(seed uint64) {
+	g := &MT19937_64{idx: mt64N}
 	g.mt[0] = seed
 	for i := 1; i < mt64N; i++ {
 		g.mt[i] = 6364136223846793005*(g.mt[i-1]^(g.mt[i-1]>>62)) + uint64(i)
 	}
-	g.idx = mt64N
+	return g
 }
 
 func (g *MT19937_64) generate() {
@@ -134,6 +117,3 @@ func (g *MT19937_64) Uint64() uint64 {
 	x ^= x >> 43
 	return x
 }
-
-// Name implements rng.Named.
-func (g *MT19937_64) Name() string { return "mt19937-64" }

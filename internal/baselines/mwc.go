@@ -60,15 +60,3 @@ func (g *MWC) Uint64() uint64 {
 	lo := uint64(g.Uint32())
 	return hi<<32 | lo
 }
-
-// Seed implements rng.Seeder (resets value, clears carry).
-func (g *MWC) Seed(seed uint64) {
-	x := uint32(seed)
-	if x == 0 {
-		x = 1
-	}
-	g.state = uint64(x)
-}
-
-// Name implements rng.Named.
-func (g *MWC) Name() string { return "mwc" }

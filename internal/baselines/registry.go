@@ -23,12 +23,6 @@ func (g *SplitMix64) Uint64() uint64 {
 	return Finalize64(g.state)
 }
 
-// Seed implements rng.Seeder.
-func (g *SplitMix64) Seed(seed uint64) { g.state = seed }
-
-// Name implements rng.Named.
-func (g *SplitMix64) Name() string { return "splitmix64" }
-
 // Mix64 returns the first output of a SplitMix64 seeded with v: the
 // golden gamma added, then Finalize64. A cheap high-quality scrambler
 // for deriving per-worker seeds.

@@ -72,9 +72,3 @@ func (g *XORWOW) Uint64() uint64 {
 	lo := uint64(g.Uint32())
 	return hi<<32 | lo
 }
-
-// Seed implements rng.Seeder.
-func (g *XORWOW) Seed(seed uint64) { *g = *NewXORWOW(seed) }
-
-// Name implements rng.Named.
-func (g *XORWOW) Name() string { return "xorwow" }

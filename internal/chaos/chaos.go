@@ -169,14 +169,6 @@ func Wrapper(cfg Config) func(worker int, src rng.Source) rng.Source {
 // Wrapper re-apply it to the fresh feed).
 func (s *Source) Unwrap() rng.Source { return s.src }
 
-// Name implements rng.Named.
-func (s *Source) Name() string {
-	if n, ok := s.src.(rng.Named); ok {
-		return "chaos(" + n.Name() + ")"
-	}
-	return "chaos"
-}
-
 // schedule plans the next fault strictly after word offset from.
 func (s *Source) schedule(from uint64) {
 	s.faultAt = from + 1 + s.sm.Uint64()%(2*s.cfg.MeanPeriod)

@@ -38,7 +38,7 @@ func Interleaved(set StreamSet, cfg Config) []Check {
 			Pass: o.Passed >= need && o.KS.D <= 0.35,
 		}
 		if !c.Pass {
-			c.Detail += failingNames(o.Results)
+			c.Detail += failing(o.Results, 0.01, 0.99)
 		}
 		out = append(out, c)
 	}
@@ -53,27 +53,19 @@ func Interleaved(set StreamSet, cfg Config) []Check {
 			Pass: o.Passed >= need,
 		}
 		if !c.Pass {
-			c.Detail += failingTestu01(o.Results)
+			c.Detail += failing(o.Results, 0.001, 0.999)
 		}
 		out = append(out, c)
 	}
 	return out
 }
 
-func failingNames(rs []diehard.Result) string {
+// failing names the tests of rs that fail the band [lo, hi], each
+// with its decision p-value.
+func failing(rs []stats.TestResult, lo, hi float64) string {
 	s := "; failing:"
 	for _, r := range rs {
-		if !r.Passed(0.01, 0.99) {
-			s += fmt.Sprintf(" %s(p=%.5f)", r.Name, r.P())
-		}
-	}
-	return s
-}
-
-func failingTestu01(rs []testu01.Result) string {
-	s := "; failing:"
-	for _, r := range rs {
-		if !r.Passed(0.001, 0.999) {
+		if !r.Passed(lo, hi) {
 			s += fmt.Sprintf(" %s(p=%.5f)", r.Name, r.P())
 		}
 	}

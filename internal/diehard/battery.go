@@ -44,52 +44,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Result is the outcome of one battery entry.
-type Result struct {
-	Name        string
-	Description string
-	PValues     []float64 // one or more p-values, each U[0,1] under H0
-	Err         error
-}
-
-// P returns the test's single decision p-value: the value itself
-// when the test yields one, or the KS-combined p-value of the set.
-func (r Result) P() float64 {
-	switch len(r.PValues) {
-	case 0:
-		return 0
-	case 1:
-		return r.PValues[0]
-	default:
-		ks, err := stats.KSUniform(r.PValues)
-		if err != nil {
-			return 0
-		}
-		// The KS CDF value is itself U[0,1] under H0.
-		return ks.P
-	}
-}
-
-// extremeP is the per-p-value failure threshold for multi-p tests:
-// Marsaglia's reading is that a test fails outright when any of its
-// p-values is 0 or 1 "to six places"; 10^-4 is the conservative
-// version of that rule (with ~10 p-values per test the false-alarm
-// rate stays ≈ 0.2%).
-const extremeP = 1e-4
-
-// Passed applies the decision rule: the combined p-value must lie in
-// the [lo, hi] band, and no individual p-value may be extreme.
-func (r Result) Passed(lo, hi float64) bool {
-	if r.Err != nil {
-		return false
-	}
-	for _, p := range r.PValues {
-		if p < extremeP || p > 1-extremeP {
-			return false
-		}
-	}
-	p := r.P()
-	return p >= lo && p <= hi
-}
+type Result = stats.TestResult
 
 // Outcome is a full battery run.
 type Outcome struct {

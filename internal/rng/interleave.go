@@ -41,6 +41,3 @@ func (it *Interleaved) Uint64() uint64 {
 	}
 	return v
 }
-
-// Name implements Named.
-func (it *Interleaved) Name() string { return "interleaved" }

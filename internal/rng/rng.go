@@ -38,35 +38,10 @@ func FillWords(src Source, dst []uint64) {
 	}
 }
 
-// Seeder is implemented by generators that can be re-seeded in place.
-type Seeder interface {
-	Seed(seed uint64)
-}
-
-// Named is implemented by generators that know their display name;
-// the cmd/ tools use it for reporting.
-type Named interface {
-	Name() string
-}
-
 // Float64 converts the next word of src into a float64 uniform on
 // [0, 1) using the top 53 bits.
 func Float64(src Source) float64 {
 	return float64(src.Uint64()>>11) / (1 << 53)
-}
-
-// Float32 converts the next word of src into a float32 uniform on
-// [0, 1) using the top 24 bits.
-func Float32(src Source) float32 {
-	return float32(src.Uint64()>>40) / (1 << 24)
-}
-
-// Uint32 returns the high 32 bits of the next word. Tests that
-// consume 32-bit values take the high half because low bits of some
-// historical generators (LCGs) are the weak ones, and DIEHARD was
-// specified over 32-bit words.
-func Uint32(src Source) uint32 {
-	return uint32(src.Uint64() >> 32)
 }
 
 // Uint64n returns a uniform integer in [0, n) by Lemire-style

@@ -46,23 +46,6 @@ func TestFloat64UsesTopBits(t *testing.T) {
 	}
 }
 
-func TestFloat32Range(t *testing.T) {
-	s := &seq{vals: []uint64{^uint64(0), 0}}
-	if v := Float32(s); v >= 1 {
-		t.Errorf("Float32(max) = %g", v)
-	}
-	if v := Float32(s); v != 0 {
-		t.Errorf("Float32(0) = %g", v)
-	}
-}
-
-func TestUint32TakesHighHalf(t *testing.T) {
-	s := &seq{vals: []uint64{0xDEADBEEF_12345678}}
-	if v := Uint32(s); v != 0xDEADBEEF {
-		t.Errorf("Uint32 = %#x", v)
-	}
-}
-
 func TestUint64nPowerOfTwoUsesMask(t *testing.T) {
 	s := &seq{vals: []uint64{0xFFFF}}
 	if v := Uint64n(s, 16); v != 0xF {

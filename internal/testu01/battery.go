@@ -30,48 +30,7 @@ type Test struct {
 }
 
 // Result is the outcome of one test.
-type Result struct {
-	Name    string
-	PValues []float64
-	Err     error
-}
-
-// extremeP mirrors TestU01's "clear failure" threshold: TestU01
-// flags p-values outside [1e-10, 1-1e-10] as unambiguous failures
-// and [1e-4, 1e-1] as suspect; we fail a test when any p-value
-// leaves [1e-4, 1-1e-4] or the combined value leaves the band.
-const extremeP = 1e-4
-
-// P returns the decision p-value (KS-combined for multi-value
-// tests).
-func (r Result) P() float64 {
-	switch len(r.PValues) {
-	case 0:
-		return 0
-	case 1:
-		return r.PValues[0]
-	default:
-		ks, err := stats.KSUniform(r.PValues)
-		if err != nil {
-			return 0
-		}
-		return ks.P
-	}
-}
-
-// Passed applies the decision rule with the given band.
-func (r Result) Passed(lo, hi float64) bool {
-	if r.Err != nil {
-		return false
-	}
-	for _, p := range r.PValues {
-		if p < extremeP || p > 1-extremeP {
-			return false
-		}
-	}
-	p := r.P()
-	return p >= lo && p <= hi
-}
+type Result = stats.TestResult
 
 // Outcome is a battery run.
 type Outcome struct {

@@ -478,10 +478,6 @@ func freshFeedLike(old rng.Source, seed uint64) (rng.Source, error) {
 	case *baselines.SplitMix64:
 		return baselines.NewSplitMix64(seed), nil
 	}
-	if s, ok := old.(rng.Seeder); ok {
-		s.Seed(seed)
-		return old, nil
-	}
 	return nil, fmt.Errorf("hybridprng: feed %T cannot be reseeded", old)
 }
 

@@ -213,9 +213,13 @@ func WithClock(now func() time.Time) Option {
 // generator and everything above it (the SP 800-90B monitor sees the
 // wrapped stream). The chaos harness uses this to inject seeded
 // faults below the health tests; wrap is called once per worker with
-// the worker index and must return a non-nil source. Wrapped feeds
-// are not checkpointable (MarshalBinary reports an error), so the
-// hook is a dev/test facility, not a production one.
+// the worker index and must return a non-nil source. A pool shard
+// that trips reseeds only through a wrapper that exposes
+// Unwrap() rng.Source: the reseed peels wrappers off down to the
+// typed feed, builds a fresh one and wraps that again; a shard whose
+// feed cannot be peeled retires. Wrapped feeds are not
+// checkpointable (MarshalBinary reports an error), so the hook is a
+// dev/test facility, not a production one.
 func WithFeedWrapper(wrap func(worker int, src rng.Source) rng.Source) Option {
 	return func(c *config) error {
 		if wrap == nil {
