@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"repro/internal/bitsource"
 )
 
 // FuzzCanonical is the key-hygiene contract under hostile input:
@@ -65,7 +67,8 @@ func FuzzCanonical(f *testing.F) {
 
 // FuzzRegistryState feeds the registry decoder arbitrary bytes plus
 // mutations of a real blob: it must error or round-trip, never
-// panic, mirroring the root package's state fuzzer.
+// panic, mirroring the root package's state fuzzer. A registry it
+// accepts must also serve a tenant the blob does not hold.
 func FuzzRegistryState(f *testing.F) {
 	r, err := New(Config{RootSeed: 42, MaxResident: 2})
 	if err != nil {
@@ -88,6 +91,8 @@ func FuzzRegistryState(f *testing.F) {
 	for _, forged := range forgedRegistryBlobs() {
 		f.Add(forged)
 	}
+	f.Add(healthBlob(9))
+	f.Add(healthBlob(8))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r2, err := Restore(data, Config{})
 		if err != nil {
@@ -101,6 +106,19 @@ func FuzzRegistryState(f *testing.F) {
 		}
 		if _, err := Restore(blob2, Config{}); err != nil {
 			t.Fatalf("re-restore of accepted blob failed: %v", err)
+		}
+		// The derivation the blob names builds every new tenant's
+		// generator; only the health monitor, doing its job, may
+		// refuse the first draw.
+		r2.mu.Lock()
+		key := "fresh"
+		for r2.parked[key] != nil {
+			key += "+"
+		}
+		r2.mu.Unlock()
+		var he *bitsource.HealthError
+		if _, err := r2.Uint64(key); err != nil && !errors.As(err, &he) {
+			t.Fatalf("accepted blob cannot serve new tenant %q: %v", key, err)
 		}
 	})
 }

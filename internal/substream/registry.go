@@ -103,18 +103,15 @@ type Registry struct {
 
 // New builds an empty registry. The zero Config is valid: glibc
 // feed, package-default walk lengths, DefaultMaxResident streams, no
-// rate limit, wall clock.
+// rate limit, wall clock. New builds the generator a new tenant would
+// get, so it refuses a feed, walk length or health claim that would
+// fail every tenant's first draw.
 func New(cfg Config) (*Registry, error) {
-	switch cfg.Feed {
-	case "", hybridprng.FeedGlibc, hybridprng.FeedANSIC, hybridprng.FeedSplitMix:
-	default:
-		return nil, fmt.Errorf("substream: unknown feed %q", cfg.Feed)
-	}
 	if cfg.Feed == "" {
 		cfg.Feed = hybridprng.FeedGlibc
 	}
-	if cfg.WalkLen > hybridprng.MaxWalkLen || cfg.InitWalkLen > hybridprng.MaxWalkLen {
-		return nil, fmt.Errorf("substream: walk length %d or init walk length %d above %d", cfg.WalkLen, cfg.InitWalkLen, hybridprng.MaxWalkLen)
+	if _, err := hybridprng.New(cfg.genOptions(0)...); err != nil {
+		return nil, fmt.Errorf("substream: tenant generator: %w", err)
 	}
 	if cfg.MaxResident <= 0 {
 		cfg.MaxResident = DefaultMaxResident
@@ -301,7 +298,7 @@ func (r *Registry) admitLocked(k string) (*tenant, error) {
 		t.sheds.Store(p.sheds)
 		delete(r.parked, k)
 	} else {
-		g, err := hybridprng.New(r.genOptions(seed)...)
+		g, err := hybridprng.New(r.cfg.genOptions(seed)...)
 		if err != nil {
 			return nil, fmt.Errorf("substream: creating tenant %q: %w", k, err)
 		}
@@ -314,20 +311,21 @@ func (r *Registry) admitLocked(k string) (*tenant, error) {
 }
 
 // genOptions is the option set every tenant generator is built with,
-// so creation and the golden/control paths in tests cannot drift.
-func (r *Registry) genOptions(seed uint64) []hybridprng.Option {
+// so creation and the checks in New and the state decoder cannot
+// drift.
+func (c Config) genOptions(seed uint64) []hybridprng.Option {
 	opts := []hybridprng.Option{
 		hybridprng.WithSeed(seed),
-		hybridprng.WithFeed(r.cfg.Feed),
+		hybridprng.WithFeed(c.Feed),
 	}
-	if r.cfg.WalkLen > 0 {
-		opts = append(opts, hybridprng.WithWalkLength(r.cfg.WalkLen))
+	if c.WalkLen > 0 {
+		opts = append(opts, hybridprng.WithWalkLength(c.WalkLen))
 	}
-	if r.cfg.InitWalkLen > 0 {
-		opts = append(opts, hybridprng.WithInitWalkLength(r.cfg.InitWalkLen))
+	if c.InitWalkLen > 0 {
+		opts = append(opts, hybridprng.WithInitWalkLength(c.InitWalkLen))
 	}
-	if r.cfg.HealthHMin > 0 {
-		opts = append(opts, hybridprng.WithHealthMonitoring(r.cfg.HealthHMin))
+	if c.HealthHMin > 0 {
+		opts = append(opts, hybridprng.WithHealthMonitoring(c.HealthHMin))
 	}
 	return opts
 }

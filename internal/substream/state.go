@@ -95,13 +95,13 @@ func (r *Registry) UnmarshalBinary(data []byte) error {
 	if err := c.Err(); err != nil {
 		return err
 	}
-	switch feed {
-	case hybridprng.FeedGlibc, hybridprng.FeedANSIC, hybridprng.FeedSplitMix:
-	default:
-		return fmt.Errorf("substream: state blob names unknown feed %q", feed)
-	}
+	// Bound the u32 lengths before int() turns them negative on 386.
 	if walkLen > hybridprng.MaxWalkLen || initWalkLen > hybridprng.MaxWalkLen {
 		return fmt.Errorf("substream: state blob walk length %d or init walk length %d above %d", walkLen, initWalkLen, hybridprng.MaxWalkLen)
+	}
+	cfg := Config{Feed: feed, WalkLen: int(walkLen), InitWalkLen: int(initWalkLen), HealthHMin: hMin}
+	if _, err := hybridprng.New(cfg.genOptions(0)...); err != nil {
+		return fmt.Errorf("substream: state blob's tenant generator: %w", err)
 	}
 	// The maps grow as tenants decode: n comes from the blob, and a
 	// forged count must not size an allocation.

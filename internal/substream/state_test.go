@@ -30,6 +30,15 @@ func regBlob(n uint32, parts ...[]byte) []byte {
 	return out
 }
 
+// healthBlob is an empty glibc registry blob claiming min-entropy
+// hMin per feed byte: the header's last u64, ahead of the u32 tenant
+// count.
+func healthBlob(hMin float64) []byte {
+	data := regBlob(0)
+	binary.LittleEndian.PutUint64(data[len(data)-12:], math.Float64bits(hMin))
+	return data
+}
+
 // forgedRegistryBlobs are the hostile blobs the decoder must reject
 // cheaply: each length field set to 0xFFFFFFF0 over a 3-byte body, and
 // a bare 46-byte header claiming 2^32−1 tenants.
@@ -86,6 +95,24 @@ func TestRegistryRefusesLongWalks(t *testing.T) {
 	}
 	if _, err := New(Config{WalkLen: bound, InitWalkLen: bound}); err != nil {
 		t.Errorf("New refused walk lengths at the bound: %v", err)
+	}
+}
+
+// TestRegistryRefusesBadHealthClaims: the generator refuses a claimed
+// min-entropy outside (0, 8], so a registry that took 9 or +Inf would
+// start and then fail every tenant's first draw. New and Restore must
+// refuse both up front, and still take 0 (monitoring off) and 8.
+func TestRegistryRefusesBadHealthClaims(t *testing.T) {
+	for _, c := range []struct {
+		hMin float64
+		ok   bool
+	}{{9, false}, {math.Inf(1), false}, {0, true}, {8, true}} {
+		if _, err := New(Config{HealthHMin: c.hMin}); (err == nil) != c.ok {
+			t.Errorf("New with HealthHMin %g: err = %v", c.hMin, err)
+		}
+		if _, err := Restore(healthBlob(c.hMin), Config{}); (err == nil) != c.ok {
+			t.Errorf("Restore of a blob claiming hMin %g: err = %v", c.hMin, err)
+		}
 	}
 }
 
