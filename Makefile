@@ -3,10 +3,16 @@
 
 GOPATH_BIN := $(shell go env GOPATH)/bin
 
-.PHONY: build vet test race race-full lint lint-json lint-vet fmt loc figures figures-check portable fuzz-smoke check battery-short battery-long bench-seed bench-gate bench-smoke fleet-drill substream-test
+.PHONY: build vet test race race-full lint lint-json lint-vet fmt loc figures figures-check portable fuzz-smoke check battery-short battery-long bench-seed bench-gate bench-smoke fleet-drill substream-test randdbench-check
 
 build:
 	go build ./...
+
+## randdbench-check: vet and test the benchmark's module. randdbench/
+## is its own module, so `go build ./...` skips it; a change to an
+## internal name it imports fails here, not when the benchmark runs.
+randdbench-check:
+	cd randdbench && go vet ./... && go test ./...
 
 ## vet: CI's first step — the standard vet checks on the host
 ## architecture (portable vets the other word sizes and byte orders).
@@ -188,5 +194,5 @@ fleet-drill:
 	go test -run Chaos -race -count=3 -v ./internal/fleet
 
 ## check: everything a merge gate checks that runs offline.
-check: vet build lint test race portable fuzz-smoke
+check: vet build randdbench-check lint test race portable fuzz-smoke
 	test -z "$$(gofmt -l .)"
