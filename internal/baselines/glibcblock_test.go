@@ -86,9 +86,11 @@ func BenchmarkGlibcRandUint64(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkGlibcRandFillWords times the draw a bin makes: 384 words,
+// core.binWords, per call.
 func BenchmarkGlibcRandFillWords(b *testing.B) {
 	g := NewGlibcRand(1)
-	dst := make([]uint64, 96)
+	dst := make([]uint64, 384)
 	b.SetBytes(8)
 	for i := 0; i < b.N; i += len(dst) {
 		g.FillWords(dst)
