@@ -17,12 +17,12 @@ func FuzzMonitorWordMatchesByte(f *testing.F) {
 		wordBytes(0x0123456789ABCDEF, 0x1122334455667788, 0xF0E1D2C3B4A59687))
 	f.Add(uint8(5), uint16(512), uint16(13), uint16(0), uint16(0), byte(0), byte(0), uint8(0), false, false,
 		wordBytes(0x4242424242424242, 0x4242424242424242))
-	f.Add(uint8(3), uint16(500), uint16(40), uint16(3), uint16(39), byte(0x01), byte(0x01), uint8(2), true, false,
+	f.Add(uint8(3), uint16(512), uint16(40), uint16(8), uint16(39), byte(0x01), byte(0x01), uint8(2), true, false,
 		wordBytes(0x0101010001000101, 0x0100010001000100))
-	f.Add(uint8(9), uint16(13), uint16(4), uint16(7), uint16(2), byte(0xAA), byte(0x55), uint8(1), true, true,
+	f.Add(uint8(9), uint16(512), uint16(4), uint16(8), uint16(2), byte(0xAA), byte(0x55), uint8(1), true, true,
 		wordBytes(0xAA55AA55AA55AA55, 0x55AA55AA55AA55AA))
-	f.Add(uint8(1), uint16(1), uint16(1), uint16(1), uint16(5), byte(0), byte(0), uint8(7), true, true, wordBytes(0, 1, 2))
-	f.Add(uint8(31), uint16(512), uint16(410), uint16(505), uint16(300), byte(0x03), byte(0x02), uint8(1), true, false,
+	f.Add(uint8(3), uint16(512), uint16(1), uint16(8), uint16(5), byte(0), byte(0), uint8(7), true, true, wordBytes(0, 1, 2))
+	f.Add(uint8(31), uint16(512), uint16(410), uint16(504), uint16(300), byte(0x03), byte(0x02), uint8(1), true, false,
 		wordBytes(0x0302010003020100, 0x0303030303030303))
 	f.Fuzz(func(t *testing.T, rct uint8, window, aptBound, seen, count uint16, sample, last byte, repeats uint8, have, tripped bool, data []byte) {
 		blob := monitorState{
@@ -57,13 +57,13 @@ func FuzzMonitorBlockMatchesWord(f *testing.F) {
 	// rct, window, aptBound, seen, count, sample, last, repeats, have, tripped, block, words
 	f.Add(uint8(9), uint16(512), uint16(13), uint16(0), uint16(1), byte(0x11), byte(0x22), uint8(1), true, false, uint16(3),
 		wordBytes(0x0123456789ABCDEF, 0x1122334455667788, 0xF0E1D2C3B4A59687, 0x4242424242424242))
-	f.Add(uint8(9), uint16(16), uint16(5), uint16(8), uint16(2), byte(0x42), byte(0x42), uint8(7), true, false, uint16(2),
+	f.Add(uint8(9), uint16(512), uint16(5), uint16(8), uint16(2), byte(0x42), byte(0x42), uint8(7), true, false, uint16(2),
 		wordBytes(0x4242424242424242, 0x4242000042424242, 0x4200424242424242))
-	f.Add(uint8(3), uint16(500), uint16(40), uint16(3), uint16(39), byte(0x01), byte(0x01), uint8(0), true, false, uint16(5),
+	f.Add(uint8(3), uint16(512), uint16(40), uint16(8), uint16(39), byte(0x01), byte(0x01), uint8(0), true, false, uint16(5),
 		wordBytes(0x0101010001000101, 0x0100010001000100))
 	f.Add(uint8(5), uint16(512), uint16(13), uint16(0), uint16(0), byte(0), byte(0), uint8(0), false, false, uint16(1),
 		wordBytes(0x4242424242424242, 0x4242424242424242))
-	f.Add(uint8(1), uint16(8), uint16(1), uint16(0), uint16(5), byte(0), byte(0), uint8(7), true, true, uint16(64), wordBytes(0, 1, 2))
+	f.Add(uint8(3), uint16(512), uint16(1), uint16(0), uint16(5), byte(0), byte(0), uint8(7), true, true, uint16(64), wordBytes(0, 1, 2))
 	bin := make([]uint64, 384)
 	for i := range bin {
 		bin[i] = baselines.Finalize64(uint64(i))

@@ -404,8 +404,8 @@ func TestTrippedTenantIsRefused(t *testing.T) {
 }
 
 // TestTenantTrippingMidDrawIsRefused: a monitor that trips during a
-// draw fails that draw too. The restored monitor's repetition cutoff
-// is 2, so the first byte equal to its predecessor trips it.
+// draw fails that draw too. The restored monitor's APT cutoff is 2, so
+// the first byte in a window equal to the window's sample trips it.
 func TestTenantTrippingMidDrawIsRefused(t *testing.T) {
 	src := mustRegistry(t, Config{RootSeed: 7, HealthHMin: 4})
 	drawWords(t, src, "alice", 4)
@@ -414,7 +414,7 @@ func TestTenantTrippingMidDrawIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, err := Restore(withTenantMonitor(t, reg, func(mon []byte) []byte {
-		binary.LittleEndian.PutUint32(mon[2:], 2) // RCT cutoff
+		binary.LittleEndian.PutUint32(mon[10:], 2) // APT cutoff
 		return mon
 	}), Config{})
 	if err != nil {
@@ -422,9 +422,9 @@ func TestTenantTrippingMidDrawIsRefused(t *testing.T) {
 	}
 	words := make([]uint64, 256)
 	var he *bitsource.HealthError
-	if err := r.Fill("alice", words); !errors.As(err, &he) || he.Test != "repetition-count" ||
+	if err := r.Fill("alice", words); !errors.As(err, &he) || he.Test != "adaptive-proportion" ||
 		!equalWords(words, make([]uint64, len(words))) {
-		t.Fatalf("Fill = %v, want a repetition-count HealthError and zeroed words", err)
+		t.Fatalf("Fill = %v, want an adaptive-proportion HealthError and zeroed words", err)
 	}
 	requireRefused(t, r, "alice", "after the trip")
 	if ts := r.Stats().PerTenant[0]; ts.Draws != 4 {
