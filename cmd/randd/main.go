@@ -93,7 +93,7 @@ func run() int {
 		seed       = flag.Uint64("seed", 0, "fixed feed seed (only with -seeded; default: OS entropy)")
 		seeded     = flag.Bool("seeded", false, "use -seed instead of OS entropy (reproducible streams)")
 		walk       = flag.Int("walk", 0, "expander steps per number (0 = the paper's 64)")
-		hmin       = flag.Float64("hmin", 4, "claimed feed min-entropy bits/byte for SP 800-90B health monitoring; 0 disables")
+		hmin       = flag.Float64("hmin", 4, "claimed feed min-entropy bits/byte for SP 800-90B health monitoring, from the floor 30/(2^20-1) ≈ 2.861e-5 to 8; 0 disables")
 		maxWords   = flag.Uint64("max-request", 0, "per-request cap for /u64 and /bytes in words (0 = default)")
 		inFlight   = flag.Int("max-inflight", 0, "concurrent draw requests before shedding with 429 (0 = default, negative disables)")
 		reqTimeout = flag.Duration("request-timeout", 0, "per-request deadline for /u64 and /bytes (0 = default, negative disables)")

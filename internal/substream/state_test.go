@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	hybridprng "repro"
+	"repro/internal/bitsource"
 	"repro/internal/blob"
 )
 
@@ -99,20 +100,52 @@ func TestRegistryRefusesLongWalks(t *testing.T) {
 }
 
 // TestRegistryRefusesBadHealthClaims: the generator refuses a claimed
-// min-entropy outside (0, 8], so a registry that took 9 or +Inf would
-// start and then fail every tenant's first draw. New and Restore must
-// refuse both up front, and still take 0 (monitoring off) and 8.
+// min-entropy above 8 or below bitsource.HMinFloor, so a registry that
+// took 9, +Inf or 1e-5 would start and then fail a tenant's draw. New
+// and Restore must refuse them up front, and still take 0 (monitoring
+// off), the floor and 8.
 func TestRegistryRefusesBadHealthClaims(t *testing.T) {
 	for _, c := range []struct {
 		hMin float64
 		ok   bool
-	}{{9, false}, {math.Inf(1), false}, {0, true}, {8, true}} {
+	}{
+		{9, false}, {math.Inf(1), false}, {1e-5, false}, {math.Nextafter(bitsource.HMinFloor, 0), false},
+		{0, true}, {bitsource.HMinFloor, true}, {8, true},
+	} {
 		if _, err := New(Config{HealthHMin: c.hMin}); (err == nil) != c.ok {
 			t.Errorf("New with HealthHMin %g: err = %v", c.hMin, err)
 		}
 		if _, err := Restore(healthBlob(c.hMin), Config{}); (err == nil) != c.ok {
 			t.Errorf("Restore of a blob claiming hMin %g: err = %v", c.hMin, err)
 		}
+	}
+}
+
+// TestRegistryHealthFloor: a tenant claiming bitsource.HMinFloor, the
+// weakest claim whose monitor state decodes, is parked, unparked and
+// restored bitwise. Below the floor a tenant's monitor wrote an RCT
+// cutoff its decoder refused, so the first draw after an eviction
+// failed.
+func TestRegistryHealthFloor(t *testing.T) {
+	r := mustRegistry(t, Config{RootSeed: 5, MaxResident: 1, HealthHMin: bitsource.HMinFloor})
+	want := control(t, 5, "a", 24)
+	got := drawWords(t, r, "a", 8)
+	drawWords(t, r, "b", 8) // parks a
+	got = append(got, drawWords(t, r, "a", 8)...)
+	data, err := r.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Restore(data, Config{MaxResident: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drawWords(t, r2, "b", 8) // parks a again
+	if got = append(got, drawWords(t, r2, "a", 8)...); !equalWords(got, want) {
+		t.Fatalf("tenant at the floor drew %x, want %x", got, want)
+	}
+	if s := r2.Stats(); s.Evictions == 0 {
+		t.Fatalf("restored registry evicted nothing: %+v", s)
 	}
 }
 

@@ -128,15 +128,17 @@ func WithSeed(seed uint64) Option {
 // WithHealthMonitoring wraps the feed with the SP 800-90B continuous
 // health tests (repetition count + adaptive proportion), calibrated
 // for a feed claiming hMin bits of min-entropy per byte (a pseudo-
-// random feed warrants a conservative claim such as 4). Check
-// Generator.HealthErr at consumption boundaries; a tripped monitor
-// means the feed broke and the output must not be trusted. This is
-// the groundwork for the cryptographic applications the paper's
-// conclusion points at.
+// random feed warrants a conservative claim such as 4). The claim
+// must lie in [bitsource.HMinFloor, 8]; the floor, about 2.86e-5, is
+// the weakest claim whose monitor state a checkpoint can restore.
+// Check Generator.HealthErr at consumption boundaries; a tripped
+// monitor means the feed broke and the output must not be trusted.
+// This is the groundwork for the cryptographic applications the
+// paper's conclusion points at.
 func WithHealthMonitoring(hMin float64) Option {
 	return func(c *config) error {
-		if !(hMin > 0 && hMin <= 8) { // rejects NaN too, which <=/> chains let through
-			return fmt.Errorf("hybridprng: claimed min-entropy %g outside (0, 8]", hMin)
+		if err := bitsource.CheckClaim(hMin); err != nil {
+			return fmt.Errorf("hybridprng: %w", err)
 		}
 		c.healthHMin = hMin
 		return nil

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bitsource"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -338,6 +340,46 @@ func TestHealthMonitoringOption(t *testing.T) {
 	p2, _ := NewParallel(2, WithSeed(10))
 	if p2.HealthErr() != nil {
 		t.Error("unmonitored pool must report nil health")
+	}
+}
+
+// TestHealthMonitoringFloor: a claim below bitsource.HMinFloor gives
+// an RCT cutoff the monitor's decoder refuses, so a pool claiming 1e-5
+// wrote snapshots it could not restore. WithHealthMonitoring refuses
+// such a claim, and a pool at the floor restores from its snapshot and
+// continues bitwise.
+func TestHealthMonitoringFloor(t *testing.T) {
+	for _, h := range []float64{1e-5, math.Nextafter(bitsource.HMinFloor, 0)} {
+		if _, err := NewPool(WithHealthMonitoring(h)); err == nil {
+			t.Errorf("hMin %g, below the floor, accepted", h)
+		}
+	}
+	p, err := NewPool(WithSeed(3), WithShards(2), WithHealthMonitoring(bitsource.HMinFloor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Fill(make([]uint64, 100)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := new(Pool)
+	if err := q.UnmarshalBinary(data); err != nil {
+		t.Fatalf("a pool at the floor cannot restore its snapshot: %v", err)
+	}
+	want, got := make([]uint64, 1000), make([]uint64, 1000)
+	if err := p.Fill(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Fill(got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("restored pool diverged at word %d", i)
+		}
 	}
 }
 
