@@ -134,6 +134,7 @@ type RecoveryPolicy struct {
 	// QuarantineBase is the backoff before the first reseed attempt
 	// (default 30s). Each subsequent trip multiplies the backoff by
 	// BackoffFactor (default 2) up to QuarantineMax (default 10m).
+	// Both are at most 500h.
 	QuarantineBase time.Duration
 	BackoffFactor  float64
 	QuarantineMax  time.Duration
@@ -145,7 +146,7 @@ type RecoveryPolicy struct {
 	JitterFrac float64
 	// ProbationWords is the number of reseeded words generated,
 	// health-checked and discarded before a shard is readmitted
-	// (default 4096).
+	// (default 4096, at most 2^20).
 	ProbationWords int
 	// MaxTrips is the total number of trips a shard is allowed
 	// before it is retired for real (default 6); 1 retires a shard
@@ -162,21 +163,29 @@ const (
 	defaultMaxTrips       = 6
 )
 
+// maxQuarantine and maxProbationWords bound a policy's fields so every
+// snapshot decodes: a backoff, the larger of QuarantineBase and
+// QuarantineMax jittered by under +100%, stays within 2·maxQuarantine.
+const (
+	maxQuarantine     = 500 * time.Hour
+	maxProbationWords = 1 << 20
+)
+
 func (p RecoveryPolicy) validate() error {
-	if p.QuarantineBase < 0 {
-		return fmt.Errorf("hybridprng: negative quarantine base %v", p.QuarantineBase)
+	if p.QuarantineBase < 0 || p.QuarantineBase > maxQuarantine {
+		return fmt.Errorf("hybridprng: quarantine base %v outside [0, %v]", p.QuarantineBase, maxQuarantine)
 	}
-	if p.QuarantineMax < 0 {
-		return fmt.Errorf("hybridprng: negative quarantine cap %v", p.QuarantineMax)
+	if p.QuarantineMax < 0 || p.QuarantineMax > maxQuarantine {
+		return fmt.Errorf("hybridprng: quarantine cap %v outside [0, %v]", p.QuarantineMax, maxQuarantine)
 	}
-	if p.BackoffFactor != 0 && p.BackoffFactor < 1 {
+	if !(p.BackoffFactor == 0 || p.BackoffFactor >= 1) { // rejects NaN too
 		return fmt.Errorf("hybridprng: backoff factor %g < 1", p.BackoffFactor)
 	}
-	if p.JitterFrac < 0 || p.JitterFrac >= 1 {
+	if !(p.JitterFrac >= 0 && p.JitterFrac < 1) { // rejects NaN too
 		return fmt.Errorf("hybridprng: jitter fraction %g outside [0, 1)", p.JitterFrac)
 	}
-	if p.ProbationWords < 0 {
-		return fmt.Errorf("hybridprng: negative probation window %d", p.ProbationWords)
+	if p.ProbationWords < 0 || p.ProbationWords > maxProbationWords {
+		return fmt.Errorf("hybridprng: probation window %d outside [0, %d]", p.ProbationWords, maxProbationWords)
 	}
 	if p.MaxTrips < 0 {
 		return fmt.Errorf("hybridprng: negative trip budget %d", p.MaxTrips)

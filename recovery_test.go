@@ -3,6 +3,7 @@ package hybridprng
 import (
 	"bytes"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -333,6 +334,59 @@ func TestChaosResumeMidQuarantine(t *testing.T) {
 	}
 	if st := b.Stats(); st.Healthy != 2 || st.Recoveries != 1 {
 		t.Fatalf("restored pool never recovered: %+v", st)
+	}
+}
+
+// TestRecoveryPolicyBounds: a policy takes no value its pool's snapshot
+// decoder refuses. ProbationWords of 1<<22 let a snapshot taken during
+// probation fail to restore ("shard probation balance ... out of
+// range"), a QuarantineBase of 2000h one taken during quarantine
+// ("shard backoff ... out of range"), and a NaN factor or jitter any
+// snapshot ("pool policy carries NaN"). A policy at every bound
+// round-trips a pool with one shard quarantined and one in probation,
+// and WithRecovery refuses one past a bound.
+func TestRecoveryPolicyBounds(t *testing.T) {
+	for name, pol := range map[string]RecoveryPolicy{
+		"quarantine base": {QuarantineBase: maxQuarantine + 1},
+		"quarantine cap":  {QuarantineMax: maxQuarantine + 1},
+		"probation words": {ProbationWords: maxProbationWords + 1},
+		"NaN factor":      {BackoffFactor: math.NaN()},
+		"NaN jitter":      {JitterFrac: math.NaN()},
+	} {
+		if _, err := NewPool(WithRecovery(pol)); err == nil {
+			t.Errorf("%s past its bound accepted", name)
+		}
+	}
+	clock := newFakeClock()
+	at := RecoveryPolicy{QuarantineBase: maxQuarantine, QuarantineMax: maxQuarantine,
+		JitterFrac: math.Nextafter(1, 0), ProbationWords: maxProbationWords}
+	p, err := NewPool(WithSeed(4), WithShards(2), WithShardBuffer(8),
+		WithHealthMonitoring(4), WithRecovery(at), WithClock(clock.Now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.InjectFault(1); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(2 * maxQuarantine)
+	_ = p.Fill(make([]uint64, 16)) // reseeds shard 1 into probation
+	if err := p.InjectFault(0); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.PerShard[0].State != "quarantined" || st.PerShard[1].State != "probation" {
+		t.Fatalf("shard states %q and %q, want quarantined and probation", st.PerShard[0].State, st.PerShard[1].State)
+	}
+	data, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := new(Pool)
+	q.SetClock(clock.Now)
+	if err := q.UnmarshalBinary(data); err != nil {
+		t.Fatalf("a policy at its bounds wrote a snapshot the pool refuses: %v", err)
+	}
+	if again, err := q.MarshalBinary(); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("restored pool marshals differently (err %v)", err)
 	}
 }
 

@@ -393,10 +393,10 @@ func unmarshalShard(data []byte, bufWords int, version byte, now time.Time) (*po
 	if state > shardRetired {
 		return nil, fmt.Errorf("hybridprng: unknown shard state %d", state)
 	}
-	if remaining < 0 || remaining > 1000*time.Hour {
+	if remaining < 0 || remaining > 2*maxQuarantine {
 		return nil, fmt.Errorf("hybridprng: shard backoff %v out of range", remaining)
 	}
-	if probLeft > maxShardBuffer {
+	if probLeft > maxProbationWords {
 		return nil, fmt.Errorf("hybridprng: shard probation balance %d out of range", probLeft)
 	}
 	s.state.Store(uint32(state))
@@ -459,9 +459,6 @@ func (p *Pool) UnmarshalBinary(data []byte) error {
 		tripEvents, recoveries = r.Uint64(), r.Uint64()
 		if retireFirst {
 			pol.MaxTrips = 1
-		}
-		if math.IsNaN(pol.BackoffFactor) || math.IsNaN(pol.JitterFrac) {
-			return fmt.Errorf("hybridprng: pool policy carries NaN")
 		}
 		if err := pol.validate(); err != nil {
 			return err
