@@ -96,14 +96,16 @@ portable:
 	GOARCH=386 go test -short ./...
 	for arch in arm64 s390x 386; do GOARCH=$$arch go vet ./... || exit 1; done
 
-## fuzz-smoke: run seven fuzzers for 30 s each past their seed corpora.
+## fuzz-smoke: run eight fuzzers for 30 s each past their seed corpora.
 ## The glibc feed's block draw must equal its per-word stream from any
 ## seed and ring position. The AVX2 round kernel must walk every live
 ## lane of any bins, lane count, walk length, round length and start
-## point to walkBin's outputs and end position. The block screen and
-## the word-at-a-time check skip the SP 800-90B monitor's per-byte
-## tests; the two monitor fuzzers hold both to them on inputs nobody
-## wrote down. The two
+## point to walkBin's outputs and end position. The SP 800-90B monitor
+## screens whole blocks and words and runs its per-byte reference only
+## on what the screen refuses; the two monitor fuzzers hold the block
+## and word draws to the per-byte reference on inputs nobody wrote
+## down. The option fuzzer holds every option value New accepts to a
+## generator and a pool that restore from their own checkpoints. The two
 ## client fuzzers hold the block read and the Retry-After parser to
 ## their bounds against whatever a server sends. The fleet fuzzer
 ## holds the controller to a non-5xx answer, without a panic, for any
@@ -113,6 +115,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzWalkBinsMatchesWalkBin$$' -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzMonitorBlockMatchesWord$$' -fuzztime 30s ./internal/bitsource
 	go test -run '^$$' -fuzz '^FuzzMonitorWordMatchesByte$$' -fuzztime 30s ./internal/bitsource
+	go test -run '^$$' -fuzz '^FuzzOptionValidation$$' -fuzztime 30s .
 	go test -run '^$$' -fuzz '^FuzzClientResponse$$' -fuzztime 30s ./client
 	go test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 30s ./client
 	go test -run '^$$' -fuzz '^FuzzServerRequests$$' -fuzztime 30s ./internal/fleet

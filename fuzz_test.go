@@ -3,7 +3,10 @@ package hybridprng
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/bitsource"
 )
 
 // FuzzUnmarshalBinaryNeverPanics feeds arbitrary blobs to the state
@@ -230,16 +233,20 @@ func FuzzStateMutationNeverPanics(f *testing.F) {
 // FuzzOptionValidation fuzzes the stringly/float option paths —
 // WithFeed, WithHealthMonitoring, WithWalkLength, WithShards,
 // WithShardBuffer. Invalid values must error (a NaN min-entropy
-// claim once slipped through the `<= 0 || > 8` comparison chain);
-// valid ones must yield a generator whose first draw works and whose
-// health state starts clean.
+// claim once slipped through the `<= 0 || > 8` comparison chain, and
+// a claim under bitsource.HMinFloor wrote snapshots that could not be
+// restored); valid ones must yield a generator whose first draw works
+// and whose health state starts clean, and a generator and a pool
+// that restore from their own checkpoints and continue bitwise.
 func FuzzOptionValidation(f *testing.F) {
 	f.Add("glibc", 4.0, 64, 1)
 	f.Add("ansic", 8.0, 1, 2)
 	f.Add("splitmix", 0.5, 128, 7)
 	f.Add("", -1.0, 0, 0)
 	f.Add("mt19937", math.NaN(), -3, 100000)
+	f.Add("glibc", 1e-5, 64, 2)
 	f.Fuzz(func(t *testing.T, feed string, hMin float64, walk, shards int) {
+		validClaim := hMin >= bitsource.HMinFloor && hMin <= 8
 		opts := []Option{WithFeed(feed), WithHealthMonitoring(hMin), WithSeed(9)}
 		if walk != 0 {
 			opts = append(opts, WithWalkLength(walk%2000))
@@ -247,18 +254,32 @@ func FuzzOptionValidation(f *testing.F) {
 		g, err := New(opts...)
 		if err != nil {
 			if feed == FeedGlibc || feed == FeedANSIC || feed == FeedSplitMix {
-				if hMin > 0 && hMin <= 8 && (walk == 0 || walk%2000 >= 1) {
+				if validClaim && (walk == 0 || walk%2000 >= 1) {
 					t.Fatalf("valid options rejected: %v", err)
 				}
 			}
 			return
 		}
-		if !(hMin > 0 && hMin <= 8) {
+		if !validClaim {
 			t.Fatalf("invalid min-entropy claim %v accepted", hMin)
 		}
 		g.Uint64()
 		if g.HealthErr() != nil {
 			t.Fatalf("fresh generator unhealthy: %v", g.HealthErr())
+		}
+		data, err := g.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rg := new(Generator)
+		if err := rg.UnmarshalBinary(data); err != nil {
+			t.Fatalf("generator cannot restore its own checkpoint: %v", err)
+		}
+		want, got := make([]uint64, 64), make([]uint64, 64)
+		g.Fill(want)
+		rg.Fill(got)
+		if !slices.Equal(got, want) {
+			t.Fatal("restored generator diverged")
 		}
 		// The same options must also build a working sharded pool.
 		poolOpts := append(opts, WithShards(1+abs(shards)%8), WithShardBuffer(16))
@@ -268,6 +289,22 @@ func FuzzOptionValidation(f *testing.F) {
 		}
 		if _, err := p.Uint64(); err != nil {
 			t.Fatal(err)
+		}
+		if data, err = p.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+		rp := new(Pool)
+		if err := rp.UnmarshalBinary(data); err != nil {
+			t.Fatalf("pool cannot restore its own checkpoint: %v", err)
+		}
+		if err := p.Fill(want); err != nil {
+			t.Fatal(err)
+		}
+		if err := rp.Fill(got); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatal("restored pool diverged")
 		}
 	})
 }
