@@ -83,9 +83,9 @@ figures-check:
 		$(MAKE) -s figures > "$$tmp" && diff -u testdata/figures.txt "$$tmp"
 
 ## portable: execute the paths non-amd64 and big-endian hosts take —
-## the purego tag forces the portable walk (every lane through
-## chunk21's three-step table, where AVX2 hosts run groups of four or
-## more lanes through the round kernel), the glibc feed's and the
+## the purego tag forces the portable walk (every lane through the
+## four-step table step4, where AVX2 hosts run groups of six or more
+## lanes through the round kernel), the glibc feed's and the
 ## health screen's Go loops (where AVX2 hosts run their vector
 ## kernels) and FillBytes' encode-through-scratch branch on amd64, and
 ## the short suite runs as 386 (x86-64 Linux executes it natively), so
@@ -96,11 +96,13 @@ portable:
 	GOARCH=386 go test -short ./...
 	for arch in arm64 s390x 386; do GOARCH=$$arch go vet ./... || exit 1; done
 
-## fuzz-smoke: run eight fuzzers for 30 s each past their seed corpora.
+## fuzz-smoke: run nine fuzzers for 30 s each past their seed corpora.
 ## The glibc feed's block draw must equal its per-word stream from any
 ## seed and ring position. The AVX2 round kernel must walk every live
 ## lane of any bins, lane count, walk length, round length and start
-## point to walkBin's outputs and end position. The SP 800-90B monitor
+## point to walkBin's outputs and end position, and walkBin must walk
+## any bin, walk length and start point to a per-step walk's outputs
+## and end position. The SP 800-90B monitor
 ## screens whole blocks and words and runs its per-byte reference only
 ## on what the screen refuses; the two monitor fuzzers hold the block
 ## and word draws to the per-byte reference on inputs nobody wrote
@@ -113,6 +115,7 @@ portable:
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzGlibcFillWords$$' -fuzztime 30s ./internal/baselines
 	go test -run '^$$' -fuzz '^FuzzWalkBinsMatchesWalkBin$$' -fuzztime 30s ./internal/core
+	go test -run '^$$' -fuzz '^FuzzWalkBinMatchesSteps$$' -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzMonitorBlockMatchesWord$$' -fuzztime 30s ./internal/bitsource
 	go test -run '^$$' -fuzz '^FuzzMonitorWordMatchesByte$$' -fuzztime 30s ./internal/bitsource
 	go test -run '^$$' -fuzz '^FuzzOptionValidation$$' -fuzztime 30s .

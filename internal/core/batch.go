@@ -11,12 +11,13 @@ const MaxBatchLanes = 16
 
 // vecMinLanes is the smallest group the AVX2 round kernel walks in
 // lockstep, padded to sixteen lanes; smaller groups walk lane by lane
-// through chunk21. Against lane-by-lane walks, the padded kernel filled
-// at 0.66× the MB/s with two lanes, 0.83× with three, 1.06× with four,
-// 1.25× with five, 1.44× with six and 1.87× with eight
-// (BenchmarkFillBatch, medians of 6 alternated runs at -cpu 1, 2-vCPU
-// Xeon @ 2.1 GHz); 10 more runs read 0.94× at three and 1.12× at four.
-const vecMinLanes = 4
+// through step4 (walkBin). Against lane-by-lane walks, the padded kernel
+// took 2.48× the time with two lanes, 1.77× with three, 1.34× with four,
+// 1.06× with five, 0.85× with six and 0.73× with eight
+// (BenchmarkFillBatch, medians of 12 alternated pairs at -cpu 1, 2-vCPU
+// Xeon @ 2.1 GHz); 12 more pairs read 1.16× at five (lower in 2) and
+// 0.92× at six (lower in 9).
+const vecMinLanes = 6
 
 // FillBatch fills dst[i] with len(dst[i]) successive numbers from
 // ws[i]. On AVX2 hosts a group of vecMinLanes lanes or more advances in
@@ -24,18 +25,18 @@ const vecMinLanes = 4
 // vector pipelines stay full instead of waiting on one walk's steps —
 // the blocked-generation idiom MTGP uses on GPUs, applied to a
 // superscalar core. Other groups walk lane by lane through the
-// three-step table (chunk21).
+// four-step table (walkBin).
 //
 // The sweep runs in rounds. Each round every lane draws one bin — the
 // feed bits of its next r numbers, drawn and health-checked in one
-// rng.BitReader.Bin call — and the walk then reads each lane's 63-bit
-// chunks and 3-bit tail fields out of the bins by funnel shift, every
-// lane at the same offsets: the AVX2 kernel reads all sixteen lanes'
-// bins itself, each lane its own bin the way a GPU thread does. Every
-// walker consumes its own feed bits in exactly the order the scalar
-// Next path consumes them (per number: the 63-bit chunks, then the
-// 3-bit tail steps) and never draws a feed word early, so per-walker
-// output and reader state are bitwise identical to calling
+// rng.BitReader.Bin call — and the walk then reads each lane's fields
+// out of the bins by funnel shift, every lane at the same offsets: the
+// AVX2 kernel reads all sixteen lanes' bins itself, 63-bit chunks and
+// then 3-bit tail fields, each lane its own bin the way a GPU thread
+// does; a lone lane reads them in Next's grouping. Every walker
+// consumes its own feed bits in exactly the order the scalar Next path
+// consumes them, 3 bits per step, and never draws a feed word early, so
+// per-walker output and reader state are bitwise identical to calling
 // ws[i].Fill(dst[i]) — batching is a pure reordering of independent
 // walks, never a different stream. Lanes whose dst is shorter simply
 // retire early; ragged batch shapes are fine.
@@ -122,7 +123,7 @@ func fillBatchGroup(ws []*Walker, dst [][]uint64) {
 		} else {
 			// Each lane walks its own bin with its state in registers.
 			for j := 0; j < n; j++ {
-				x[j], y[j] = walkBin(&g.bins[j], x[j], y[j], outs[j][:r], chunks, tail)
+				x[j], y[j] = walkBin(&g.bins[j], x[j], y[j], outs[j][:r], walkLen)
 			}
 		}
 		// Retire lanes whose dst is full by swapping the last active
@@ -142,18 +143,28 @@ func fillBatchGroup(ws []*Walker, dst [][]uint64) {
 	}
 }
 
-// walkBin walks one lane through len(out) numbers from its bin b,
-// starting at (x, y): per number, chunks 63-bit chunks and then tail
-// 3-bit steps, the feed order of walk(). It returns the end position.
-func walkBin(b *bin, x, y uint32, out []uint64, chunks, tail int) (uint32, uint32) {
+// walkBin walks one lane through len(out) numbers of l steps each from
+// its bin b, starting at (x, y), in walk()'s grouping of the feed. It
+// returns the end position.
+func walkBin(b *bin, x, y uint32, out []uint64, l int) (uint32, uint32) {
 	off := uint(0)
 	for i := range out {
-		for c := 0; c < chunks; c++ {
-			x, y = chunk21(x, y, binTake(b, off>>6, off&63)>>1)
-			off += chunkBits
+		s := l
+		for ; s >= readSteps; s -= readSteps {
+			v := binTake(b, off>>6, off&63) >> (64 - readBits)
+			x, y = step4[v>>48&4095].apply(x, y)
+			x, y = step4[v>>36&4095].apply(x, y)
+			x, y = step4[v>>24&4095].apply(x, y)
+			x, y = step4[v>>12&4095].apply(x, y)
+			x, y = step4[v&4095].apply(x, y)
+			off += readBits
 		}
-		for t := 0; t < tail; t++ {
-			x, y = stepXY(x, y, binTake(b, off>>6, off&63)>>61)
+		for ; s >= mapSteps; s -= mapSteps {
+			x, y = step4[binTake(b, off>>6, off&63)>>(64-mapBits)].apply(x, y)
+			off += mapBits
+		}
+		for ; s > 0; s-- {
+			x, y = stepXY(x, y, binTake(b, off>>6, off&63)>>(64-BitsPerStep))
 			off += BitsPerStep
 		}
 		out[i] = uint64(x)<<32 | uint64(y)

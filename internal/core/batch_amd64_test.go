@@ -67,7 +67,7 @@ func TestWalkBinsMatchesWalkBin(t *testing.T) {
 						walkBins(g, &x, &y, &outs, n, r, chunks, tail)
 						for j := 0; j < n; j++ {
 							want := make([]uint64, r)
-							wx, wy := walkBin(&g.bins[j], x0[j], y0[j], want, chunks, tail)
+							wx, wy := walkBin(&g.bins[j], x0[j], y0[j], want, l)
 							what := func() string {
 								return fmt.Sprintf("%s bins, start %d, %d lanes, l=%d, %d numbers, lane %d", p.name, s, n, l, r, j)
 							}
@@ -124,7 +124,7 @@ func FuzzWalkBinsMatchesWalkBin(f *testing.F) {
 		walkBins(g, &x, &y, &outs, n, r, chunks, tail)
 		for j := 0; j < n; j++ {
 			want := make([]uint64, r)
-			wx, wy := walkBin(&g.bins[j], x0[j], y0[j], want, chunks, tail)
+			wx, wy := walkBin(&g.bins[j], x0[j], y0[j], want, l)
 			for i := range want {
 				if outs[j][i] != want[i] {
 					t.Fatalf("%d lanes, l=%d, %d numbers, lane %d, number %d: kernel %#x, walkBin %#x", n, l, r, j, i, outs[j][i], want[i])

@@ -3,7 +3,7 @@
 package core
 
 // Non-amd64 builds, and amd64 builds tagged purego, walk every lane
-// through chunk21; the AVX2 lockstep path (walkBins) is never
+// through step4 (walkBin); the AVX2 lockstep path (walkBins) is never
 // selected. The purego tag lets an amd64 host execute the path every
 // other architecture runs.
 const haveAVX2 = false

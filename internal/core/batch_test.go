@@ -308,7 +308,7 @@ func TestPoolFillMatchesScalarLayout(t *testing.T) {
 
 // BenchmarkFillBatch sweeps 256 numbers per lane. MB/s over lanes=1,
 // which runs the scalar path, is what a bin-fed lockstep lane gains;
-// lanes=3 and lanes=4 sit either side of vecMinLanes. The lanes read
+// lanes=5 and lanes=6 sit either side of vecMinLanes. The lanes read
 // the paper's glibc feed, whose block draw fills their bins as a pool
 // shard's are filled.
 func BenchmarkFillBatch(b *testing.B) {

@@ -56,18 +56,25 @@ func requireSameWalker(t *testing.T, what string, a, b *Walker) {
 }
 
 // TestBinFillMatchesNext pins the bin-fed kernel to Algorithm 2 one
-// number at a time: for every feed, for walk lengths around the chunk
-// and bin boundaries (2049 steps fit three numbers in a bin and 3000
-// two, 8192 steps fill a bin exactly; 8193 do not fit one and take the
-// scalar path), and for ragged fill sizes that end bins early, exactly
+// number at a time: for every feed, for every walk length to 130 (every
+// remainder of the lone lane's 20-step reads and 4-step maps, and of
+// the round kernel's 21-step chunks) and lengths around the bin
+// boundaries (2049 steps fit three numbers in a bin and 3000 two, 8192
+// steps fill a bin exactly; 8193 do not fit one and take the scalar
+// path), and for ragged fill sizes that end bins early, exactly
 // and late, a two-lane FillBatch and a lone Walker.Fill either side of
 // binMinFill must emit each walker's scalar twin's Next numbers and
 // leave it where Next leaves it — a counting feed drawn exactly as
 // often, three words per number at walk length 64.
 func TestBinFillMatchesNext(t *testing.T) {
 	sizes := []int{1, 31, 32, 33, 100, 0, 7, 64}
+	var lens []int
+	for l := 1; l <= 130; l++ {
+		lens = append(lens, l)
+	}
+	lens = append(lens, 2048, 2049, 3000, 8192, 8193)
 	for _, feed := range binFeeds() {
-		for _, l := range []int{1, 3, 20, 21, 22, 63, 64, 65, 127, 2048, 2049, 3000, 8192, 8193} {
+		for _, l := range lens {
 			t.Run(fmt.Sprintf("%s/l=%d", feed.name, l), func(t *testing.T) {
 				cfg := Config{WalkLen: l}
 				var ws, refs [2]*Walker

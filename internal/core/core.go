@@ -37,23 +37,28 @@ const (
 // the self-loop).
 const BitsPerStep = 3
 
-// The walk fast path pulls chunkBits feed bits at a time —
-// stepsPerChunk aligned 3-bit fields per read — so the BitReader is
-// consulted once per 21 steps instead of once per step. The batched
-// kernel (batch.go) consumes the same chunk shape, which is what
-// keeps it bit-stream-compatible with the scalar path.
+// The AVX2 round kernel (batch_amd64.s) walks each number as chunks of
+// stepsPerChunk steps, then single steps. A lone lane walks mapSteps
+// steps per step4 lookup and reads its feed readBits at a time: five
+// maps per read, then whole maps, then single steps. The reader draws a
+// word only when a read needs more bits than it holds, so every grouping
+// of a walk's fields leaves the reader where the per-step walk leaves it.
 const (
 	stepsPerChunk = 21
 	chunkBits     = stepsPerChunk * BitsPerStep // 63
+	mapSteps      = 4
+	mapBits       = mapSteps * BitsPerStep // 12
+	readSteps     = 5 * mapSteps
+	readBits      = readSteps * BitsPerStep // 60
 )
 
 // The bulk paths (Fill, FillBatch) read each walker's feed a bin at a
 // time — the paper's FEED → bin → GENERATE: one rng.BitReader.Bin call
 // draws, health-checks and hands over exactly the bits the walker's
 // next numbers consume, up to binBits per lane, and the walk then
-// takes its 63-bit chunks and 3-bit tail fields out of the bin by
-// funnel shift instead of one reader call per chunk. A fill borrows
-// its bins (getBins) for its own length; no walker keeps one.
+// takes its fields out of the bin by funnel shift instead of one reader
+// call per read. A fill borrows its bins (getBins) for its own length;
+// no walker keeps one.
 //
 // A bin is the paper's block (Fig. 5): each round pays a feed draw, a
 // health screen, the feed kernel's ring transposition and the round
@@ -69,12 +74,12 @@ const (
 
 	// binMinFill is the shortest lone-lane fill that takes a bin;
 	// shorter ones call Next. Against k Next calls, a keyed draw of k
-	// numbers through a bin took 1.34× as long at k = 1, 1.05-1.08× at
-	// 2 and 3, 0.96-1.05× at 4 and 0.83-0.85× from 5 to 16
-	// (BenchmarkRegistryDraw, health monitor on, medians of 10-12
-	// alternated runs, 2-vCPU Xeon @ 2.1 GHz). It was measured on
-	// 96-word bins and holds for larger ones: a short fill's bin holds
-	// only its own numbers' bits, whatever the bin's capacity.
+	// numbers through a bin took 1.61× as long at k = 1, 1.42× at 2,
+	// 1.09× at 3, 0.95× at 4 and 5 (lower in 23 and 21 of 40), 0.89× at
+	// 6 and 0.69× at 16 (BenchmarkRegistryDraw, health monitor on,
+	// medians of 24-40 alternated pairs at -cpu 1, 2-vCPU Xeon @
+	// 2.1 GHz). A short fill's bin holds only its own numbers' bits,
+	// whatever the bin's capacity.
 	binMinFill = 5
 )
 
@@ -224,20 +229,24 @@ func NewWalker(bits *rng.BitReader, cfg Config) (*Walker, error) {
 	return w, nil
 }
 
-// walk advances the position by l steps, consuming 3 bits per step.
-// It pulls 63 feed bits (21 steps) at a time and walks them through
-// chunk21, the generator's hot loop.
+// walk advances the position by l steps, 3 bits per step, for Next, Skip
+// and Algorithm 1; walkBin walks bins the same way. A read's five maps
+// are written out, top field first: no function holding them inlines,
+// and a call per read made walkBin take about 1.16× as long.
 func (w *Walker) walk(l int) {
 	x, y := w.pos.X, w.pos.Y
-	i := 0
-	for l-i >= stepsPerChunk {
-		x, y = chunk21(x, y, w.bits.Bits(chunkBits)) // 21 aligned 3-bit fields
-		i += stepsPerChunk
+	for ; l >= readSteps; l -= readSteps {
+		v := w.bits.Bits(readBits)
+		x, y = step4[v>>48&4095].apply(x, y)
+		x, y = step4[v>>36&4095].apply(x, y)
+		x, y = step4[v>>24&4095].apply(x, y)
+		x, y = step4[v>>12&4095].apply(x, y)
+		x, y = step4[v&4095].apply(x, y)
 	}
-	// Tail steps one field at a time, so exactly 3·l bits are
-	// consumed and the stream stays aligned with the reference
-	// (per-step) implementation.
-	for ; i < l; i++ {
+	for ; l >= mapSteps; l -= mapSteps {
+		x, y = step4[w.bits.Bits(mapBits)].apply(x, y)
+	}
+	for ; l > 0; l-- {
 		x, y = stepXY(x, y, w.bits.Bits(BitsPerStep))
 	}
 	w.pos = expander.Vertex{X: x, Y: y}
@@ -263,43 +272,45 @@ func stepXY(x, y uint32, b uint64) (uint32, uint32) {
 
 // affine is an affine map of Z_{2^32}²: (x, y) → (a·x + b·y + e,
 // c·x + d·y + f). Every step is one (it adds 2x+c to y or 2y+c to x),
-// so any run of steps composes to one.
-type affine struct{ a, b, c, d, e, f uint32 }
+// so any run of steps composes to one. No run of four steps has a
+// coefficient above 40 (29 in the matrix), so each is a byte, and an
+// entry is padded to 8 bytes.
+type affine struct{ a, b, c, d, e, f, _, _ uint8 }
 
 func (m *affine) apply(x, y uint32) (uint32, uint32) {
-	return m.a*x + m.b*y + m.e, m.c*x + m.d*y + m.f
+	return uint32(m.a)*x + uint32(m.b)*y + uint32(m.e), uint32(m.c)*x + uint32(m.d)*y + uint32(m.f)
 }
 
-// step3 holds the composite of every run of three steps (12 KiB),
-// indexed by the run's three fields as one 9-bit slice of a chunk, the
-// first step's field on top. An affine map is fixed by its images of
-// (0,0), (1,0) and (0,1), so each entry is three stepXY walks.
-var step3 = func() (t [512]affine) {
-	for i := range t {
-		walk3 := func(x, y uint32) (uint32, uint32) {
-			for k := 6; k >= 0; k -= BitsPerStep {
-				x, y = stepXY(x, y, uint64(i>>k&7))
+// step4 holds the composite of every run of four steps (32 KiB, inside
+// L1), indexed by the run's four fields as one 12-bit slice, the first
+// step's field on top.
+var step4 = buildStep4()
+
+// buildStep4 grows the table one step at a time from the identity, the
+// run of no steps: entry i of the runs a step shorter becomes entries
+// 8i..8i+7, its run followed by field 0..7's step. A step adds 2x + c to
+// y or 2y + c to x, so it adds twice the map's x row to its y row, or
+// the reverse, and c to the translation. The table fills in place from
+// the top entry down, so each entry is read before any is written over
+// it. The build takes about 27 µs (BenchmarkBuildStep4, 2-vCPU Xeon @
+// 2.1 GHz).
+func buildStep4() (t [1 << mapBits]affine) {
+	t[0] = affine{a: 1, d: 1}
+	for n := 1; n < len(t); n <<= BitsPerStep {
+		for i := n - 1; i >= 0; i-- {
+			m := t[i]
+			for b := range 8 {
+				s, c := m, uint8(stepC[b])
+				if stepMaskY[b] != 0 {
+					s.c, s.d, s.f = m.c+2*m.a, m.d+2*m.b, m.f+2*m.e+c
+				} else if stepMaskX[b] != 0 {
+					s.a, s.b, s.e = m.a+2*m.c, m.b+2*m.d, m.e+2*m.f+c
+				}
+				t[i<<BitsPerStep|b] = s
 			}
-			return x, y
 		}
-		e, f := walk3(0, 0)
-		x1, y1 := walk3(1, 0)
-		x2, y2 := walk3(0, 1)
-		t[i] = affine{a: x1 - e, b: x2 - e, c: y1 - f, d: y2 - f, e: e, f: f}
 	}
 	return t
-}()
-
-// chunk21 advances one walk through a 63-bit feed chunk: 21 steps, the
-// chunk's top 3-bit field first, as seven step3 maps of four multiplies
-// each. It walks Next, Skip, Algorithm 1 and every lane outside an AVX2
-// lockstep group (walkLanes); three calls took 74-95 ns, against 236-282
-// ns as 21 dependent stepXY calls each (2-vCPU Xeon @ 2.1 GHz).
-func chunk21(x, y uint32, word uint64) (uint32, uint32) {
-	for k := chunkBits - 3*BitsPerStep; k >= 0; k -= 3 * BitsPerStep {
-		x, y = step3[word>>uint(k)&511].apply(x, y)
-	}
-	return x, y
 }
 
 // Next runs Algorithm 2 (GetNextRand): an l-step walk whose endpoint

@@ -34,10 +34,10 @@ func TestStepXYExhaustiveNeighbours(t *testing.T) {
 }
 
 func TestChunkedWalkMatchesPerStepWalk(t *testing.T) {
-	// The 21-steps-per-word fast path must be bit-stream-compatible
-	// with a pure per-step implementation, for every walk length
-	// around the chunk boundary.
-	for _, l := range []int{1, 20, 21, 22, 41, 42, 43, 63, 64, 65, 100} {
+	// The table walk must be bit-stream-compatible with a pure per-step
+	// implementation for every walk length to 130, so every remainder
+	// of the 20-step reads and the 4-step maps.
+	for l := 1; l <= 130; l++ {
 		w1, err := NewWalker(newBits(777), Config{WalkLen: l})
 		if err != nil {
 			t.Fatal(err)
@@ -54,7 +54,11 @@ func TestChunkedWalkMatchesPerStepWalk(t *testing.T) {
 			pos = g.Step(pos, bits.Bits(3))
 		}
 		if got := w1.Next(); got != pos.ID() {
-			t.Fatalf("l=%d: chunked walk %#x, per-step walk %#x", l, got, pos.ID())
+			t.Fatalf("l=%d: table walk %#x, per-step walk %#x", l, got, pos.ID())
+		}
+		gw, gl := w1.Bits().State()
+		if ww, wl := bits.State(); gw != ww || gl != wl {
+			t.Fatalf("l=%d: reader state (%#x, %d), per-step walk (%#x, %d)", l, gw, gl, ww, wl)
 		}
 	}
 }
@@ -70,21 +74,21 @@ func walkPoints() []uint32 {
 	return pts
 }
 
-// TestStep3MatchesStepXY checks every three-step composite against
-// three stepXY steps, the entry's top field first. An affine map is
-// fixed by its images of (0,0), (1,0) and (0,1), so agreement there
-// proves an entry; the other points also pin apply.
-func TestStep3MatchesStepXY(t *testing.T) {
+// TestStep4MatchesStepXY checks every four-step composite against four
+// stepXY steps, the entry's top field first. An affine map is fixed by
+// its images of (0,0), (1,0) and (0,1), so agreement there proves an
+// entry, its byte packing included; the other points also pin apply.
+func TestStep4MatchesStepXY(t *testing.T) {
 	pts := walkPoints()
-	for i := range step3 {
+	for i := range step4 {
 		for _, x := range pts {
 			for _, y := range pts {
 				wx, wy := x, y
-				for _, b := range []int{i >> 6, i >> 3 & 7, i & 7} {
-					wx, wy = stepXY(wx, wy, uint64(b))
+				for k := mapBits - BitsPerStep; k >= 0; k -= BitsPerStep {
+					wx, wy = stepXY(wx, wy, uint64(i>>k&7))
 				}
-				if gx, gy := step3[i].apply(x, y); gx != wx || gy != wy {
-					t.Fatalf("step3[%#o] at (%#x, %#x) = (%#x, %#x), three steps (%#x, %#x)",
+				if gx, gy := step4[i].apply(x, y); gx != wx || gy != wy {
+					t.Fatalf("step4[%#o] at (%#x, %#x) = (%#x, %#x), four steps (%#x, %#x)",
 						i, x, y, gx, gy, wx, wy)
 				}
 			}
@@ -92,35 +96,51 @@ func TestStep3MatchesStepXY(t *testing.T) {
 	}
 }
 
-// TestChunk21MatchesStepXY checks the table walk against 21 stepXY
-// steps, top field first, on chunks of one repeated field, edge words
-// and seeded random chunks, from every walkPoints start.
-func TestChunk21MatchesStepXY(t *testing.T) {
-	words := []uint64{1, 1 << 60, 0o123456701234567012345}
-	for b := uint64(0); b < 8; b++ {
-		var w uint64
-		for k := 0; k < stepsPerChunk; k++ {
-			w = w<<BitsPerStep | b
-		}
-		words = append(words, w)
-	}
-	rnd := rand.New(rand.NewPCG(21, 9))
-	for i := 0; i < 256; i++ {
-		words = append(words, rnd.Uint64()>>1)
-	}
-	pts := walkPoints()
-	for _, w := range words {
-		for _, x := range pts {
-			for _, y := range pts {
-				wx, wy := x, y
-				for k := chunkBits - BitsPerStep; k >= 0; k -= BitsPerStep {
-					wx, wy = stepXY(wx, wy, w>>uint(k)&7)
-				}
-				if gx, gy := chunk21(x, y, w); gx != wx || gy != wy {
-					t.Fatalf("chunk21(%#x, %#x, %#o) = (%#x, %#x), 21 steps (%#x, %#x)",
-						x, y, w, gx, gy, wx, wy)
-				}
+// FuzzWalkBinMatchesSteps walks a bin cut from the fuzz bytes, its pad
+// word included, from the start point (start>>32, start) at walk
+// lengths of 1 to 300, through as many numbers as the bin holds:
+// walkBin's outputs and end position must equal a per-step stepXY walk
+// over the same bits, each field read bit by bit, top bit first.
+func FuzzWalkBinMatchesSteps(f *testing.F) {
+	f.Add(uint16(63), uint64(1), []byte{0x5a, 0x0f, 0xf0, 0x33, 0xcc, 0x96, 0x69, 0x01})
+	f.Add(uint16(0), uint64(0), []byte{0xff})
+	f.Add(uint16(19), uint64(1<<63), []byte{})
+	f.Add(uint16(22), uint64(12345), []byte("expander walk"))
+	f.Add(uint16(299), uint64(1<<32-1), []byte{0x80, 0x01})
+	f.Fuzz(func(t *testing.T, walkLen uint16, start uint64, data []byte) {
+		l := 1 + int(walkLen)%300
+		var b bin
+		k := 0
+		for w := range b {
+			for i := 0; i < 8 && len(data) > 0; i++ {
+				b[w] = b[w]<<8 | uint64(data[k%len(data)])
+				k++
 			}
 		}
+		x, y := uint32(start>>32), uint32(start)
+		out := make([]uint64, binBits/(l*BitsPerStep))
+		gx, gy := walkBin(&b, x, y, out, l)
+		bit := func(off int) uint64 { return b[off>>6] >> (63 - off&63) & 1 }
+		off := 0
+		for i, got := range out {
+			for range l {
+				x, y = stepXY(x, y, bit(off)<<2|bit(off+1)<<1|bit(off+2))
+				off += BitsPerStep
+			}
+			if want := uint64(x)<<32 | uint64(y); got != want {
+				t.Fatalf("l=%d, number %d of %d: walkBin %#x, per-step walk %#x", l, i, len(out), got, want)
+			}
+		}
+		if gx != x || gy != y {
+			t.Fatalf("l=%d: walkBin ends at (%#x, %#x), per-step walk at (%#x, %#x)", l, gx, gy, x, y)
+		}
+	})
+}
+
+// BenchmarkBuildStep4 times the table build every process pays at
+// start-up.
+func BenchmarkBuildStep4(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		step4 = buildStep4()
 	}
 }

@@ -149,8 +149,8 @@ type RecoveryPolicy struct {
 	// (default 4096, at most 2^20).
 	ProbationWords int
 	// MaxTrips is the total number of trips a shard is allowed
-	// before it is retired for real (default 6); 1 retires a shard
-	// on its first trip.
+	// before it is retired for real (default 6, at most 2^31-1); 1
+	// retires a shard on its first trip.
 	MaxTrips int
 }
 
@@ -163,12 +163,14 @@ const (
 	defaultMaxTrips       = 6
 )
 
-// maxQuarantine and maxProbationWords bound a policy's fields so every
-// snapshot decodes: a backoff, the larger of QuarantineBase and
-// QuarantineMax jittered by under +100%, stays within 2·maxQuarantine.
+// maxQuarantine, maxProbationWords and maxTrips bound a policy's fields
+// so every snapshot decodes: a backoff, the larger of QuarantineBase and
+// QuarantineMax jittered by under +100%, stays within 2·maxQuarantine,
+// and a trip budget fits a 32-bit host's int.
 const (
 	maxQuarantine     = 500 * time.Hour
 	maxProbationWords = 1 << 20
+	maxTrips          = 1<<31 - 1
 )
 
 func (p RecoveryPolicy) validate() error {
@@ -187,8 +189,8 @@ func (p RecoveryPolicy) validate() error {
 	if p.ProbationWords < 0 || p.ProbationWords > maxProbationWords {
 		return fmt.Errorf("hybridprng: probation window %d outside [0, %d]", p.ProbationWords, maxProbationWords)
 	}
-	if p.MaxTrips < 0 {
-		return fmt.Errorf("hybridprng: negative trip budget %d", p.MaxTrips)
+	if p.MaxTrips < 0 || p.MaxTrips > maxTrips {
+		return fmt.Errorf("hybridprng: trip budget %d outside [0, %d]", p.MaxTrips, maxTrips)
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -387,6 +389,61 @@ func TestRecoveryPolicyBounds(t *testing.T) {
 	}
 	if again, err := q.MarshalBinary(); err != nil || !bytes.Equal(again, data) {
 		t.Fatalf("restored pool marshals differently (err %v)", err)
+	}
+}
+
+// TestRecoveryPolicyMaxTripsBound: a trip budget past 32 bits was
+// accepted and written truncated, so MaxTrips 1<<32 restored as the
+// default 6 and 1<<32 + 1 as 1. WithRecovery refuses a budget past
+// maxTrips, and a pool at the bound with one shard tripped round-trips
+// and continues bitwise. Where int is 32 bits no budget can pass 32
+// bits.
+func TestRecoveryPolicyMaxTripsBound(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("int is 32 bits")
+	}
+	shift := 32 // a variable, so the test compiles where int is 32 bits
+	for _, trips := range []int{1 << shift, 1<<shift + 1, 1 << (shift - 1)} {
+		if _, err := NewPool(WithRecovery(RecoveryPolicy{MaxTrips: trips})); err == nil {
+			t.Errorf("MaxTrips %d accepted", trips)
+		}
+	}
+	clock := newFakeClock()
+	p, err := NewPool(WithSeed(5), WithShards(2), WithShardBuffer(8),
+		WithHealthMonitoring(4), WithRecovery(RecoveryPolicy{MaxTrips: maxTrips}), WithClock(clock.Now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.InjectFault(1); err != nil {
+		t.Fatal(err)
+	}
+	data, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := new(Pool)
+	q.SetClock(clock.Now)
+	if err := q.UnmarshalBinary(data); err != nil {
+		t.Fatalf("a pool at the trip bound wrote a snapshot the pool refuses: %v", err)
+	}
+	if q.policy.MaxTrips != maxTrips {
+		t.Fatalf("MaxTrips %d restored as %d", maxTrips, q.policy.MaxTrips)
+	}
+	for round := 0; round < 3; round++ {
+		clock.Advance(time.Hour) // shard 1 leaves quarantine on both pools
+		a, b := make([]uint64, 64), make([]uint64, 64)
+		if err := p.Fill(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.Fill(b); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a, b) {
+			t.Fatalf("round %d: restored pool's words differ", round)
+		}
+	}
+	if st := q.Stats(); st.Recoveries != 1 {
+		t.Fatalf("restored pool never recovered its tripped shard: %+v", st)
 	}
 }
 
