@@ -112,7 +112,7 @@ func FuzzRegistryState(f *testing.F) {
 		// refuse the first draw.
 		r2.mu.Lock()
 		key := "fresh"
-		for r2.parked[key] != nil {
+		for r2.tenants[key] != nil {
 			key += "+"
 		}
 		r2.mu.Unlock()

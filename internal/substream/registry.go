@@ -12,9 +12,12 @@ import (
 )
 
 // DefaultMaxResident caps resident (live-generator) tenants when
-// Config.MaxResident is zero. Each resident tenant owns one walker
-// (~a few hundred bytes of walk state plus feed state), so the
-// default comfortably serves a large key set while bounding memory.
+// Config.MaxResident is zero. The cap bounds live walkers, not
+// memory: a parked tenant is never dropped, so the registry grows
+// with its key count. Measured on amd64 with hMin 4, after one 4 KiB
+// draw per key: about 475 bytes of heap per parked tenant (its record
+// and generator blob) and 627 per resident one (its record, LRU entry
+// and live generator).
 const DefaultMaxResident = 1024
 
 // Config configures a Registry. The derivation parameters (RootSeed,
@@ -51,35 +54,25 @@ func (e *RateLimitError) Error() string {
 	return fmt.Sprintf("substream: tenant %q rate limited; retry after %s", e.Key, e.RetryAfter)
 }
 
-// tenant is one keyed stream. A resident tenant holds a live
-// generator; an evicted tenant's state lives in Registry.parked as a
-// marshalled blob until the key is drawn again.
+// tenant is one keyed stream, one record for the key's whole life. A
+// resident tenant holds a live generator; a parked one holds its
+// generator's exact-resume blob instead, until the key is drawn
+// again. The meters and the token bucket stay on the record, so
+// parking is invisible to both the stream and the accounting.
 type tenant struct {
-	key  string // canonical form; immutable
-	seed uint64 // DeriveSeed(root, key); immutable
+	key string // canonical form; immutable
 
-	elem *list.Element // position in the LRU; guarded by Registry.mu
+	elem *list.Element // position in the LRU while resident, nil while parked; guarded by Registry.mu
 
-	mu      sync.Mutex
-	gen     *hybridprng.Generator // guarded by mu
-	evicted bool                  // set at eviction; draws must re-resolve; guarded by mu
-	tokens  float64               // token bucket level, in words; guarded by mu
-	last    time.Time             // last bucket refill instant; guarded by mu
+	mu     sync.Mutex
+	gen    *hybridprng.Generator // nil while parked; draws that find it nil re-resolve; guarded by mu
+	blob   []byte                // the parked generator's state, nil while resident; guarded by mu
+	tokens float64               // token bucket level, in words; guarded by mu
+	last   time.Time             // last bucket refill instant; guarded by mu
 
 	draws atomic.Uint64 // words served via u64 draws
 	bytes atomic.Uint64 // bytes served via byte draws
 	sheds atomic.Uint64 // draws rejected by the rate limit
-}
-
-// parked is an evicted tenant: the exact-resume generator blob plus
-// the meters and bucket level, so eviction is invisible to both the
-// stream and the accounting.
-type parked struct {
-	blob   []byte
-	draws  uint64
-	bytes  uint64
-	sheds  uint64
-	tokens float64
 }
 
 // Registry maps canonical tenant keys to independent walker streams.
@@ -93,9 +86,8 @@ type Registry struct {
 	now   func() time.Time
 	burst float64 // resolved bucket capacity in words
 
-	mu        sync.Mutex         //lint:lockorder before tenant.mu resolution and LRU eviction take the registry lock first, then park each tenant under its own; draws that find their tenant evicted drop tenant.mu before re-resolving
-	resident  map[string]*tenant // guarded by mu
-	parked    map[string]*parked // guarded by mu
+	mu        sync.Mutex         //lint:lockorder before tenant.mu resolution and LRU eviction take the registry lock first, then park or unpark each tenant under its own; draws that find their tenant parked drop tenant.mu before re-resolving
+	tenants   map[string]*tenant // every tenant, resident or parked; guarded by mu
 	lru       *list.List         // resident tenants, most recent at front; guarded by mu
 	seeds     map[uint64]string  // derived-seed collision audit; guarded by mu
 	evictions uint64             // guarded by mu
@@ -123,13 +115,12 @@ func New(cfg Config) (*Registry, error) {
 		}
 	}
 	r := &Registry{
-		cfg:      cfg,
-		now:      cfg.Now,
-		burst:    cfg.Burst,
-		resident: make(map[string]*tenant),
-		parked:   make(map[string]*parked),
-		lru:      list.New(),
-		seeds:    make(map[uint64]string),
+		cfg:     cfg,
+		now:     cfg.Now,
+		burst:   cfg.Burst,
+		tenants: make(map[string]*tenant),
+		lru:     list.New(),
+		seeds:   make(map[uint64]string),
 	}
 	if r.now == nil {
 		r.now = time.Now //lint:wallclock default when Config.Now was not injected; Now IS the injection point
@@ -191,11 +182,8 @@ func (r *Registry) FillBytes(key string, b []byte) error {
 
 // draw resolves key's resident tenant, charges words tokens from its
 // bucket, runs fill on its generator and meters the draw with served,
-// all under the tenant's lock. The meters are bumped there because
-// eviction snapshots them under the same lock: a meter bumped after
-// the unlock could land on an already-parked tenant and be lost. A
-// tenant evicted between lookup and lock holds a stale generator (its
-// state was parked), so draw re-resolves, which unparks it.
+// all under the tenant's lock. A tenant parked between lookup and
+// lock has no generator, so draw re-resolves, which unparks it.
 //
 // A tenant whose SP 800-90B monitor has tripped, before the draw or
 // during it, fails with the monitor's *bitsource.HealthError and is
@@ -209,7 +197,7 @@ func (r *Registry) draw(key string, words int, fill func(*hybridprng.Generator),
 			return err
 		}
 		t.mu.Lock()
-		if t.evicted {
+		if t.gen == nil {
 			t.mu.Unlock()
 			continue
 		}
@@ -229,7 +217,9 @@ func (r *Registry) draw(key string, words int, fill func(*hybridprng.Generator),
 }
 
 // takeLocked charges words tokens from the bucket, refilling it from
-// the injected clock first. Caller holds t.mu.
+// the injected clock first. The level never exceeds this registry's
+// burst, including a level restored from a node with a larger one.
+// Caller holds t.mu.
 func (t *tenant) takeLocked(r *Registry, words int) error {
 	if r.cfg.RatePerSec <= 0 {
 		return nil
@@ -237,10 +227,8 @@ func (t *tenant) takeLocked(r *Registry, words int) error {
 	now := r.now()
 	if elapsed := now.Sub(t.last).Seconds(); elapsed > 0 {
 		t.tokens += elapsed * r.cfg.RatePerSec
-		if t.tokens > r.burst {
-			t.tokens = r.burst
-		}
 	}
+	t.tokens = min(t.tokens, r.burst)
 	t.last = now
 	need := float64(words)
 	if t.tokens >= need {
@@ -264,49 +252,39 @@ func (r *Registry) tenant(key string) (*tenant, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if t, ok := r.resident[k]; ok {
+	t, ok := r.tenants[k]
+	switch {
+	case ok && t.elem != nil:
 		r.lru.MoveToFront(t.elem)
 		return t, nil
-	}
-	t, err := r.admitLocked(k)
-	if err != nil {
-		return nil, err
-	}
-	for r.lru.Len() > r.cfg.MaxResident {
-		r.evictTailLocked()
-	}
-	return t, nil
-}
-
-// admitLocked creates or unparks the tenant for canonical key k and
-// makes it resident. Caller holds r.mu.
-func (r *Registry) admitLocked(k string) (*tenant, error) {
-	seed := DeriveSeed(r.cfg.RootSeed, k)
-	if prev, taken := r.seeds[seed]; taken && prev != k {
-		return nil, &CollisionError{Key: k, Existing: prev, Seed: seed}
-	}
-	t := &tenant{key: k, seed: seed, tokens: r.burst}
-	if p, ok := r.parked[k]; ok {
+	case ok:
+		t.mu.Lock()
 		g := new(hybridprng.Generator)
-		if err := g.UnmarshalBinary(p.blob); err != nil {
+		err := g.UnmarshalBinary(t.blob)
+		if err == nil {
+			t.gen, t.blob = g, nil
+		}
+		t.mu.Unlock()
+		if err != nil {
 			return nil, fmt.Errorf("substream: unparking tenant %q: %w", k, err)
 		}
-		t.gen = g
-		t.tokens = p.tokens
-		t.draws.Store(p.draws)
-		t.bytes.Store(p.bytes)
-		t.sheds.Store(p.sheds)
-		delete(r.parked, k)
-	} else {
+	default:
+		seed := DeriveSeed(r.cfg.RootSeed, k)
+		if prev, taken := r.seeds[seed]; taken {
+			return nil, &CollisionError{Key: k, Existing: prev, Seed: seed}
+		}
 		g, err := hybridprng.New(r.cfg.genOptions(seed)...)
 		if err != nil {
 			return nil, fmt.Errorf("substream: creating tenant %q: %w", k, err)
 		}
-		t.gen = g
+		t = &tenant{key: k, gen: g, tokens: r.burst}
+		r.tenants[k] = t
+		r.seeds[seed] = k
 	}
-	r.seeds[seed] = k
-	r.resident[k] = t
 	t.elem = r.lru.PushFront(t)
+	for r.lru.Len() > r.cfg.MaxResident {
+		r.evictTailLocked()
+	}
 	return t, nil
 }
 
@@ -342,25 +320,18 @@ func (r *Registry) evictTailLocked() {
 	t := back.Value.(*tenant)
 	t.mu.Lock()
 	blob, err := t.gen.MarshalBinary()
+	if err == nil {
+		t.gen, t.blob = nil, blob
+	}
+	t.mu.Unlock()
 	if err != nil {
 		// Marshal of a live generator cannot fail; if it somehow
 		// does, keep the tenant resident rather than lose its stream.
-		t.mu.Unlock()
 		r.lru.MoveToFront(back)
 		return
 	}
-	t.evicted = true
-	tokens := t.tokens
-	t.mu.Unlock()
-	r.parked[t.key] = &parked{
-		blob:   blob,
-		draws:  t.draws.Load(),
-		bytes:  t.bytes.Load(),
-		sheds:  t.sheds.Load(),
-		tokens: tokens,
-	}
 	r.lru.Remove(back)
-	delete(r.resident, t.key)
+	t.elem = nil
 	r.evictions++
 }
 
@@ -387,35 +358,26 @@ func (r *Registry) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Stats{
-		Resident:  len(r.resident),
-		Tenants:   len(r.resident) + len(r.parked),
+		Tenants:   len(r.tenants),
+		Resident:  r.lru.Len(),
 		Evictions: r.evictions,
-		PerTenant: make([]TenantStats, 0, len(r.resident)+len(r.parked)),
+		PerTenant: make([]TenantStats, 0, len(r.tenants)),
 	}
 	for _, k := range r.sortedKeysLocked() {
-		if t, ok := r.resident[k]; ok {
-			s.PerTenant = append(s.PerTenant, TenantStats{
-				Key: k, Resident: true,
-				Draws: t.draws.Load(), Bytes: t.bytes.Load(), Sheds: t.sheds.Load(),
-			})
-			continue
-		}
-		p := r.parked[k]
+		t := r.tenants[k]
 		s.PerTenant = append(s.PerTenant, TenantStats{
-			Key: k, Draws: p.draws, Bytes: p.bytes, Sheds: p.sheds,
+			Key: k, Resident: t.elem != nil,
+			Draws: t.draws.Load(), Bytes: t.bytes.Load(), Sheds: t.sheds.Load(),
 		})
 	}
 	return s
 }
 
-// sortedKeysLocked returns every tenant key (resident and parked) in
-// sorted order. Caller holds r.mu.
+// sortedKeysLocked returns every tenant key in sorted order. Caller
+// holds r.mu.
 func (r *Registry) sortedKeysLocked() []string {
-	keys := make([]string, 0, len(r.resident)+len(r.parked))
-	for k := range r.resident {
-		keys = append(keys, k)
-	}
-	for k := range r.parked {
+	keys := make([]string, 0, len(r.tenants))
+	for k := range r.tenants {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

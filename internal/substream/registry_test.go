@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -89,14 +90,21 @@ func TestEvictedKeyResumesBitwise(t *testing.T) {
 	// Two fresher keys push "victim" off the 2-slot LRU.
 	drawWords(t, r, "fresh-a", 1)
 	drawWords(t, r, "fresh-b", 1)
-	if s := r.Stats(); s.Resident != 2 || s.Tenants != 3 || s.Evictions == 0 {
+	s := r.Stats()
+	if s.Resident != 2 || s.Tenants != 3 || s.Evictions == 0 {
 		t.Fatalf("after eviction pressure: %+v", s)
+	}
+	if v := s.PerTenant[len(s.PerTenant)-1]; v.Key != "victim" || v.Resident || v.Draws != 16 {
+		t.Fatalf("parked victim's meters: %+v, want 16 draws", v)
 	}
 
 	second := drawWords(t, r, "victim", 16)
 	want := control(t, 99, "victim", 32)
 	if !equalWords(first, want[:16]) || !equalWords(second, want[16:]) {
 		t.Fatalf("evicted key did not resume bitwise")
+	}
+	if v := r.Stats().PerTenant[2]; v.Key != "victim" || !v.Resident || v.Draws != 32 {
+		t.Fatalf("unparked victim's meters: %+v, want 32 draws", v)
 	}
 }
 
@@ -153,12 +161,20 @@ func TestRegistryStateRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The blob ends with its one tenant's bucket level.
+	level := func(v float64) []byte {
+		out := bytes.Clone(blob)
+		binary.LittleEndian.PutUint64(out[len(out)-8:], math.Float64bits(v))
+		return out
+	}
 	for name, mut := range map[string][]byte{
-		"empty":     {},
-		"short":     blob[:5],
-		"truncated": blob[:len(blob)-3],
-		"badmagic":  append([]byte("xsubreg"), blob[7:]...),
-		"trailing":  append(append([]byte{}, blob...), 0xee),
+		"empty":          {},
+		"short":          blob[:5],
+		"truncated":      blob[:len(blob)-3],
+		"badmagic":       append([]byte("xsubreg"), blob[7:]...),
+		"trailing":       append(append([]byte{}, blob...), 0xee),
+		"negative-level": level(-1),
+		"nan-level":      level(math.NaN()),
 	} {
 		if _, err := Restore(mut, Config{}); err == nil {
 			t.Fatalf("Restore(%s) accepted a corrupt blob", name)
@@ -242,6 +258,60 @@ func TestRateLimitIsPerTenant(t *testing.T) {
 	}
 	// A different tenant still has its full burst.
 	drawWords(t, r, "quiet", 4)
+}
+
+// TestBucketSurvivesEvictionAndRestore: parking a tenant and restoring
+// a registry leave its token bucket where it was. A throttled tenant
+// stays throttled at the same instant, and then refills at the
+// configured rate from that instant, not to a full burst.
+func TestBucketSurvivesEvictionAndRestore(t *testing.T) {
+	now := time.Unix(3000, 0)
+	cfg := Config{
+		RootSeed:    5,
+		RatePerSec:  1,
+		Burst:       10,
+		MaxResident: 1,
+		Now:         func() time.Time { return now },
+	}
+	requireThrottled := func(r *Registry, when string) {
+		t.Helper()
+		var rl *RateLimitError
+		if err := r.Fill("a", make([]uint64, 1)); !errors.As(err, &rl) {
+			t.Fatalf("%s: Fill = %v, want a *RateLimitError", when, err)
+		}
+	}
+	r := mustRegistry(t, cfg)
+	drawWords(t, r, "a", 10)
+	requireThrottled(r, "burst spent")
+	drawWords(t, r, "b", 1) // parks a: one resident slot
+	if s := r.Stats(); s.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", s.Evictions)
+	}
+	requireThrottled(r, "unparked")
+
+	data, err := r.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Restore(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireThrottled(r2, "restored")
+	now = now.Add(time.Second) // one word's refill
+	drawWords(t, r2, "a", 1)
+	requireThrottled(r2, "restored, one second on")
+
+	// A node with a smaller burst restores b's 9 words as 4.
+	cfg.Burst = 4
+	if r2, err = Restore(data, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var rl *RateLimitError
+	if err := r2.Fill("b", make([]uint64, 5)); !errors.As(err, &rl) {
+		t.Fatalf("5 words over a burst of 4: Fill = %v, want a *RateLimitError", err)
+	}
+	drawWords(t, r2, "b", 4)
 }
 
 func TestCollisionAudit(t *testing.T) {

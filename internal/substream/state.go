@@ -46,30 +46,23 @@ func (r *Registry) MarshalBinary() ([]byte, error) {
 	keys := r.sortedKeysLocked()
 	out = le.AppendUint32(out, uint32(len(keys)))
 	for _, k := range keys {
-		var p parked
-		if t, ok := r.resident[k]; ok {
-			t.mu.Lock()
-			gBlob, err := t.gen.MarshalBinary()
-			tokens := t.tokens
-			t.mu.Unlock()
-			if err != nil {
-				return nil, fmt.Errorf("substream: marshalling tenant %q: %w", k, err)
-			}
-			p = parked{
-				blob:   gBlob,
-				draws:  t.draws.Load(),
-				bytes:  t.bytes.Load(),
-				sheds:  t.sheds.Load(),
-				tokens: tokens,
-			}
-		} else {
-			p = *r.parked[k]
+		t := r.tenants[k]
+		t.mu.Lock()
+		gBlob := t.blob
+		var err error
+		if t.gen != nil {
+			gBlob, err = t.gen.MarshalBinary()
 		}
-		out = blob.AppendBytes32(blob.AppendBytes32(out, k), p.blob)
-		out = le.AppendUint64(out, p.draws)
-		out = le.AppendUint64(out, p.bytes)
-		out = le.AppendUint64(out, p.sheds)
-		out = le.AppendUint64(out, math.Float64bits(p.tokens))
+		tokens := t.tokens
+		t.mu.Unlock()
+		if err != nil {
+			return nil, fmt.Errorf("substream: marshalling tenant %q: %w", k, err)
+		}
+		out = blob.AppendBytes32(blob.AppendBytes32(out, k), gBlob)
+		out = le.AppendUint64(out, t.draws.Load())
+		out = le.AppendUint64(out, t.bytes.Load())
+		out = le.AppendUint64(out, t.sheds.Load())
+		out = le.AppendUint64(out, math.Float64bits(tokens))
 	}
 	return out, nil
 }
@@ -79,7 +72,8 @@ func (r *Registry) MarshalBinary() ([]byte, error) {
 // is validated but the walker is rebuilt lazily on the tenant's
 // first draw, so restoring a million-tenant registry costs no init
 // walks up front (the paper's on-demand property, preserved across
-// restarts). Derivation parameters are taken from the blob; the
+// restarts). Each bucket keeps its level and refills from the
+// restore instant. Derivation parameters are taken from the blob; the
 // runtime knobs configured at New/Restore time are kept.
 func (r *Registry) UnmarshalBinary(data []byte) error {
 	c := blob.NewReader(data, "substream: registry state")
@@ -105,35 +99,37 @@ func (r *Registry) UnmarshalBinary(data []byte) error {
 	}
 	// The maps grow as tenants decode: n comes from the blob, and a
 	// forged count must not size an allocation.
-	parkedSet := make(map[string]*parked)
+	tenants := make(map[string]*tenant)
 	seeds := make(map[uint64]string)
+	now := r.now()
 	for i := uint32(0); i < n; i++ {
 		key := string(c.Bytes32())
-		p := &parked{
-			blob:  append([]byte{}, c.Bytes32()...),
-			draws: c.Uint64(),
-			bytes: c.Uint64(),
-			sheds: c.Uint64(),
-		}
-		p.tokens = math.Float64frombits(c.Uint64())
+		t := &tenant{key: key, blob: append([]byte{}, c.Bytes32()...), last: now}
+		t.draws.Store(c.Uint64())
+		t.bytes.Store(c.Uint64())
+		t.sheds.Store(c.Uint64())
+		t.tokens = math.Float64frombits(c.Uint64())
 		if err := c.Err(); err != nil {
 			return err
+		}
+		if !(t.tokens >= 0) {
+			return fmt.Errorf("substream: tenant %q has bucket level %g, want 0 or more", key, t.tokens)
 		}
 		canon, err := Canonical(key)
 		if err != nil || canon != key {
 			return fmt.Errorf("substream: state blob holds non-canonical key %q", key)
 		}
-		if err := new(hybridprng.Generator).UnmarshalBinary(p.blob); err != nil {
+		if err := new(hybridprng.Generator).UnmarshalBinary(t.blob); err != nil {
 			return fmt.Errorf("substream: tenant %q generator blob: %w", key, err)
 		}
-		if _, dup := parkedSet[key]; dup {
+		if _, dup := tenants[key]; dup {
 			return fmt.Errorf("substream: state blob repeats tenant %q", key)
 		}
 		seed := DeriveSeed(rootSeed, key)
 		if prev, taken := seeds[seed]; taken {
 			return &CollisionError{Key: key, Existing: prev, Seed: seed}
 		}
-		parkedSet[key] = p
+		tenants[key] = t
 		seeds[seed] = key
 	}
 	if err := c.Done(); err != nil {
@@ -146,9 +142,8 @@ func (r *Registry) UnmarshalBinary(data []byte) error {
 	r.cfg.WalkLen = int(walkLen)
 	r.cfg.InitWalkLen = int(initWalkLen)
 	r.cfg.HealthHMin = hMin
-	r.resident = make(map[string]*tenant)
+	r.tenants = tenants
 	r.lru.Init()
-	r.parked = parkedSet
 	r.seeds = seeds
 	return nil
 }
