@@ -608,30 +608,6 @@ func (s *poolShard) refillRingLocked() {
 	}
 }
 
-// fill writes len(dst) words straight from the walker (bypassing the
-// ring, whose buffered words stay put for Uint64 callers). ok is
-// false when the shard is not serving — including a trip detected
-// *after* generating, in which case dst holds untrusted words the
-// caller must overwrite or zero.
-func (s *poolShard) fill(dst []uint64) bool {
-	if shardState(s.state.Load()) != shardHealthy {
-		return false
-	}
-	s.mu.Lock()
-	if shardState(s.state.Load()) != shardHealthy {
-		s.mu.Unlock()
-		return false
-	}
-	s.w.Fill(dst)
-	if s.monTripped() {
-		s.mu.Unlock()
-		return false
-	}
-	s.mu.Unlock()
-	s.draws.Add(uint64(len(dst)))
-	return true
-}
-
 // healthErr returns why the shard is out of service, or nil.
 func (s *poolShard) healthErr() error {
 	if shardState(s.state.Load()) == shardHealthy {
@@ -811,7 +787,8 @@ func fillShardGroupsParallel(lanes []*poolShard, segs [][]uint64) [][]uint64 {
 // bulk fills cannot deadlock), sweeps their segments with the
 // batched kernel, and returns the segments that must be regenerated
 // because their shard was no longer healthy or tripped mid-sweep.
-// The happy path allocates nothing.
+// The happy path allocates nothing. ShardFill and Fill's failover
+// (fillSegment) pass it one shard.
 func fillShardGroup(shards []*poolShard, segs [][]uint64) (failed [][]uint64) {
 	var (
 		ws     [core.MaxBatchLanes]*core.Walker
@@ -859,7 +836,7 @@ func (p *Pool) fillSegment(seg []uint64) error {
 			return ErrPoolUnhealthy
 		}
 		for _, s := range healthy {
-			if s.fill(seg) {
+			if len(fillShardGroup([]*poolShard{s}, [][]uint64{seg})) == 0 {
 				return nil
 			}
 		}
@@ -983,7 +960,7 @@ func (p *Pool) ShardFill(i int, dst []uint64) error {
 		return fmt.Errorf("hybridprng: shard %d outside [0, %d)", i, len(p.shards))
 	}
 	s := p.shards[i]
-	if s.fill(dst) {
+	if len(fillShardGroup([]*poolShard{s}, [][]uint64{dst})) == 0 {
 		return nil
 	}
 	zeroWords(dst)
