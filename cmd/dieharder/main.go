@@ -24,8 +24,10 @@ import (
 	"repro/internal/rng"
 )
 
-// tableIIGenerators is the paper's Table II line-up.
-var tableIIGenerators = []string{"hybrid-prng", "md5-cudpp", "mt19937", "xorwow", "glibc-rand"}
+// tableIIGenerators is the paper's Table II line-up. Its glibc row is
+// glibc-rand32, rand() used the way applications use it: one 31-bit
+// value per 32-bit word.
+var tableIIGenerators = []string{"hybrid-prng", "md5-cudpp", "mt19937", "xorwow", "glibc-rand32"}
 
 func newGenerator(name string, seed uint64) (rng.Source, error) {
 	switch name {

@@ -17,14 +17,8 @@ import (
 	"os/exec"
 	"strings"
 
-	"repro/internal/baselines"
-	"repro/internal/bitsource"
-	"repro/internal/core"
-	"repro/internal/diehard"
 	"repro/internal/gpu"
 	"repro/internal/hybrid"
-	"repro/internal/rng"
-	"repro/internal/testu01"
 )
 
 func main() {
@@ -33,6 +27,10 @@ func main() {
 	flag.Parse()
 
 	run := func(id string) bool { return *exp == "all" || strings.EqualFold(*exp, id) }
+	scale, battery := "1", "all"
+	if *fast {
+		scale, battery = "0.25", "small"
+	}
 
 	if run("headline") {
 		headline()
@@ -56,10 +54,14 @@ func main() {
 		delegate("prngbench", "-figure6")
 	}
 	if run("T2") {
-		table2(*fast)
+		fmt.Println("== Table II: DIEHARD battery ==")
+		delegate("dieharder", "-scale", scale)
+		fmt.Println()
 	}
 	if run("T3") {
-		table3(*fast)
+		fmt.Println("== Table III: TestU01-style batteries ==")
+		delegate("crush", "-battery", battery)
+		fmt.Println()
 	}
 	if run("F7") {
 		delegate("listrank")
@@ -149,53 +151,6 @@ func miniTimeline() string {
 			gpu.Kernel{Name: "G", Threads: threads, CyclesPerThread: m.GenCyclesPerNumber()})
 	}
 	return p.Sim.TimelineString(92)
-}
-
-func newGenerator(name string, seed uint64) (rng.Source, error) {
-	switch name {
-	case "hybrid-prng":
-		return core.NewWalker(bitsource.Glibc(uint32(seed)), core.Config{})
-	default:
-		return baselines.New(name, seed)
-	}
-}
-
-func table2(fast bool) {
-	fmt.Println("== Table II: DIEHARD battery ==")
-	scale := 1.0
-	if fast {
-		scale = 0.25
-	}
-	fmt.Printf("%-24s %-12s %s\n", "Algorithm", "Tests", "KS-Test D")
-	for _, name := range []string{"hybrid-prng", "md5-cudpp", "mt19937", "xorwow", "glibc-rand32"} {
-		src, err := newGenerator(name, 20120521)
-		if err != nil {
-			die(err)
-		}
-		out := diehard.RunBattery(name, src, diehard.Config{Scale: scale})
-		fmt.Printf("%-24s %2d/%-9d %.4f\n", name, out.Passed, out.Total, out.KS.D)
-	}
-	fmt.Println()
-}
-
-func table3(fast bool) {
-	fmt.Println("== Table III: TestU01-style batteries ==")
-	batteries := testu01.Batteries()
-	if fast {
-		batteries = batteries[:1]
-	}
-	fmt.Printf("%-14s %-12s %s\n", "PRNG", "Test Suite", "Tests Passed")
-	for _, name := range []string{"xorwow", "mt19937", "hybrid-prng"} {
-		for _, b := range batteries {
-			src, err := newGenerator(name, 20120521)
-			if err != nil {
-				die(err)
-			}
-			out := b.Run(name, src)
-			fmt.Printf("%-14s %-12s %d/%d\n", name, b.Name, out.Passed, out.Total)
-		}
-	}
-	fmt.Println()
 }
 
 func die(err error) {
