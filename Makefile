@@ -96,7 +96,7 @@ portable:
 	GOARCH=386 go test -short ./...
 	for arch in arm64 s390x 386; do GOARCH=$$arch go vet ./... || exit 1; done
 
-## fuzz-smoke: run nine fuzzers for 30 s each past their seed corpora.
+## fuzz-smoke: run ten fuzzers for 30 s each past their seed corpora.
 ## The glibc feed's block draw must equal its per-word stream from any
 ## seed and ring position. The AVX2 round kernel must walk every live
 ## lane of any bins, lane count, walk length, round length and start
@@ -112,6 +112,8 @@ portable:
 ## their bounds against whatever a server sends. The fleet fuzzer
 ## holds the controller to a non-5xx answer, without a panic, for any
 ## register body, heartbeat body or ?wait= value a node or curl sends.
+## The registry fuzzer holds the tenant state decoder to an error or a
+## registry that re-marshals, restores and serves a new tenant.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzGlibcFillWords$$' -fuzztime 30s ./internal/baselines
 	go test -run '^$$' -fuzz '^FuzzWalkBinsMatchesWalkBin$$' -fuzztime 30s ./internal/core
@@ -122,6 +124,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzClientResponse$$' -fuzztime 30s ./client
 	go test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 30s ./client
 	go test -run '^$$' -fuzz '^FuzzServerRequests$$' -fuzztime 30s ./internal/fleet
+	go test -run '^$$' -fuzz '^FuzzRegistryState$$' -fuzztime 30s ./internal/substream
 
 ## battery-short: the per-PR cross-stream battery — 256 streams per
 ## source under the race detector, the same invocation CI runs.
